@@ -23,7 +23,8 @@ from .lp import (Constraint, LinearProgram, LPSolution, solve_box_knapsack_lp,
                  solve_diagonal_lp, solve_lp)
 from .metric_io import load_metric, save_metric
 from .objective import (ConvexObjective, GLRObjective, ObjectiveContext,
-                        glr_grad_diag, glr_grad_offdiag_col, glr_value)
+                        PairDistances, glr_grad_diag, glr_grad_offdiag_col,
+                        glr_value, pair_distances)
 from .optimizer import (LearnResult, OptimizerConfig, OptimizerState,
                         diagonal_step, init_metric, learn_metric,
                         offdiag_step, update_scalars)
@@ -35,14 +36,14 @@ __all__ = [
     "ExperimentReport", "GLRObjective", "GershgorinScalars", "GraphMetric",
     "GraphMetricRejection", "LabeledGraph", "LearnResult", "LinearProgram",
     "LobpcgNonConvergence", "LPSolution", "ObjectiveContext",
-    "OptimizerConfig", "OptimizerState", "RunRecord", "Scaler",
+    "OptimizerConfig", "OptimizerState", "PairDistances", "RunRecord", "Scaler",
     "SymmetricMatrix", "alignment_scalars", "build_labeled_graph",
     "definition_violations", "diagonal_step", "edge_weight",
     "gershgorin_left_ends", "glr_grad_diag", "glr_grad_offdiag_col",
     "glr_value", "graph_classify", "init_metric", "knn_classify",
     "knn_vote_scores", "learn_metric", "load_csv", "load_feature_matrix",
     "load_metric",
-    "mahalanobis", "offdiag_step", "one_vs_all_predict",
+    "mahalanobis", "offdiag_step", "one_vs_all_predict", "pair_distances",
     "pairwise_mahalanobis", "run_experiment", "save_metric",
     "scaled_left_ends", "smallest_eigenpair_dense",
     "smallest_eigenpair_lobpcg", "solve_box_knapsack_lp", "solve_diagonal_lp",

@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--classifier", choices=("knn", "graph", "both"),
                        default="graph")
     p_exp.add_argument("--k", type=int, default=5)
-    p_exp.add_argument("--seeds", default="0..49",
+    p_exp.add_argument("--seeds", default="0..49", type=_parse_seeds,
                        help="inclusive seed range a..b or a single number")
     p_exp.add_argument("--folds", type=int, default=2)
     p_exp.add_argument("--no-standardize", action="store_true",
@@ -144,10 +144,18 @@ def _parse_label_col(value: str) -> int | str:
 
 
 def _parse_seeds(spec: str) -> range:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(spec), int(spec) + 1)
+    """Inclusive seed range ``a..b`` or a single seed; rejects empty ranges."""
+    lo, sep, hi = spec.partition("..")
+    try:
+        seeds = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed seed range {spec!r}: expected a..b or a number"
+        ) from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"empty seed range {spec!r}: {lo} is greater than {hi}")
+    return seeds
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -224,7 +232,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                        args.delimiter)
     cfg = _optimizer_config(args)
     report = run_experiment(dataset, cfg, classifier_choice=args.classifier,
-                            seeds=_parse_seeds(args.seeds), folds=args.folds,
+                            seeds=args.seeds, folds=args.folds,
                             k=args.k,
                             scale_features=not args.no_standardize,
                             n_jobs=args.jobs)

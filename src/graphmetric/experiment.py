@@ -170,6 +170,10 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
         classifiers = (classifier_choice,)
     else:
         raise ValueError(f"unknown classifier {classifier_choice!r}")
+    requested, seeds = seeds, tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError(f"empty seed range {requested!r}: the protocol "
+                         f"needs at least one CV seed")
     counts = dataset.class_counts()
     if np.any(counts < max(2, folds)):
         short = np.nonzero(counts < max(2, folds))[0].tolist()
@@ -177,7 +181,6 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
             f"classes {short} have fewer than {max(2, folds)} samples; "
             f"stratified {folds}-fold CV is impossible")
     cfg = (cfg or OptimizerConfig()).resolve(dataset.num_features)
-    seeds = tuple(int(s) for s in seeds)
     start = time.perf_counter()
 
     if n_jobs > 1 and len(seeds) > 1:

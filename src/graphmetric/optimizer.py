@@ -305,9 +305,9 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
     lb = scaled_radii(matrix, state.scalars) + cfg.rho
-    x = matrix.diagonal()
-    current = matrix
-    q = obj.value(current)
+    x = x0 = matrix.diagonal()
+    point = obj.at(matrix)
+    q = obj.value(point)
     gap = math.nan
     deficit = float(np.sum(lb)) - cfg.trace_cap
     if deficit > 1e-3 * max(1.0, cfg.trace_cap):
@@ -324,7 +324,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
                        objective_trace=state.objective_trace + (q,),
                        fw_gap=0.0)
     for it in range(cfg.fw_max_iters):
-        g = obj.grad_diag(current)
+        g = obj.grad_diag(point)
         sol = lp.solve_diagonal_lp(g, lb, cfg.trace_cap)
         if sol.status != lp.OPTIMAL:
             raise SubproblemInfeasibleError(
@@ -336,16 +336,15 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
             break
         slope = float(g @ direction)
-
-        def evaluate(gamma: float) -> float:
-            return obj.value(matrix.with_diagonal(x + gamma * direction))
-
-        gamma, phi = _step_size(q, slope, evaluate, cfg.fw_step_rule, it)
+        move = obj.ray(point, direction)
+        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)),
+                                cfg.fw_step_rule, it)
         if gamma == 0.0:
             break
         x = x + gamma * direction
-        current = matrix.with_diagonal(x)
+        point = move(gamma)
         q = phi
+    current = matrix.with_diagonal(x) if np.any(x != x0) else matrix
     metric, pair = _certify_matrix(current, state.eigpair.vector)
     return replace(state, metric=metric, eigpair=pair,
                    objective_trace=state.objective_trace + (q,), fw_gap=gap)
@@ -426,45 +425,45 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
             or float(coupling_coeffs @ np.maximum(-np.clip(x0, lower, upper),
                                                   0.0))
             > coupling_budget * (1.0 + 1e-9) + 1e-15):
-        log.warning("off-diagonal step on column %d skipped: the epsilon "
-                    "floor or coupling budget excludes the incumbent "
-                    "(lambda_min is pressing the rho floor)", col)
+        log.debug("off-diagonal step on column %d skipped: the epsilon "
+                  "floor or coupling budget excludes the incumbent "
+                  "(lambda_min is pressing the rho floor)", col)
         return state
     x = np.clip(x0, lower, upper)
-    q0 = obj.value(matrix)
-    current = matrix.with_offdiag_column(col, x) if np.any(x != x0) else matrix
-    q = obj.value(current)
+    start = obj.at(matrix)
+    q0 = obj.value(start)
+    point = obj.ray(start, x - x0, col)(1.0) if np.any(x != x0) else start
+    q = obj.value(point)
 
     for it in range(cfg.fw_max_iters):
-        g = obj.grad_offdiag_col(current, col)
+        g = obj.grad_offdiag_col(point, col)
         sol = lp.solve_box_knapsack_lp(g, lower, upper, coupling_coeffs,
                                        coupling_budget)
         if sol.status != lp.OPTIMAL:
-            log.warning("off-diagonal step on column %d skipped: LP %s",
-                        col, sol.status)
+            log.debug("off-diagonal step on column %d skipped: LP %s",
+                      col, sol.status)
             return state
         direction = sol.point - x
         gap = float(-(g @ direction))
         if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
             break
         slope = float(g @ direction)
-
-        def evaluate(gamma: float) -> float:
-            return obj.value(matrix.with_offdiag_column(col, x + gamma * direction))
-
-        gamma, phi = _step_size(q, slope, evaluate, cfg.fw_step_rule, it)
+        move = obj.ray(point, direction, col)
+        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)),
+                                cfg.fw_step_rule, it)
         if gamma == 0.0:
             break
         x = x + gamma * direction
-        current = matrix.with_offdiag_column(col, x)
+        point = move(gamma)
         q = phi
 
     if q > q0:
         # the feasibility clamp on the start cost more than the step gained
-        log.warning("off-diagonal step on column %d made no progress; "
-                    "keeping the incumbent", col)
+        log.debug("off-diagonal step on column %d made no progress; "
+                  "keeping the incumbent", col)
         return replace(state,
                        objective_trace=state.objective_trace + (q0,))
+    current = matrix.with_offdiag_column(col, x) if np.any(x != x0) else matrix
     if not is_connected(current):
         raise CertificationError(
             "off-diagonal step disconnected the graph despite edge floors")
@@ -484,6 +483,8 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     Loop: scalars -> diagonal Frank-Wolfe -> per-column scalar refresh and
     off-diagonal Frank-Wolfe, until the relative objective change over an
     outer iteration falls below obj_rel_tol or outer_max_iters is reached.
+    Logs one warning per run for skipped or stalled column steps, and one
+    when the run stops at outer_max_iters unconverged.
     """
     cfg = (cfg or OptimizerConfig()).resolve(ctx.num_features)
     obj = GLRObjective(ctx)
@@ -493,6 +494,7 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
 
     converged = False
     outer = 0
+    skipped = stalled = 0
     for outer in range(1, cfg.outer_max_iters + 1):
         q_start = state.objective_trace[-1]
         state = update_scalars(state, rho=cfg.rho)
@@ -503,8 +505,15 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
             for col in range(ctx.num_features):
                 state = update_scalars(state, rho=cfg.rho)
                 notify("scalars", state)
+                before = state
                 state = offdiag_step(state, ctx, cfg, col, objective=obj)
                 notify("offdiag", state)
+                # a skipped column returns its input state; a stalled one
+                # keeps the input metric
+                if state is before:
+                    skipped += 1
+                elif state.metric is before.metric:
+                    stalled += 1
         state = replace(state, iteration=outer)
         notify("outer", state)
         q_end = state.objective_trace[-1]
@@ -512,9 +521,20 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
                  "fw_gap=%.3e", outer, q_end,
                  state.metric.certificate.lambda_min,
                  state.metric.matrix.trace(), state.fw_gap)
-        if abs(q_end - q_start) <= cfg.obj_rel_tol * max(1.0, abs(q_start)):
+        change = abs(q_end - q_start)
+        if change <= cfg.obj_rel_tol * max(1.0, abs(q_start)):
             converged = True
             break
+    if skipped or stalled:
+        log.warning("%d of %d off-diagonal column steps skipped and %d "
+                    "made no progress",
+                    skipped, outer * cfg.bcd_sweeps * ctx.num_features,
+                    stalled)
+    if not converged:
+        log.warning("stopped unconverged at outer_max_iters=%d: last outer "
+                    "change %.3e exceeds obj_rel_tol %.1e (relative)",
+                    cfg.outer_max_iters,
+                    change / max(1.0, abs(q_start)), cfg.obj_rel_tol)
     return LearnResult(metric=state.metric,
                        objective_trace=list(state.objective_trace),
                        outer_iterations=outer, converged=converged)

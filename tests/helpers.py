@@ -130,6 +130,43 @@ def grid_search_diag(ctx: ObjectiveContext, matrix, lb: np.ndarray,
     return best_pt
 
 
+class MatrixObjective:
+    """The GLR objective on explicitly rebuilt matrices (ConvexObjective).
+
+    Points are the matrices themselves: every line-search trial builds
+    M + gamma * dM and sums the pair terms over a fresh einsum, the way the
+    optimizer worked before it cached per-pair distances.
+    """
+
+    def __init__(self, ctx: ObjectiveContext):
+        self.ctx = ctx
+
+    def _terms(self, m) -> np.ndarray:
+        cache = self.ctx.pair_cache
+        delta = np.einsum("pk,kl,pl->p", cache.diffs, m.entries, cache.diffs)
+        return cache.weights * np.exp(-np.clip(delta, -745.0, 745.0))
+
+    def at(self, m):
+        return m
+
+    def ray(self, m, direction, col=None):
+        if col is None:
+            return lambda gamma: m.with_diagonal(m.diagonal()
+                                                 + gamma * direction)
+        x = np.delete(m.entries[:, col], col)
+        return lambda gamma: m.with_offdiag_column(col, x + gamma * direction)
+
+    def value(self, m) -> float:
+        return float(np.sum(self._terms(m)))
+
+    def grad_diag(self, m) -> np.ndarray:
+        return -(self._terms(m) @ self.ctx.pair_cache.sq_diffs)
+
+    def grad_offdiag_col(self, m, col: int) -> np.ndarray:
+        d = self.ctx.pair_cache.diffs
+        return -2.0 * ((self._terms(m) * d[:, col]) @ np.delete(d, col, axis=1))
+
+
 def euclidean_knn_label(train_x: np.ndarray, train_y: np.ndarray,
                         point: np.ndarray, k: int) -> int:
     """Reference Euclidean kNN with the same tie rules as the package."""

@@ -97,6 +97,14 @@ def test_experiment_table(cluster_csv, capsys):
     assert "mean error" in capsys.readouterr().out
 
 
+def test_experiment_empty_seed_range_is_a_usage_error(cluster_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--dataset", str(cluster_csv), "--label-col",
+              "label", "--seeds", "5..3"])
+    assert exc.value.code == 2
+    assert "empty seed range '5..3'" in capsys.readouterr().err
+
+
 def test_config_file_merge_and_flag_override(cluster_csv, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"outer_max_iters": 2, "rho": 1e-5}))

@@ -97,6 +97,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(_separable(), classifier_choice="svm")
 
+    def test_empty_seed_range_rejected(self):
+        with pytest.raises(ValueError, match=r"empty seed range range\(5, 3\)"):
+            run_experiment(_separable(), seeds=range(5, 3))
+
     def test_table_output(self):
         report = run_experiment(_separable(), seeds=range(1))
         table = report.to_table()

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphmetric.core import SymmetricMatrix
 from graphmetric.objective import (GLRObjective, ObjectiveContext,
-                                   glr_grad_diag, glr_grad_offdiag_col,
-                                   glr_value)
+                                   PairDistances, glr_grad_diag,
+                                   glr_grad_offdiag_col, glr_value,
+                                   pair_distances)
 from graphmetric.synthetic import random_graph_metric
 from graphmetric.verify import (_random_objective_instance, fd_grad_diag,
                                 fd_grad_offdiag_col)
@@ -144,3 +148,65 @@ class TestContext:
         assert np.array_equal(obj.grad_diag(m), glr_grad_diag(ctx, m))
         assert np.array_equal(obj.grad_offdiag_col(m, 0),
                               glr_grad_offdiag_col(ctx, m, 0))
+
+
+def _unit_floats():
+    return st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _ray_cases(draw):
+    """A context, a diagonally dominant metric, and one Frank-Wolfe move."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, 6))
+    feats = draw(arrays(np.float64, (n, k), elements=_unit_floats()))
+    labels = draw(arrays(np.float64, n,
+                         elements=st.sampled_from([-1.0, 1.0])))
+    off = draw(arrays(np.float64, (k, k), elements=_unit_floats()))
+    m = SymmetricMatrix(np.triu(off, 1) + np.triu(off, 1).T
+                        + (k + 1.0) * np.eye(k))
+    col = draw(st.none() | st.integers(0, k - 1))
+    size = k if col is None else k - 1
+    direction = draw(arrays(np.float64, size, elements=_unit_floats()))
+    gamma = draw(st.floats(0.0, 1.0))
+    return ObjectiveContext(features=feats, labels=labels), m, col, \
+        direction, gamma
+
+
+def _moved_matrix(m, col, step):
+    if col is None:
+        return m.with_diagonal(m.diagonal() + step)
+    return m.with_offdiag_column(col, np.delete(m.entries[:, col], col) + step)
+
+
+class TestPairDistances:
+    @settings(deadline=None, max_examples=150)
+    @given(_ray_cases())
+    def test_moved_point_matches_rebuilt_matrix(self, case):
+        ctx, m, col, direction, gamma = case
+        obj = GLRObjective(ctx)
+        point = obj.ray(obj.at(m), direction, col)(gamma)
+        rebuilt = _moved_matrix(m, col, gamma * direction)
+
+        want = glr_value(ctx, rebuilt)
+        assert abs(obj.value(point) - want) <= 1e-12 * want
+        # gradients, relative to the sum of absolute pair contributions
+        cache = ctx.pair_cache
+        terms = cache.weights * np.exp(-pair_distances(ctx, rebuilt).delta)
+        scale = terms @ cache.sq_diffs
+        assert np.all(np.abs(obj.grad_diag(point)
+                             - glr_grad_diag(ctx, rebuilt)) <= 1e-12 * scale)
+        for c in range(ctx.num_features):
+            d = np.abs(cache.diffs)
+            scale = 2.0 * (terms * d[:, c]) @ np.delete(d, c, axis=1)
+            err = np.abs(obj.grad_offdiag_col(point, c)
+                         - glr_grad_offdiag_col(ctx, rebuilt, c))
+            assert np.all(err <= 1e-12 * scale)
+
+    def test_distances_bound_to_their_context(self):
+        ctx, other = _two_point_ctx(), _two_point_ctx()
+        point = pair_distances(ctx, SymmetricMatrix(np.eye(3)))
+        assert isinstance(point, PairDistances)
+        assert glr_value(ctx, point) == pytest.approx(8.0 / np.e, rel=1e-14)
+        with pytest.raises(ValueError):
+            glr_value(other, point)

@@ -1,5 +1,6 @@
 """Tests for the alternating Frank-Wolfe metric learner."""
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,8 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    diagonal_step, init_metric, initial_state,
                                    learn_metric, offdiag_step, update_scalars)
 from graphmetric.synthetic import two_cluster_dataset
-from helpers import diag_objective_fn, golden_section, grid_search_diag
+from helpers import (MatrixObjective, diag_objective_fn, golden_section,
+                     grid_search_diag)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -125,6 +127,14 @@ class _LinearDiagObjective:
     """Objective linear in the diagonal; positive slope everywhere."""
 
     slope: np.ndarray
+
+    def at(self, m):
+        return m
+
+    def ray(self, m, direction, col=None):
+        assert col is None  # only diagonal steps use this objective
+        return lambda gamma: m.with_diagonal(np.diag(m.entries)
+                                             + gamma * direction)
 
     def value(self, m):
         return float(self.slope @ np.diag(m.entries))
@@ -337,3 +347,95 @@ class TestLearnMetric:
                 - g.certificate.lambda_min * g.certificate.eigvec)
             assert resid <= 1e-8 * max(1.0, abs(g.certificate.lambda_min)) + 1e-10
             assert validate_graph_metric(g.matrix) is not None
+
+
+class TestPairDistancePath:
+    """Block steps on cached pair distances match the matrix-rebuild path."""
+
+    @pytest.mark.parametrize("seed,n,k", [(20, 10, 3), (21, 14, 4),
+                                          (22, 18, 6)])
+    def test_steps_match_reference_objective(self, seed, n, k):
+        ctx = _random_ctx(np.random.default_rng(seed), n, k)
+        ref = MatrixObjective(ctx)
+        cfg = OptimizerConfig().resolve(k)
+        state = update_scalars(initial_state(ctx, cfg), rho=cfg.rho)
+        for outer in range(2):
+            fast = diagonal_step(state, ctx, cfg)
+            slow = diagonal_step(state, ctx, cfg, objective=ref)
+            self._assert_same(fast, slow)
+            state = fast
+            for col in range(k):
+                state = update_scalars(state, rho=cfg.rho)
+                fast = offdiag_step(state, ctx, cfg, col)
+                slow = offdiag_step(state, ctx, cfg, col, objective=ref)
+                self._assert_same(fast, slow)
+                state = fast
+
+    @staticmethod
+    def _assert_same(fast, slow):
+        diff = np.max(np.abs(fast.metric.matrix.entries
+                             - slow.metric.matrix.entries))
+        assert diff <= 1e-10
+        assert fast.objective_trace[-1] == pytest.approx(
+            slow.objective_trace[-1], rel=1e-12)
+
+
+def _blob_ctx(seed, k=9, per_class=8):
+    """Standardized 3-class Gaussian blobs, class 0 against the rest."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat(np.arange(3), per_class)
+    centers = rng.normal(0.0, 0.5, (3, k))
+    x = centers[y] + rng.normal(size=(y.size, k))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    return ObjectiveContext(features=x, labels=np.where(y == 0, 1.0, -1.0))
+
+
+class TestLogging:
+    LOGGER = "graphmetric.optimizer"
+
+    def test_column_events_summarized_in_one_warning(self, caplog):
+        # trace_cap=2 at K=9 presses lambda_min onto the rho floor, so some
+        # columns are skipped
+        ctx = _blob_ctx(12)
+        outcomes = []
+        prev = []
+
+        def observe(event, state):
+            if event == "offdiag":
+                before = prev[-1]
+                outcomes.append("skipped" if state is before else
+                                "stalled" if state.metric is before.metric
+                                else "moved")
+            prev.append(state)
+
+        with caplog.at_level(logging.DEBUG, logger=self.LOGGER):
+            result = learn_metric(ctx, OptimizerConfig(trace_cap=2.0),
+                                  observer=observe)
+        assert result.converged
+        skipped, stalled = outcomes.count("skipped"), outcomes.count("stalled")
+        assert skipped > 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert warnings == [
+            f"{skipped} of {len(outcomes)} off-diagonal column steps skipped "
+            f"and {stalled} made no progress"]
+        per_column = [r for r in caplog.records if r.levelno == logging.DEBUG
+                      and r.getMessage().startswith("off-diagonal step")]
+        assert len(per_column) == skipped + stalled
+
+    def test_unconverged_stop_warns(self, caplog):
+        ctx = _random_ctx(np.random.default_rng(13), 8, 3)
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            result = learn_metric(ctx, OptimizerConfig(outer_max_iters=1))
+        assert not result.converged
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith(
+            "stopped unconverged at outer_max_iters=1")
+
+    def test_clean_converged_run_is_silent(self, caplog):
+        ctx = _random_ctx(np.random.default_rng(1), 10, 3)
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            result = learn_metric(ctx)
+        assert result.converged
+        assert caplog.records == []
