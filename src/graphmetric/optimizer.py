@@ -18,9 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import eigen, lp
-from .core import (Certificate, GershgorinScalars, GraphMetric,
-                   SymmetricMatrix, alignment_scalars, is_connected,
-                   scaled_left_ends, scaled_radii, validate_graph_metric)
+from .core import (CONNECTIVITY_EPS, Certificate, GershgorinScalars,
+                   GraphMetric, SymmetricMatrix, alignment_scalars,
+                   is_connected, scaled_left_ends, scaled_radii,
+                   validate_graph_metric)
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 
 log = logging.getLogger(__name__)
@@ -252,7 +253,7 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
     metric, pair = _certify_matrix(matrix, state.eigpair.vector)
     scalars = _conditioned_scalars(metric, rho)
     if scalars is None:
-        if matrix.dim <= 500:
+        if matrix.dim <= eigen.DENSE_MAX_DIM:
             dense = eigen.smallest_eigenpair_dense(matrix)
             v = eigen.clamp_positive(dense.vector)
             if v is not None:
@@ -354,26 +355,34 @@ def _max_spanning_tree(matrix: SymmetricMatrix, floor: float
                        ) -> tuple[tuple[int, int], ...] | None:
     """Maximum-weight spanning tree over edges with |m_ij| >= floor (Prim).
 
-    Returns None when those edges do not span the graph.
+    Ties go to the lowest tree node, then the lowest new node.  Returns None
+    when those edges do not span the graph.
     """
     k = matrix.dim
-    w = np.abs(matrix.entries).copy()
-    np.fill_diagonal(w, 0.0)
+    w = np.abs(matrix.entries)
     w[w < floor] = 0.0
-    in_tree = np.zeros(k, dtype=bool)
-    in_tree[0] = True
+    rows = w.tolist()
+    # key[j]: heaviest edge from the tree to node j, reached from parent[j]
+    key = list(rows[0])
+    parent = [0] * k
+    outside = list(range(1, k))
     edges: list[tuple[int, int]] = []
-    for _ in range(k - 1):
-        rows = np.nonzero(in_tree)[0]
-        sub = w[np.ix_(rows, ~in_tree)]
-        if sub.size == 0 or float(np.max(sub)) <= 0.0:
+    while outside:
+        node, weight, via = -1, 0.0, k
+        for j in outside:
+            kj = key[j]
+            if kj > weight or (kj == weight and parent[j] < via):
+                node, weight, via = j, kj, parent[j]
+        if weight <= 0.0:
             return None
-        flat = int(np.argmax(sub))
-        i_loc, j_loc = divmod(flat, sub.shape[1])
-        i = int(rows[i_loc])
-        j = int(np.nonzero(~in_tree)[0][j_loc])
-        in_tree[j] = True
-        edges.append((min(i, j), max(i, j)))
+        outside.remove(node)
+        edges.append((min(via, node), max(via, node)))
+        row = rows[node]
+        for j in outside:
+            wj = row[j]
+            if wj > key[j] or (wj == key[j] and node < parent[j]):
+                key[j] = wj
+                parent[j] = node
     return tuple(sorted(edges))
 
 
@@ -464,13 +473,16 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
         return replace(state,
                        objective_trace=state.objective_trace + (q0,))
     current = matrix.with_offdiag_column(col, x) if np.any(x != x0) else matrix
-    if not is_connected(current):
-        raise CertificationError(
-            "off-diagonal step disconnected the graph despite edge floors")
-    metric, pair = _certify_matrix(current, state.eigpair.vector)
+    # a spanning tree over edges >= epsilon > CONNECTIVITY_EPS proves the
+    # graph connected; only without one is the full search needed
     tree_after = _max_spanning_tree(current, cfg.epsilon)
+    if tree_after is None or cfg.epsilon <= CONNECTIVITY_EPS:
+        if not is_connected(current):
+            raise CertificationError(
+                "off-diagonal step disconnected the graph despite edge floors")
     if tree_after is None:
         tree_after = state.protected_edges
+    metric, pair = _certify_matrix(current, state.eigpair.vector)
     return replace(state, metric=metric, eigpair=pair,
                    objective_trace=state.objective_trace + (q,),
                    protected_edges=tree_after)

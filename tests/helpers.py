@@ -167,6 +167,34 @@ class MatrixObjective:
         return -2.0 * ((self._terms(m) * d[:, col]) @ np.delete(d, col, axis=1))
 
 
+def max_spanning_tree(matrix, floor: float):
+    """Maximum-weight spanning tree over edges with |m_ij| >= floor.
+
+    Prim over the full cut submatrix at each step: the heaviest edge from
+    the tree, first in row-major order (lowest tree node, then lowest new
+    node).  Returns the sorted edge tuple, or None when those edges do not
+    span the graph.
+    """
+    k = matrix.dim
+    w = np.abs(matrix.entries).copy()
+    np.fill_diagonal(w, 0.0)
+    w[w < floor] = 0.0
+    in_tree = np.zeros(k, dtype=bool)
+    in_tree[0] = True
+    edges = []
+    for _ in range(k - 1):
+        rows = np.nonzero(in_tree)[0]
+        sub = w[np.ix_(rows, ~in_tree)]
+        if sub.size == 0 or float(np.max(sub)) <= 0.0:
+            return None
+        i_loc, j_loc = divmod(int(np.argmax(sub)), sub.shape[1])
+        i = int(rows[i_loc])
+        j = int(np.nonzero(~in_tree)[0][j_loc])
+        in_tree[j] = True
+        edges.append((min(i, j), max(i, j)))
+    return tuple(sorted(edges))
+
+
 def euclidean_knn_label(train_x: np.ndarray, train_y: np.ndarray,
                         point: np.ndarray, k: int) -> int:
     """Reference Euclidean kNN with the same tie rules as the package."""

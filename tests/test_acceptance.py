@@ -19,7 +19,7 @@ from graphmetric.core import (SymmetricMatrix, alignment_scalars,
                               gershgorin_left_ends, scaled_left_ends,
                               validate_graph_metric)
 from graphmetric.data import load_csv, standardize
-from graphmetric.eigen import (smallest_eigenpair_dense,
+from graphmetric.eigen import (DEFAULT_MAX_ITERS, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg, LobpcgNonConvergence)
 from graphmetric.experiment import run_experiment
 from graphmetric.objective import ObjectiveContext
@@ -243,27 +243,37 @@ def test_criterion_10_warm_start_benefit():
     feats, _, _ = standardize(ds.features, ds.features)
     ctx = ObjectiveContext(features=feats,
                            labels=np.where(ds.labels == 0, 1.0, -1.0))
-    # two BCD sweeps make 17 scalar updates per outer iteration, so even a
-    # short run crosses the 50-update mark
+    # two BCD sweeps make up to 17 block steps per outer iteration, so even
+    # a short run crosses the 50-sample mark
     cfg = OptimizerConfig(outer_max_iters=12, obj_rel_tol=1e-15, bcd_sweeps=2)
     captured = []
+    previous = None
 
     def observer(event, state):
-        if event == "scalars":
-            captured.append((state.metric.matrix, state.eigpair.iterations))
+        # a block step that moves the metric certifies the new matrix with
+        # LOBPCG warm-started from the eigenvector of the state it was given
+        nonlocal previous
+        if (event in ("diagonal", "offdiag")
+                and state.metric is not previous.metric):
+            captured.append((state.metric.matrix, previous.eigpair.vector))
+        previous = state
 
     learn_metric(ctx, cfg, observer=observer)
     captured = captured[:60]
-    assert len(captured) >= 50, "run too short to measure 50 scalar updates"
-    warm = [it for _, it in captured]
-    cold = []
-    for matrix, _ in captured:
+    assert len(captured) >= 50, "run too short to measure 50 block steps"
+
+    def iterations(matrix, warm_start):
+        # replays the certification solve; a budget overrun counts in full
         try:
-            cold.append(smallest_eigenpair_lobpcg(matrix, warm_start=None,
-                                                  tol=_EIG_TOL).iterations)
+            return smallest_eigenpair_lobpcg(matrix, warm_start=warm_start,
+                                             tol=_EIG_TOL).iterations
         except LobpcgNonConvergence:
-            cold.append(200)
+            return DEFAULT_MAX_ITERS
+
+    warm = [iterations(matrix, vec) for matrix, vec in captured]
+    cold = [iterations(matrix, None) for matrix, _ in captured]
+    assert np.mean(warm) > 0, "warm solves took no iterations: nothing measured"
     assert np.mean(warm) <= np.mean(cold)
-    _report(10, f"{len(captured)} sequential scalar updates: mean warm "
-                f"iterations {np.mean(warm):.2f} <= mean cold "
+    _report(10, f"{len(captured)} certification solves after block steps: "
+                f"mean warm iterations {np.mean(warm):.2f} <= mean cold "
                 f"{np.mean(cold):.2f}")

@@ -1,5 +1,7 @@
 """Tests for the dense and LOBPCG smallest-eigenpair solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,41 @@ class TestLobpcg:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             smallest_eigenpair_lobpcg(EX_MATRIX, tol=0.0)
+
+
+class TestPreconditioning:
+    """Jacobi preconditioning changes the search space, not the answer."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graph_metrics_match_dense(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(15):
+            m = random_graph_metric(rng, int(rng.integers(2, 61))).matrix
+            dense = smallest_eigenpair_dense(m)
+            pair = smallest_eigenpair_lobpcg(m, tol=1e-11, max_iters=500)
+            assert abs(pair.value - dense.value) <= 1e-10
+            assert abs(float(pair.vector @ dense.vector)) >= 1.0 - 1e-8
+
+    def test_large_diagonal_reaches_tight_tolerance(self):
+        # a preconditioned residual much shorter than r would fall below the
+        # basis builder's drop threshold before r reaches 1e-11
+        rng = np.random.default_rng(7)
+        g = random_graph_metric(rng, 40)
+        m = SymmetricMatrix(1e3 * g.matrix.entries)
+        pair = smallest_eigenpair_lobpcg(m, tol=1e-11, max_iters=500)
+        assert pair.residual <= 1e-11
+
+    @pytest.mark.parametrize("first_diag", [0.0, -0.5])
+    def test_nonpositive_diagonal_takes_plain_path(self, first_diag):
+        # a zero diagonal entry would divide by zero on the preconditioned
+        # path, which the RuntimeWarning filter turns into a failure
+        rng = np.random.default_rng(8)
+        a = random_spd(rng, 9).entries.copy()
+        a[0, 0] = first_diag
+        m = SymmetricMatrix(a)
+        dense = smallest_eigenpair_dense(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pair = smallest_eigenpair_lobpcg(m, tol=1e-10, max_iters=500)
+        assert abs(pair.value - dense.value) <= 1e-10 * max(1.0, abs(dense.value))
+        assert abs(float(pair.vector @ dense.vector)) >= 1.0 - 1e-8

@@ -15,10 +15,11 @@ from graphmetric.objective import GLRObjective, ObjectiveContext
 from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    OptimizerState, SubproblemInfeasibleError,
                                    diagonal_step, init_metric, initial_state,
-                                   learn_metric, offdiag_step, update_scalars)
+                                   learn_metric, offdiag_step, update_scalars,
+                                   _max_spanning_tree)
 from graphmetric.synthetic import two_cluster_dataset
 from helpers import (MatrixObjective, diag_objective_fn, golden_section,
-                     grid_search_diag)
+                     grid_search_diag, max_spanning_tree)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -263,6 +264,35 @@ class TestOffdiagStep:
             assert m.entries[zeta, col] <= -cfg.epsilon + 1e-12
 
 
+class TestMaxSpanningTree:
+    """The key-array Prim picks the same tree as a full cut-matrix search."""
+
+    @staticmethod
+    def _tied_matrix(rng, k, eps):
+        # few distinct magnitudes, so many edges tie exactly; zeros and -eps
+        # entries sit on either side of the usual floor
+        levels = np.concatenate([[0.0, eps], rng.uniform(eps, 1.0, 3)])
+        upper = -rng.choice(levels, size=(k, k))
+        a = np.triu(upper, 1)
+        a = a + a.T
+        np.fill_diagonal(a, float(k))
+        return SymmetricMatrix(a), levels
+
+    @pytest.mark.parametrize("k", [3, 4, 13, 48])
+    def test_matches_cut_matrix_prim_on_ties(self, k):
+        rng = np.random.default_rng(k)
+        eps = 1e-3
+        nones = 0
+        for _ in range(120 if k < 48 else 40):
+            matrix, levels = self._tied_matrix(rng, k, eps)
+            # floors at entry values keep exactly-equal edges
+            for floor in (eps, float(rng.choice(levels[1:])), 1e-12):
+                expected = max_spanning_tree(matrix, floor)
+                assert _max_spanning_tree(matrix, floor) == expected
+                nones += expected is None
+        assert nones > 0 or k == 48
+
+
 class TestLearnMetric:
     def test_informative_feature_upweighted(self):
         rng = np.random.default_rng(10)
@@ -394,9 +424,9 @@ class TestLogging:
     LOGGER = "graphmetric.optimizer"
 
     def test_column_events_summarized_in_one_warning(self, caplog):
-        # trace_cap=2 at K=9 presses lambda_min onto the rho floor, so some
-        # columns are skipped
-        ctx = _blob_ctx(12)
+        # rho at 0.8 of trace_cap/K presses lambda_min onto the rho floor,
+        # so some columns are skipped
+        ctx = _blob_ctx(13)
         outcomes = []
         prev = []
 
@@ -409,7 +439,8 @@ class TestLogging:
             prev.append(state)
 
         with caplog.at_level(logging.DEBUG, logger=self.LOGGER):
-            result = learn_metric(ctx, OptimizerConfig(trace_cap=2.0),
+            result = learn_metric(ctx, OptimizerConfig(trace_cap=2.0,
+                                                       rho=0.18),
                                   observer=observe)
         assert result.converged
         skipped, stalled = outcomes.count("skipped"), outcomes.count("stalled")
