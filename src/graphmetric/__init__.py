@@ -19,8 +19,7 @@ from .data import Dataset, Scaler, load_csv, load_feature_matrix, standardize
 from .eigen import (EigenPair, LobpcgNonConvergence, smallest_eigenpair_dense,
                     smallest_eigenpair_lobpcg)
 from .experiment import ExperimentReport, RunRecord, run_experiment
-from .lp import (Constraint, LinearProgram, LPSolution, solve_box_knapsack_lp,
-                 solve_diagonal_lp, solve_lp)
+from .lp import LPSolution, solve_box_knapsack_lp, solve_diagonal_lp
 from .metric_io import load_metric, save_metric
 from .objective import (ConvexObjective, GLRObjective, ObjectiveContext,
                         PairDistances, glr_grad_diag, glr_grad_offdiag_col,
@@ -32,9 +31,9 @@ from .optimizer import (LearnResult, OptimizerConfig, OptimizerState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate", "Constraint", "ConvexObjective", "Dataset", "EigenPair",
+    "Certificate", "ConvexObjective", "Dataset", "EigenPair",
     "ExperimentReport", "GLRObjective", "GershgorinScalars", "GraphMetric",
-    "GraphMetricRejection", "LabeledGraph", "LearnResult", "LinearProgram",
+    "GraphMetricRejection", "LabeledGraph", "LearnResult",
     "LobpcgNonConvergence", "LPSolution", "ObjectiveContext",
     "OptimizerConfig", "OptimizerState", "PairDistances", "RunRecord", "Scaler",
     "SymmetricMatrix", "alignment_scalars", "build_labeled_graph",
@@ -47,6 +46,6 @@ __all__ = [
     "pairwise_mahalanobis", "run_experiment", "save_metric",
     "scaled_left_ends", "smallest_eigenpair_dense",
     "smallest_eigenpair_lobpcg", "solve_box_knapsack_lp", "solve_diagonal_lp",
-    "solve_lp", "standardize", "update_scalars", "validate_graph_metric",
+    "standardize", "update_scalars", "validate_graph_metric",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from .optimizer import OptimizerConfig, learn_metric
 log = logging.getLogger(__name__)
 
 _CONFIG_KEYS = ("trace_cap", "rho", "epsilon", "fw_max_iters",
-                "outer_max_iters", "bcd_sweeps", "obj_rel_tol", "fw_step_rule")
+                "outer_max_iters", "bcd_sweeps", "obj_rel_tol")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -46,8 +46,6 @@ def _add_optimizer_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outer-max-iters", type=int, default=None)
     parser.add_argument("--bcd-sweeps", type=int, default=None)
     parser.add_argument("--obj-rel-tol", type=float, default=None)
-    parser.add_argument("--fw-step", choices=("line_search", "diminishing"),
-                        default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,23 +112,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset optimizer options from the JSON config file, if given."""
+def _apply_config_file(parser: argparse.ArgumentParser,
+                       args: argparse.Namespace) -> None:
+    """Fill unset optimizer options from the JSON config file, if given.
+
+    The file must hold one JSON object whose keys all name optimizer
+    options; anything else is a usage error, so a misspelt key cannot be
+    silently ignored.
+    """
     path = getattr(args, "config", None)
     if path is None:
         return
-    values = json.loads(Path(path).read_text())
+    try:
+        values = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(values, dict):
+        parser.error(f"config file {path} must hold a JSON object, "
+                     f"not {type(values).__name__}")
+    unknown = sorted(set(values) - set(_CONFIG_KEYS))
+    if unknown:
+        parser.error(f"config file {path}: unknown key(s) "
+                     f"{', '.join(map(repr, unknown))}; "
+                     f"known keys: {', '.join(_CONFIG_KEYS)}")
     for key in _CONFIG_KEYS:
-        attr = "fw_step" if key == "fw_step_rule" else key
-        if getattr(args, attr, None) is None and key in values:
-            setattr(args, attr, values[key])
+        if getattr(args, key, None) is None and key in values:
+            setattr(args, key, values[key])
 
 
 def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     kwargs = {}
     for key in _CONFIG_KEYS:
-        attr = "fw_step" if key == "fw_step_rule" else key
-        val = getattr(args, attr, None)
+        val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val
     return OptimizerConfig(**kwargs)
@@ -255,11 +268,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    _apply_config_file(args)
+    _apply_config_file(parser, args)
     handlers = {"learn": _cmd_learn, "classify": _cmd_classify,
                 "experiment": _cmd_experiment, "verify": _cmd_verify}
     return handlers[args.command](args)

@@ -200,8 +200,8 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
         "trace_cap": cfg.trace_cap, "rho": cfg.rho, "epsilon": cfg.epsilon,
         "fw_max_iters": cfg.fw_max_iters,
         "outer_max_iters": cfg.outer_max_iters, "bcd_sweeps": cfg.bcd_sweeps,
-        "obj_rel_tol": cfg.obj_rel_tol, "fw_step_rule": cfg.fw_step_rule,
-        "k": k, "seeds": list(seeds), "folds": folds,
+        "obj_rel_tol": cfg.obj_rel_tol, "k": k, "seeds": list(seeds),
+        "folds": folds,
         "standardized": scale_features, "prng": PRNG_NOTE,
     }
     return ExperimentReport(dataset_name=dataset.name, classifiers=classifiers,

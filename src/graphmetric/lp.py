@@ -1,10 +1,15 @@
-"""Small dense linear programs for the Frank-Wolfe subproblems.
+"""Closed-form vertices of the two Frank-Wolfe subproblem LPs.
 
-Two routes: a generic two-phase tableau simplex (vertex solutions, Dantzig
-pivot with a Bland anti-cycling fallback), and a closed-form specialization
-for the diagonal-step LP whose feasible set is a lower-bounded simplex slab
-{x >= lb, sum(x) <= C}.  The generic solver doubles as the oracle for the
-specialization.
+Disc alignment makes both subproblems tiny LPs with exact vertex
+solutions, so no general solver is needed:
+
+* the diagonal step minimizes g.x over the lower-bounded simplex slab
+  {x >= lb, sum(x) <= C} (``solve_diagonal_lp``);
+* the off-diagonal column step minimizes g.x over a box with one knapsack
+  row (``solve_box_knapsack_lp``).
+
+``verify.check_diagonal_lp_equivalence`` and the tests cross-check both
+against scipy's HiGHS solver.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 FEASIBILITY_TOL = 1e-9
-_PIVOT_TOL = 1e-10
 
 
 class LPError(RuntimeError):
@@ -26,267 +30,10 @@ class LPError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Constraint:
-    coeffs: np.ndarray
-    sense: str  # "<=" or ">="
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">="):
-            raise LPError(f"unknown constraint sense {self.sense!r}")
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """minimize objective @ x subject to constraints and variable bounds."""
-
-    objective: np.ndarray
-    constraints: tuple[Constraint, ...]
-    lower_bounds: np.ndarray  # -inf for unbounded below
-    upper_bounds: np.ndarray  # +inf for unbounded above
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).copy()
-        lo = np.asarray(self.lower_bounds, dtype=float).copy()
-        up = np.asarray(self.upper_bounds, dtype=float).copy()
-        n = c.shape[0]
-        if lo.shape != (n,) or up.shape != (n,):
-            raise LPError("bound vectors must match objective length")
-        cons = tuple(self.constraints)
-        for con in cons:
-            if con.coeffs.shape != (n,):
-                raise LPError(
-                    f"constraint row length {con.coeffs.shape} != {n}")
-        for j in range(n):
-            if not (np.isfinite(lo[j]) or np.isfinite(up[j])
-                    or any(con.coeffs[j] != 0 for con in cons)):
-                raise LPError(
-                    f"variable {j} has no bound and appears in no constraint")
-        for arr in (c, lo, up):
-            arr.setflags(write=False)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "lower_bounds", lo)
-        object.__setattr__(self, "upper_bounds", up)
-        object.__setattr__(self, "constraints", cons)
-
-    @property
-    def num_vars(self) -> int:
-        return self.objective.shape[0]
-
-
-@dataclass(frozen=True)
 class LPSolution:
     point: np.ndarray | None
     objective_value: float
     status: str
-
-
-def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest absolute violation of any constraint or bound at ``x``."""
-    worst = 0.0
-    for con in lp.constraints:
-        val = float(con.coeffs @ x)
-        gap = val - con.rhs if con.sense == "<=" else con.rhs - val
-        worst = max(worst, gap)
-    worst = max(worst, float(np.max(lp.lower_bounds - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - lp.upper_bounds, initial=0.0)))
-    return worst
-
-
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Two-phase simplex.  Deterministic: fixed pivot and tie-break rules.
-
-    Returns a vertex optimum, or infeasible/unbounded status.  The returned
-    point is re-verified against the original constraints (1e-9 absolute).
-    """
-    n = lp.num_vars
-    if np.any(lp.lower_bounds > lp.upper_bounds + FEASIBILITY_TOL):
-        return LPSolution(point=None, objective_value=np.nan, status=INFEASIBLE)
-
-    # --- rewrite variables as nonnegative y with x = offset + T y ---
-    offset = np.zeros(n)
-    t_cols: list[tuple[int, float]] = []  # (original var, sign) per y column
-    rows_extra: list[Constraint] = []
-    for j in range(n):
-        lo, up = lp.lower_bounds[j], lp.upper_bounds[j]
-        if np.isfinite(lo):
-            offset[j] = lo
-            t_cols.append((j, 1.0))
-            if np.isfinite(up):
-                e = np.zeros(n)
-                e[j] = 1.0
-                rows_extra.append(Constraint(coeffs=e, sense="<=", rhs=up))
-        elif np.isfinite(up):
-            offset[j] = up
-            t_cols.append((j, -1.0))
-        else:
-            t_cols.append((j, 1.0))
-            t_cols.append((j, -1.0))
-    ny = len(t_cols)
-    t = np.zeros((n, ny))
-    for p, (j, sign) in enumerate(t_cols):
-        t[j, p] = sign
-
-    all_rows = list(lp.constraints) + rows_extra
-    m = len(all_rows)
-    g = np.zeros((m, ny))
-    h = np.zeros(m)
-    for i, con in enumerate(all_rows):
-        a, b = con.coeffs, con.rhs
-        if con.sense == ">=":
-            a, b = -a, -b
-        g[i] = a @ t
-        h[i] = b - a @ offset
-        # row equilibration keeps pivots well scaled
-        row_scale = float(np.max(np.abs(g[i]), initial=0.0))
-        if row_scale > 0:
-            g[i] /= row_scale
-            h[i] /= row_scale
-
-    # --- standard form: [G | slack] y_full = h, h >= 0 ---
-    slack_sign = np.ones(m)
-    flip = h < 0
-    g[flip] *= -1.0
-    h[flip] *= -1.0
-    slack_sign[flip] = -1.0
-
-    a_std = np.hstack([g, np.diag(slack_sign)])
-    total = ny + m
-    need_artificial = np.nonzero(slack_sign < 0)[0]
-    art_cols = {}
-    if need_artificial.size:
-        art = np.zeros((m, need_artificial.size))
-        for idx, row in enumerate(need_artificial):
-            art[row, idx] = 1.0
-            art_cols[total + idx] = row
-        a_std = np.hstack([a_std, art])
-
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = ny + i  # slack
-    for col, row in art_cols.items():
-        basis[row] = col
-
-    # pristine standard-form copy: the final basic solution is recomputed
-    # from it so tableau round-off never reaches the returned point
-    std_a = a_std[:, :ny + m].copy()
-    std_b = h.copy()
-    tableau = np.hstack([a_std, h[:, None]])
-
-    if art_cols:
-        c_phase1 = np.zeros(a_std.shape[1])
-        c_phase1[list(art_cols.keys())] = 1.0
-        status = _iterate(tableau, basis, c_phase1)
-        if status != OPTIMAL:
-            raise LPError("phase 1 cannot be unbounded")
-        if _objective_of(tableau, basis, c_phase1) > 1e-7:
-            return LPSolution(point=None, objective_value=np.nan,
-                              status=INFEASIBLE)
-        tableau, basis, kept_rows = _expel_artificials(
-            tableau, basis, ny + m, set(art_cols.keys()))
-        std_a = std_a[kept_rows]
-        std_b = std_b[kept_rows]
-
-    c_y = lp.objective @ t
-    c_phase2 = np.concatenate([c_y, np.zeros(tableau.shape[1] - 1 - ny)])
-    status = _iterate(tableau, basis, c_phase2)
-    if status == UNBOUNDED:
-        return LPSolution(point=None, objective_value=np.nan, status=UNBOUNDED)
-
-    y = np.zeros(tableau.shape[1] - 1)
-    y[basis] = tableau[:, -1]
-    try:
-        refined = np.linalg.solve(std_a[:, basis], std_b)
-        if np.all(refined >= -FEASIBILITY_TOL):
-            y[basis] = refined
-    except np.linalg.LinAlgError:
-        pass
-    x = offset + t @ y[:ny]
-    viol = feasibility_violation(lp, x)
-    if viol > FEASIBILITY_TOL * 10:
-        raise LPError(f"solver returned infeasible point (violation {viol:.3e})")
-    return LPSolution(point=x, objective_value=float(lp.objective @ x),
-                      status=OPTIMAL)
-
-
-def _objective_of(tableau: np.ndarray, basis: np.ndarray, c: np.ndarray) -> float:
-    return float(c[basis] @ tableau[:, -1])
-
-
-def _iterate(tableau: np.ndarray, basis: np.ndarray, c: np.ndarray) -> str:
-    """Run simplex pivots in place until optimal or unbounded.
-
-    Dantzig rule (most negative reduced cost, lowest index on ties) with a
-    permanent switch to Bland's rule after a fixed iteration budget, which
-    guarantees termination.
-    """
-    m, width = tableau.shape
-    ncols = width - 1
-    dantzig_budget = 20 * (m + ncols) + 100
-    hard_cap = dantzig_budget + 2 ** 16
-    for it in range(hard_cap):
-        bland = it >= dantzig_budget
-        reduced = c[:ncols] - (c[basis] @ tableau[:, :ncols])
-        reduced[basis] = 0.0
-        if bland:
-            candidates = np.nonzero(reduced < -1e-9)[0]
-            if candidates.size == 0:
-                return OPTIMAL
-            enter = int(candidates[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -1e-9:
-                return OPTIMAL
-        col = tableau[:, enter]
-        positive = np.nonzero(col > _PIVOT_TOL)[0]
-        if positive.size == 0:
-            return UNBOUNDED
-        ratios = tableau[positive, -1] / col[positive]
-        best = np.min(ratios)
-        tied = positive[ratios <= best + 1e-12]
-        if bland:
-            leave = int(tied[np.argmin(basis[tied])])
-        else:
-            leave = int(tied[0])
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
-    raise LPError("simplex exceeded hard iteration cap")
-
-
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-
-
-def _expel_artificials(tableau: np.ndarray, basis: np.ndarray,
-                       keep_cols: int, art: set[int]):
-    """Pivot zero-level artificials out of the basis, then drop their columns.
-
-    A row whose artificial cannot be pivoted out is redundant and is removed.
-    Returns (tableau, basis, kept row indices).
-    """
-    drop_rows = []
-    for i in range(tableau.shape[0]):
-        if basis[i] in art:
-            row = tableau[i, :keep_cols]
-            nonzero = np.nonzero(np.abs(row) > 1e-9)[0]
-            nonzero = [j for j in nonzero if j not in art]
-            if nonzero:
-                _pivot(tableau, i, int(nonzero[0]))
-                basis[i] = int(nonzero[0])
-            else:
-                drop_rows.append(i)
-    kept = [i for i in range(tableau.shape[0]) if i not in drop_rows]
-    if drop_rows:
-        tableau = tableau[kept]
-        basis = basis[kept]
-    tableau = np.hstack([tableau[:, :keep_cols], tableau[:, -1:]])
-    return tableau, basis, kept
 
 
 def solve_diagonal_lp(gradient: np.ndarray, lower_bounds: np.ndarray,
@@ -355,31 +102,3 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
         x[r] -= step
         remaining -= step * a[r]
     return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
-
-
-def box_knapsack_as_program(gradient: np.ndarray, lower: np.ndarray,
-                            upper: np.ndarray, coeffs: np.ndarray,
-                            budget: float) -> LinearProgram:
-    """The box-knapsack LP in generic form, for oracle cross-checks."""
-    return LinearProgram(
-        objective=np.asarray(gradient, dtype=float),
-        constraints=(Constraint(coeffs=np.asarray(coeffs, dtype=float),
-                                sense=">=", rhs=-float(budget)),),
-        lower_bounds=np.asarray(lower, dtype=float),
-        upper_bounds=np.asarray(upper, dtype=float),
-    )
-
-
-def diagonal_lp_as_program(gradient: np.ndarray, lower_bounds: np.ndarray,
-                           trace_cap: float) -> LinearProgram:
-    """The diagonal-step LP in generic form, for oracle cross-checks."""
-    g = np.asarray(gradient, dtype=float)
-    lb = np.asarray(lower_bounds, dtype=float)
-    n = g.shape[0]
-    return LinearProgram(
-        objective=g,
-        constraints=(Constraint(coeffs=np.ones(n), sense="<=",
-                                rhs=float(trace_cap)),),
-        lower_bounds=lb,
-        upper_bounds=np.full(n, np.inf),
-    )

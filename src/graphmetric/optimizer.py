@@ -65,7 +65,6 @@ class OptimizerConfig:
     outer_max_iters: int = 50
     bcd_sweeps: int = 1
     obj_rel_tol: float = 1e-6
-    fw_step_rule: str = "line_search"  # or "diminishing"
 
     def resolve(self, dim: int) -> "OptimizerConfig":
         """Fill defaults for dimension ``dim`` and validate all invariants."""
@@ -96,8 +95,6 @@ class OptimizerConfig:
             raise ConfigError("iteration counts must be >= 1")
         if self.obj_rel_tol <= 0:
             raise ConfigError("obj_rel_tol must be positive")
-        if self.fw_step_rule not in ("line_search", "diminishing"):
-            raise ConfigError(f"unknown fw_step_rule {self.fw_step_rule!r}")
 
     @property
     def is_resolved(self) -> bool:
@@ -278,12 +275,8 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
     return replace(state, metric=metric, scalars=scalars, eigpair=pair)
 
 
-def _step_size(phi0: float, slope: float, evaluate, rule: str,
-               fw_iter: int) -> tuple[float, float]:
-    """Step toward the LP vertex: backtracking Armijo or diminishing 2/(k+2)."""
-    if rule == "diminishing":
-        gamma = 2.0 / (fw_iter + 2.0)
-        return gamma, evaluate(gamma)
+def _step_size(phi0: float, slope: float, evaluate) -> tuple[float, float]:
+    """Step toward the LP vertex by backtracking Armijo."""
     gamma = 1.0
     while gamma >= _MIN_STEP:
         phi = evaluate(gamma)
@@ -324,7 +317,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         return replace(state,
                        objective_trace=state.objective_trace + (q,),
                        fw_gap=0.0)
-    for it in range(cfg.fw_max_iters):
+    for _ in range(cfg.fw_max_iters):
         g = obj.grad_diag(point)
         sol = lp.solve_diagonal_lp(g, lb, cfg.trace_cap)
         if sol.status != lp.OPTIMAL:
@@ -338,8 +331,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
             break
         slope = float(g @ direction)
         move = obj.ray(point, direction)
-        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)),
-                                cfg.fw_step_rule, it)
+        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)))
         if gamma == 0.0:
             break
         x = x + gamma * direction
@@ -444,7 +436,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     point = obj.ray(start, x - x0, col)(1.0) if np.any(x != x0) else start
     q = obj.value(point)
 
-    for it in range(cfg.fw_max_iters):
+    for _ in range(cfg.fw_max_iters):
         g = obj.grad_offdiag_col(point, col)
         sol = lp.solve_box_knapsack_lp(g, lower, upper, coupling_coeffs,
                                        coupling_budget)
@@ -458,8 +450,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
             break
         slope = float(g @ direction)
         move = obj.ray(point, direction, col)
-        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)),
-                                cfg.fw_step_rule, it)
+        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)))
         if gamma == 0.0:
             break
         x = x + gamma * direction

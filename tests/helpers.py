@@ -11,27 +11,24 @@ from itertools import combinations
 
 import numpy as np
 
-from graphmetric.lp import OPTIMAL, INFEASIBLE, LinearProgram
+from graphmetric.lp import OPTIMAL, INFEASIBLE
 from graphmetric.objective import ObjectiveContext
 
 
-def enumerate_lp_vertices(lp: LinearProgram, tol: float = 1e-9):
-    """All basic feasible points by intersecting n constraint hyperplanes.
+def enumerate_lp_vertices(c, a_ub, b_ub, lo, hi, tol: float = 1e-9):
+    """Best vertex of min c.x s.t. a_ub x <= b_ub and lo <= x <= hi.
 
+    Takes numpy arrays (a_ub 2-D; lo and hi may hold infinities) and
+    intersects every n of the constraint and finite-bound hyperplanes.
     Returns (status, best_value, best_point) with status in
     {"optimal", "infeasible"}; assumes a bounded feasible region.
     """
-    n = lp.num_vars
-    planes = []  # (row, rhs)
-    for con in lp.constraints:
-        planes.append((np.asarray(con.coeffs, dtype=float), float(con.rhs)))
+    n = c.shape[0]
+    eye = np.eye(n)
+    planes = list(zip(a_ub, b_ub))
     for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if np.isfinite(lp.lower_bounds[j]):
-            planes.append((e.copy(), float(lp.lower_bounds[j])))
-        if np.isfinite(lp.upper_bounds[j]):
-            planes.append((e.copy(), float(lp.upper_bounds[j])))
+        planes += [(eye[j], bound) for bound in (lo[j], hi[j])
+                   if np.isfinite(bound)]
 
     best_val, best_pt = np.inf, None
     for combo in combinations(range(len(planes)), n):
@@ -40,8 +37,9 @@ def enumerate_lp_vertices(lp: LinearProgram, tol: float = 1e-9):
         if np.linalg.matrix_rank(a, tol=1e-10) < n:
             continue
         x = np.linalg.solve(a, b)
-        if _feasible(lp, x, tol):
-            val = float(lp.objective @ x)
+        if (np.all(a_ub @ x <= b_ub + tol) and np.all(x >= lo - tol)
+                and np.all(x <= hi + tol)):
+            val = float(c @ x)
             if val < best_val:
                 best_val, best_pt = val, x
     if best_pt is None:
@@ -49,25 +47,10 @@ def enumerate_lp_vertices(lp: LinearProgram, tol: float = 1e-9):
     return OPTIMAL, best_val, best_pt
 
 
-def _feasible(lp: LinearProgram, x: np.ndarray, tol: float) -> bool:
-    for con in lp.constraints:
-        val = float(con.coeffs @ x)
-        if con.sense == "<=" and val > con.rhs + tol:
-            return False
-        if con.sense == ">=" and val < con.rhs - tol:
-            return False
-    return bool(np.all(x >= lp.lower_bounds - tol)
-                and np.all(x <= lp.upper_bounds + tol))
-
-
-def count_active(lp: LinearProgram, x: np.ndarray, tol: float = 1e-7) -> int:
-    active = 0
-    for con in lp.constraints:
-        if abs(float(con.coeffs @ x) - con.rhs) <= tol:
-            active += 1
-    active += int(np.sum(np.abs(x - lp.lower_bounds) <= tol))
-    active += int(np.sum(np.abs(x - lp.upper_bounds) <= tol))
-    return active
+def count_active(a_ub, b_ub, lo, hi, x: np.ndarray, tol: float = 1e-7) -> int:
+    """Number of constraint rows and bounds that hold with equality at x."""
+    return int(np.sum(np.abs(a_ub @ x - b_ub) <= tol)
+               + np.sum(np.abs(x - lo) <= tol) + np.sum(np.abs(x - hi) <= tol))
 
 
 def golden_section(f, lo: float, hi: float, tol: float = 1e-9) -> float:

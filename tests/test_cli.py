@@ -118,6 +118,24 @@ def test_config_file_merge_and_flag_override(cluster_csv, tmp_path, capsys):
     assert echo["rho"] == 2e-5           # flag wins over file
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"trace-cap": 2.0}', "unknown key(s) 'trace-cap'"),
+    ('{"fw_step_rule": "line_search"}', "unknown key(s) 'fw_step_rule'"),
+    ('[["rho", 1e-05]]', "must hold a JSON object, not list"),
+    ("3", "must hold a JSON object, not int"),
+    ('{"rho": ', "cannot read config file"),
+])
+def test_bad_config_file_is_a_usage_error(cluster_csv, tmp_path, capsys,
+                                          text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--dataset", str(cluster_csv), "--label-col", "label",
+              "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_quick(capsys):
     rc = main(["verify", "--quick", "--seed", "1"])
     out = capsys.readouterr().out

@@ -81,9 +81,8 @@ class TestRunExperiment:
         report = run_experiment(_separable(), seeds=range(1), k=3)
         cfg = report.config
         for key in ("trace_cap", "rho", "epsilon", "fw_max_iters",
-                    "outer_max_iters", "bcd_sweeps", "obj_rel_tol",
-                    "fw_step_rule", "k", "seeds", "folds", "standardized",
-                    "prng"):
+                    "outer_max_iters", "bcd_sweeps", "obj_rel_tol", "k",
+                    "seeds", "folds", "standardized", "prng"):
             assert key in cfg
         assert cfg["k"] == 3
 

@@ -1,130 +1,60 @@
-"""Tests for the simplex solver and the closed-form diagonal LP."""
+"""Tests for the closed-form LP vertices.
+
+The references are independent of the closed forms: scipy's HiGHS solver
+for the random equivalence batches, and brute-force vertex enumeration
+(tests/helpers.py) for the vertex property on small instances.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from graphmetric.lp import (Constraint, INFEASIBLE, LPError, LinearProgram,
-                            OPTIMAL, UNBOUNDED, box_knapsack_as_program,
-                            diagonal_lp_as_program, feasibility_violation,
-                            solve_box_knapsack_lp, solve_diagonal_lp, solve_lp)
+import graphmetric
+from graphmetric.lp import (INFEASIBLE, OPTIMAL, solve_box_knapsack_lp,
+                            solve_diagonal_lp)
 from helpers import count_active, enumerate_lp_vertices
 
-
-def _box(lo, hi, size):
-    return (np.full(size, float(lo)), np.full(size, float(hi)))
+_HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE}
 
 
-class TestSolveLP:
-    def test_lower_bounds_active(self):
-        lo, hi = np.array([1.0, 2.0]), np.array([np.inf, np.inf])
-        prog = LinearProgram(
-            objective=np.array([1.0, 1.0]),
-            constraints=(Constraint(np.array([1.0, 1.0]), "<=", 10.0),),
-            lower_bounds=lo, upper_bounds=hi)
-        sol = solve_lp(prog)
-        assert sol.status == OPTIMAL
-        assert np.allclose(sol.point, [1.0, 2.0], atol=1e-9)
-        assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+def _highs(c, a_ub, b_ub, lo, hi):
+    """HiGHS (status, value) of min c.x, a_ub x <= b_ub, lo <= x <= hi."""
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=np.column_stack([lo, hi]),
+                  method="highs")
+    return _HIGHS_STATUS.get(res.status), res.fun
 
-    def test_bounds_as_constraints(self):
-        prog = LinearProgram(
-            objective=np.array([1.0, 1.0]),
-            constraints=(Constraint(np.array([1.0, 0.0]), ">=", 1.0),
-                         Constraint(np.array([0.0, 1.0]), ">=", 2.0),
-                         Constraint(np.array([1.0, 1.0]), "<=", 10.0)),
-            lower_bounds=np.array([-np.inf, -np.inf]),
-            upper_bounds=np.array([np.inf, np.inf]))
-        sol = solve_lp(prog)
-        assert sol.status == OPTIMAL
-        assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
-    def test_maximize_via_negation(self):
-        lo, hi = _box(0.0, 5.0, 1)
-        prog = LinearProgram(objective=np.array([-1.0]), constraints=(),
-                             lower_bounds=lo, upper_bounds=hi)
-        sol = solve_lp(prog)
-        assert sol.status == OPTIMAL
-        assert sol.point[0] == pytest.approx(5.0, abs=1e-9)
-        assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
+def _diagonal_program(g, lb, cap):
+    """{x >= lb, sum(x) <= cap} as (c, a_ub, b_ub, lo, hi)."""
+    return (g, np.ones((1, g.shape[0])), np.array([cap]), lb,
+            np.full(g.shape[0], np.inf))
 
-    def test_infeasible(self):
-        prog = LinearProgram(
-            objective=np.array([1.0]),
-            constraints=(Constraint(np.array([1.0]), ">=", 2.0),
-                         Constraint(np.array([1.0]), "<=", 1.0)),
-            lower_bounds=np.array([-np.inf]), upper_bounds=np.array([np.inf]))
-        assert solve_lp(prog).status == INFEASIBLE
 
-    def test_crossed_bounds_infeasible(self):
-        prog = LinearProgram(objective=np.array([1.0]), constraints=(),
-                             lower_bounds=np.array([2.0]),
-                             upper_bounds=np.array([1.0]))
-        assert solve_lp(prog).status == INFEASIBLE
+def _knapsack_program(g, lo, up, a, budget):
+    """{lo <= x <= up, sum a * (-x) <= budget} as (c, a_ub, b_ub, lo, hi)."""
+    return g, -a[None, :], np.array([budget]), lo, up
 
-    def test_unbounded(self):
-        prog = LinearProgram(objective=np.array([-1.0]), constraints=(),
-                             lower_bounds=np.array([0.0]),
-                             upper_bounds=np.array([np.inf]))
-        assert solve_lp(prog).status == UNBOUNDED
 
-    def test_free_variable_with_constraints(self):
-        # free variable pinned only by two inequality rows
-        prog = LinearProgram(
-            objective=np.array([1.0]),
-            constraints=(Constraint(np.array([1.0]), ">=", -3.0),
-                         Constraint(np.array([1.0]), "<=", 4.0)),
-            lower_bounds=np.array([-np.inf]), upper_bounds=np.array([np.inf]))
-        sol = solve_lp(prog)
-        assert sol.point[0] == pytest.approx(-3.0, abs=1e-9)
+def _random_diagonal(rng, dim):
+    g = rng.normal(size=dim)
+    lb = rng.uniform(0.0, 1.0, size=dim)
+    cap = float(np.sum(lb) + rng.uniform(-0.3, 2.0))
+    return g, lb, cap
 
-    def test_deterministic(self):
-        rng = np.random.default_rng(8)
-        prog = LinearProgram(
-            objective=rng.normal(size=4),
-            constraints=(Constraint(rng.normal(size=4), "<=", 3.0),),
-            lower_bounds=np.zeros(4), upper_bounds=np.full(4, 2.0))
-        a = solve_lp(prog)
-        b = solve_lp(prog)
-        assert np.array_equal(a.point, b.point)
-        assert a.objective_value == b.objective_value
 
-    def test_random_vs_vertex_enumeration(self):
-        rng = np.random.default_rng(9)
-        for _ in range(120):
-            n = 5
-            lo = np.zeros(n)
-            hi = rng.uniform(0.5, 3.0, size=n)
-            cons = []
-            for _ in range(int(rng.integers(1, 4))):
-                a = rng.normal(size=n)
-                interior = rng.uniform(0.1, 0.9) * hi
-                sense = "<=" if rng.random() < 0.5 else ">="
-                slackval = abs(rng.normal()) * 0.5
-                rhs = float(a @ interior) + (slackval if sense == "<=" else -slackval)
-                cons.append(Constraint(a, sense, rhs))
-            prog = LinearProgram(objective=rng.normal(size=n),
-                                 constraints=tuple(cons),
-                                 lower_bounds=lo, upper_bounds=hi)
-            status, best, _ = enumerate_lp_vertices(prog)
-            sol = solve_lp(prog)
-            assert sol.status == status
-            if status == OPTIMAL:
-                assert sol.objective_value == pytest.approx(best, abs=1e-9)
-                # vertex property: at least n constraints active
-                assert count_active(prog, sol.point) >= n
-                assert feasibility_violation(prog, sol.point) <= 1e-9
-
-    def test_row_length_validation(self):
-        with pytest.raises(LPError):
-            LinearProgram(objective=np.array([1.0, 2.0]),
-                          constraints=(Constraint(np.array([1.0]), "<=", 1.0),),
-                          lower_bounds=np.zeros(2), upper_bounds=np.ones(2))
-
-    def test_totally_unconstrained_variable_rejected(self):
-        with pytest.raises(LPError):
-            LinearProgram(objective=np.array([1.0]), constraints=(),
-                          lower_bounds=np.array([-np.inf]),
-                          upper_bounds=np.array([np.inf]))
+def _random_knapsack(rng, dim):
+    g = rng.normal(size=dim)
+    up = -rng.uniform(0.0, 0.3, size=dim)
+    up[rng.random(size=dim) < 0.5] = 0.0
+    lo = up - rng.uniform(0.1, 2.0, size=dim)
+    a = rng.uniform(0.1, 10.0, size=dim)
+    budget = float(a @ (-up)) + float(rng.uniform(-0.2, 3.0))
+    return g, lo, up, a, budget
 
 
 class TestDiagonalLP:
@@ -133,10 +63,9 @@ class TestDiagonalLP:
                                 np.array([1.0, 1.0, 1.0]), 6.0)
         assert sol.status == OPTIMAL
         assert sol.point.tolist() == [1.0, 4.0, 1.0]
-        oracle = solve_lp(diagonal_lp_as_program(
+        _, oracle = _highs(*_diagonal_program(
             np.array([-1.0, -3.0, 2.0]), np.array([1.0, 1.0, 1.0]), 6.0))
-        assert sol.objective_value == pytest.approx(oracle.objective_value,
-                                                    abs=1e-9)
+        assert sol.objective_value == pytest.approx(oracle, abs=1e-9)
 
     def test_all_positive_gradient_stays_at_bounds(self):
         sol = solve_diagonal_lp(np.array([0.5, 1.0, 2.0]),
@@ -161,16 +90,12 @@ class TestDiagonalLP:
     def test_equivalence_batch(self):
         rng = np.random.default_rng(10)
         for _ in range(500):
-            dim = int(rng.integers(2, 9))
-            g = rng.normal(size=dim)
-            lb = rng.uniform(0.0, 1.0, size=dim)
-            cap = float(np.sum(lb) + rng.uniform(-0.3, 2.0))
+            g, lb, cap = _random_diagonal(rng, int(rng.integers(2, 9)))
             fast = solve_diagonal_lp(g, lb, cap)
-            slow = solve_lp(diagonal_lp_as_program(g, lb, cap))
-            assert fast.status == slow.status
+            status, value = _highs(*_diagonal_program(g, lb, cap))
+            assert fast.status == status
             if fast.status == OPTIMAL:
-                assert abs(fast.objective_value
-                           - slow.objective_value) <= 1e-9
+                assert abs(fast.objective_value - value) <= 1e-9
 
 
 class TestBoxKnapsackLP:
@@ -205,20 +130,42 @@ class TestBoxKnapsackLP:
     def test_equivalence_batch(self):
         rng = np.random.default_rng(12)
         for _ in range(500):
-            dim = int(rng.integers(2, 9))
-            g = rng.normal(size=dim)
-            up = -rng.uniform(0.0, 0.3, size=dim)
-            up[rng.random(size=dim) < 0.5] = 0.0
-            lo = up - rng.uniform(0.1, 2.0, size=dim)
-            a = rng.uniform(0.1, 10.0, size=dim)
-            min_spend = float(a @ (-up))
-            budget = min_spend + float(rng.uniform(-0.2, 3.0))
+            g, lo, up, a, budget = _random_knapsack(rng,
+                                                    int(rng.integers(2, 9)))
             fast = solve_box_knapsack_lp(g, lo, up, a, budget)
-            slow = solve_lp(box_knapsack_as_program(g, lo, up, a, budget))
-            assert fast.status == slow.status
+            status, value = _highs(*_knapsack_program(g, lo, up, a, budget))
+            assert fast.status == status
             if fast.status == OPTIMAL:
-                assert abs(fast.objective_value
-                           - slow.objective_value) <= 1e-9
-                assert feasibility_violation(
-                    box_knapsack_as_program(g, lo, up, a, budget),
-                    fast.point) <= 1e-12
+                assert abs(fast.objective_value - value) <= 1e-9
+                x = fast.point
+                assert a @ (-x) <= budget + 1e-12
+                assert np.all(x >= lo - 1e-12) and np.all(x <= up + 1e-12)
+
+
+@pytest.mark.parametrize("solve, program, draw", [
+    (solve_diagonal_lp, _diagonal_program, _random_diagonal),
+    (solve_box_knapsack_lp, _knapsack_program, _random_knapsack),
+], ids=["diagonal", "knapsack"])
+def test_closed_form_is_enumerated_optimal_vertex(solve, program, draw):
+    rng = np.random.default_rng(13)
+    for _ in range(150):
+        dim = int(rng.integers(1, 6))
+        args = draw(rng, dim)
+        sol = solve(*args)
+        c, a_ub, b_ub, lo, hi = program(*args)
+        status, best, _ = enumerate_lp_vertices(c, a_ub, b_ub, lo, hi)
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert sol.objective_value == pytest.approx(best, abs=1e-9)
+            assert count_active(a_ub, b_ub, lo, hi, sol.point) >= dim
+
+
+def test_package_import_leaves_oracle_unloaded():
+    # the HiGHS oracle must not add to the package's import time
+    probe = ("import sys, graphmetric; print(sorted({'scipy.optimize', "
+             "'graphmetric.verify'} & set(sys.modules)))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(graphmetric.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -49,7 +49,6 @@ class TestConfig:
         assert cfg.trace_cap == 4.0
         assert cfg.rho == pytest.approx(1e-4)
         assert cfg.epsilon == pytest.approx(1e-3)
-        assert cfg.fw_step_rule == "line_search"
 
     def test_rho_too_large(self):
         with pytest.raises(ConfigError):
@@ -58,10 +57,6 @@ class TestConfig:
     def test_epsilon_too_large(self):
         with pytest.raises(ConfigError):
             OptimizerConfig(trace_cap=2.0, epsilon=0.5, rho=1e-4).resolve(2)
-
-    def test_bad_step_rule(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(fw_step_rule="newton").resolve(3)
 
 
 class TestInitMetric:
@@ -356,14 +351,6 @@ class TestLearnMetric:
         assert events[0] == "init"
         assert "scalars" in events and "diagonal" in events
         assert "offdiag" in events and "outer" in events
-
-    def test_diminishing_step_rule_runs(self):
-        rng = np.random.default_rng(14)
-        ctx = _random_ctx(rng, 8, 3)
-        cfg = OptimizerConfig(fw_step_rule="diminishing", fw_max_iters=30,
-                              outer_max_iters=3)
-        result = learn_metric(ctx, cfg)
-        assert result.metric.certificate.lambda_min > 0
 
     def test_never_returns_uncertified(self):
         rng = np.random.default_rng(15)
