@@ -19,14 +19,14 @@ from .optimizer import OptimizerConfig, learn_metric
 
 log = logging.getLogger(__name__)
 
-_CONFIG_KEYS = ("trace_cap", "rho", "epsilon", "fw_max_iters",
-                "outer_max_iters", "bcd_sweeps", "obj_rel_tol")
+# OptimizerConfig fields and their value types, shared by the flags and
+# the --config file
+_CONFIG_TYPES = {"trace_cap": float, "rho": float, "epsilon": float,
+                 "fw_max_iters": int, "outer_max_iters": int,
+                 "bcd_sweeps": int, "obj_rel_tol": float}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with default option values "
-                             "(explicit flags win)")
     parser.add_argument("--verbose", action="store_true")
 
 
@@ -39,13 +39,12 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace-cap", type=float, default=None)
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--fw-max-iters", type=int, default=None)
-    parser.add_argument("--outer-max-iters", type=int, default=None)
-    parser.add_argument("--bcd-sweeps", type=int, default=None)
-    parser.add_argument("--obj-rel-tol", type=float, default=None)
+    for key, kind in _CONFIG_TYPES.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind,
+                            default=None)
+    parser.add_argument("--config", type=Path, default=None,
+                        help="JSON file with default optimizer option "
+                             "values (explicit flags win)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,9 +115,9 @@ def _apply_config_file(parser: argparse.ArgumentParser,
                        args: argparse.Namespace) -> None:
     """Fill unset optimizer options from the JSON config file, if given.
 
-    The file must hold one JSON object whose keys all name optimizer
-    options; anything else is a usage error, so a misspelt key cannot be
-    silently ignored.
+    The file must hold one JSON object mapping optimizer options to values
+    of their type; anything else is a usage error, so a misspelt key or a
+    quoted number cannot be silently ignored or fail inside the optimizer.
     """
     path = getattr(args, "config", None)
     if path is None:
@@ -130,19 +129,25 @@ def _apply_config_file(parser: argparse.ArgumentParser,
     if not isinstance(values, dict):
         parser.error(f"config file {path} must hold a JSON object, "
                      f"not {type(values).__name__}")
-    unknown = sorted(set(values) - set(_CONFIG_KEYS))
+    unknown = sorted(set(values) - set(_CONFIG_TYPES))
     if unknown:
         parser.error(f"config file {path}: unknown key(s) "
                      f"{', '.join(map(repr, unknown))}; "
-                     f"known keys: {', '.join(_CONFIG_KEYS)}")
-    for key in _CONFIG_KEYS:
-        if getattr(args, key, None) is None and key in values:
-            setattr(args, key, values[key])
+                     f"known keys: {', '.join(_CONFIG_TYPES)}")
+    for key, value in values.items():
+        number = _CONFIG_TYPES[key] is float
+        # type() in place of isinstance(): JSON booleans are not numbers here
+        if type(value) not in ((int, float) if number else (int,)):
+            parser.error(f"config file {path}: {key!r} must be "
+                         f"{'a number' if number else 'an integer'}, "
+                         f"not {json.dumps(value)}")
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     kwargs = {}
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val
@@ -194,7 +199,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         "objective_final": result.objective_trace[-1],
         "outer_iterations": result.outer_iterations,
         "converged": result.converged,
-        **{key: getattr(cfg, key) for key in _CONFIG_KEYS},
+        **{key: getattr(cfg, key) for key in _CONFIG_TYPES},
     }
     payload = metric_io.metric_to_dict(result.metric, echo)
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)

@@ -24,10 +24,6 @@ CONNECTIVITY_EPS = 1e-12
 # well-conditioned matrices are not rejected.
 PD_TOL = 1e-10
 
-# Dense eigensolve is used for certification up to this dimension; larger
-# matrices fall back to the iterative solver.
-_DENSE_CERT_MAX_DIM = 200
-
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
@@ -216,10 +212,35 @@ def is_connected(m: SymmetricMatrix, eps: float = CONNECTIVITY_EPS) -> bool:
 def definition_violations(m: SymmetricMatrix, tol: float = PD_TOL) -> list[str]:
     """Check the four graph-metric conditions; return the violated ones.
 
-    An empty list means the matrix is a graph metric.  The PD check uses a
-    dense eigensolve for K <= 200 and the iterative solver beyond that; it
+    An empty list means the matrix is a graph metric.  The PD check solves
+    densely for K <= ``eigen.DENSE_MAX_DIM``, iteratively beyond; it
     accepts lambda_min > tol * trace / K (scale-relative floor).
     """
+    return _audit(m, tol)[0]
+
+
+def validate_graph_metric(m: SymmetricMatrix, tol: float = PD_TOL) -> GraphMetric:
+    """Certify ``m`` as a graph metric or raise with the full rejection report.
+
+    On success the returned certificate carries the smallest eigenpair,
+    sign-normalized so all entries are positive (Perron-Frobenius guarantees
+    a strictly positive first eigenvector for graph metrics).
+    """
+    reasons, lam, vec = _audit(m, tol)
+    if reasons:
+        raise GraphMetricRejection(reasons)
+    if vec is None:
+        # cannot happen for a true graph metric; indicates a broken solve
+        raise GraphMetricRejection(
+            ["first eigenvector has non-positive entries (certification failed)"])
+    return GraphMetric(matrix=m, certificate=Certificate(lambda_min=lam, eigvec=vec))
+
+
+def _audit(m: SymmetricMatrix, tol: float
+           ) -> tuple[list[str], float, np.ndarray | None]:
+    """Reasons, lambda_min and clamped eigenvector from one eigensolve."""
+    from . import eigen  # local import: eigen depends on this module's types
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     reasons = []
@@ -236,43 +257,18 @@ def definition_violations(m: SymmetricMatrix, tol: float = PD_TOL) -> list[str]:
         reasons.append(f"positive off-diagonal (entries {pairs})")
     if not is_connected(m):
         reasons.append("disconnected graph")
-    lam, _ = _certification_eigpair(m)
-    floor = tol * max(m.trace(), 0.0) / m.dim
-    if not lam > floor:
-        reasons.append(f"non-PD (lambda_min {lam:.6g} <= floor {floor:.6g})")
-    return reasons
-
-
-def validate_graph_metric(m: SymmetricMatrix, tol: float = PD_TOL) -> GraphMetric:
-    """Certify ``m`` as a graph metric or raise with the full rejection report.
-
-    On success the returned certificate carries the smallest eigenpair,
-    sign-normalized so all entries are positive (Perron-Frobenius guarantees
-    a strictly positive first eigenvector for graph metrics).
-    """
-    reasons = definition_violations(m, tol)
-    if reasons:
-        raise GraphMetricRejection(reasons)
-    lam, vec = _certification_eigpair(m)
-    if np.any(vec <= 0):
-        # cannot happen for a true graph metric; indicates a broken solve
-        raise GraphMetricRejection(
-            ["first eigenvector has non-positive entries (certification failed)"])
-    return GraphMetric(matrix=m, certificate=Certificate(lambda_min=lam, eigvec=vec))
-
-
-def _certification_eigpair(m: SymmetricMatrix) -> tuple[float, np.ndarray]:
-    from . import eigen  # local import: eigen depends on this module's types
-
-    if m.dim <= _DENSE_CERT_MAX_DIM:
+    if m.dim <= eigen.DENSE_MAX_DIM:
         pair = eigen.smallest_eigenpair_dense(m)
     else:
         try:
             pair = eigen.smallest_eigenpair_lobpcg(m)
         except eigen.LobpcgNonConvergence as exc:
             pair = exc.best
-    clamped = eigen.clamp_positive(pair.vector)
-    return pair.value, (clamped if clamped is not None else pair.vector)
+    floor = tol * max(m.trace(), 0.0) / m.dim
+    if not pair.value > floor:
+        reasons.append(f"non-PD (lambda_min {pair.value:.6g} <= floor "
+                       f"{floor:.6g})")
+    return reasons, pair.value, eigen.clamp_positive(pair.vector)
 
 
 def alignment_scalars(g: GraphMetric) -> GershgorinScalars:

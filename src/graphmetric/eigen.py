@@ -150,8 +150,8 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     when every diagonal entry is positive, as it always is for graph
     metrics; otherwise T = I.  Convergence is judged on the true residual
     ||Mx - lambda x||.  With a warm start near the true eigenvector the
-    loop exits almost immediately, which is what the optimizer's scalar
-    updates exploit.
+    loop exits almost immediately, which is what the optimizer's
+    certification after each block step exploits.
 
     Raises :class:`LobpcgNonConvergence` (carrying the best pair so far)
     when the residual has not reached ``tol`` within ``max_iters``.

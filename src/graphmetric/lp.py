@@ -20,7 +20,6 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 FEASIBILITY_TOL = 1e-9
 

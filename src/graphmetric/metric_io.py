@@ -33,10 +33,21 @@ def load_metric(path: str | Path) -> tuple[GraphMetric, dict]:
     """Read a metric file and re-certify the matrix.
 
     Returns (metric, config echo).  The stored lambda_min is cross-checked
-    against the fresh certificate.
+    against the fresh certificate; a missing or mistyped key is a ValueError.
     """
     payload = json.loads(Path(path).read_text())
-    dim = int(payload["dim"])
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, found "
+                         f"{type(payload).__name__}")
+    # type() in place of isinstance(): JSON booleans are not numbers here
+    for key, kinds, what in (("dim", (int,), "an integer"),
+                             ("entries", (list,), "a list of numbers"),
+                             ("lambda_min", (int, float), "a number")):
+        if type(payload.get(key)) not in kinds:
+            raise ValueError(f"{path}: key {key!r} is missing or not {what}")
+    if any(type(v) not in (int, float) for v in payload["entries"]):
+        raise ValueError(f"{path}: key 'entries' is not a list of numbers")
+    dim = payload["dim"]
     entries = np.array(payload["entries"], dtype=float)
     if entries.shape != (dim * dim,):
         raise ValueError(

@@ -91,7 +91,11 @@ class OptimizerConfig:
             raise ConfigError(
                 f"need trace_cap/K > 2*epsilon + rho for a PD start "
                 f"({c / dim} vs {2 * eps + rho})")
-        if self.fw_max_iters < 1 or self.outer_max_iters < 1 or self.bcd_sweeps < 1:
+        counts = (self.fw_max_iters, self.outer_max_iters, self.bcd_sweeps)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in counts):
+            raise ConfigError(f"iteration counts must be integers: {counts}")
+        if min(counts) < 1:
             raise ConfigError("iteration counts must be >= 1")
         if self.obj_rel_tol <= 0:
             raise ConfigError("obj_rel_tol must be positive")
@@ -105,16 +109,15 @@ class OptimizerConfig:
 class OptimizerState:
     """One point of the optimization trajectory.
 
-    ``scalars`` and ``eigpair`` are aligned with ``metric`` as of the most
-    recent scalar update; matrix-modifying steps refresh the metric's
-    certificate but leave the scalars to the next update.
+    ``metric.certificate`` holds the iterate's smallest eigenpair; every
+    step that changes the matrix certifies it afresh.  ``scalars`` are
+    aligned with that certificate as of the most recent scalar update.
     ``protected_edges`` is the spanning set of edges currently pinned at
     magnitude >= epsilon to keep the graph irreducible.
     """
 
     metric: GraphMetric
     scalars: GershgorinScalars
-    eigpair: eigen.EigenPair
     objective_trace: tuple[float, ...]
     iteration: int = 0
     protected_edges: tuple[tuple[int, int], ...] = ()
@@ -167,46 +170,44 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
     cfg = cfg if cfg.is_resolved else cfg.resolve(dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     g = init_metric(cfg, dim)
-    cert = g.certificate
-    pair = eigen.EigenPair(value=cert.lambda_min, vector=cert.eigvec,
-                           residual=0.0, iterations=0)
-    return OptimizerState(metric=g, scalars=alignment_scalars(g), eigpair=pair,
+    return OptimizerState(metric=g, scalars=alignment_scalars(g),
                           objective_trace=(obj.value(g.matrix),), iteration=0,
                           protected_edges=_path_edges(dim))
 
 
-def _solve_smallest_pair(matrix: SymmetricMatrix,
-                         warm: np.ndarray | None) -> eigen.EigenPair:
-    try:
-        return eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
-                                               tol=_EIG_TOL)
-    except eigen.LobpcgNonConvergence:
-        log.debug("LOBPCG did not converge; falling back to dense solve")
-        return eigen.smallest_eigenpair_dense(matrix)
-
-
-def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None
-                    ) -> tuple[GraphMetric, eigen.EigenPair]:
-    """Fresh certificate for ``matrix``: warm LOBPCG, dense as backstop.
-
-    The dense retry also covers eigenvectors whose sub-precision entries
-    come out more negative than the iterative solver's accuracy.
-    """
-    pair = _solve_smallest_pair(matrix, warm)
+def _certified(matrix: SymmetricMatrix, pair: eigen.EigenPair
+               ) -> GraphMetric | None:
+    """``matrix`` certified by ``pair``, or None if its vector is not positive."""
     v = eigen.clamp_positive(pair.vector)
     if v is None:
+        return None
+    return GraphMetric(matrix=matrix,
+                       certificate=Certificate(lambda_min=pair.value, eigvec=v))
+
+
+def _certify_matrix(matrix: SymmetricMatrix,
+                    warm: np.ndarray | None) -> GraphMetric:
+    """Fresh certificate for ``matrix``: warm LOBPCG, dense as backstop.
+
+    One dense solve covers both LOBPCG non-convergence and an eigenvector
+    whose sub-precision entries come out too negative to clamp.
+    """
+    try:
+        pair = eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
+                                               tol=_EIG_TOL)
+        metric = _certified(matrix, pair)
+    except eigen.LobpcgNonConvergence:
+        log.debug("LOBPCG did not converge; falling back to dense solve")
+        metric = None
+    if metric is None:
         pair = eigen.smallest_eigenpair_dense(matrix)
-        v = eigen.clamp_positive(pair.vector)
-    if v is None or pair.value <= 0:
+        metric = _certified(matrix, pair)
+    if metric is None or pair.value <= 0:
         raise CertificationError(
             f"iterate is not certifiable (lambda_min={pair.value:.3e}, "
             f"min eigvec entry={float(np.min(pair.vector)):.3e}); the "
             f"iterate left the graph-metric set")
-    pair = replace(pair, vector=v)
-    metric = GraphMetric(matrix=matrix,
-                         certificate=Certificate(lambda_min=pair.value,
-                                                 eigvec=v))
-    return metric, pair
+    return metric
 
 
 # Eigenvector entries below this fraction of the largest entry cannot carry
@@ -215,7 +216,7 @@ _SCALAR_FLOOR = 1e-6
 
 
 def _conditioned_scalars(metric: GraphMetric, rho: float
-                         ) -> GershgorinScalars | None:
+                         ) -> tuple[GershgorinScalars, bool]:
     """Alignment scalars with a floor on tiny eigenvector entries.
 
     Exactly s = 1/v when the eigenvector is well resolved.  Entries below
@@ -223,8 +224,8 @@ def _conditioned_scalars(metric: GraphMetric, rho: float
     scalars stay numerically representable; any positive scalars keep the
     Gershgorin PD guarantee, lifting only relaxes tightness on coordinates
     that double precision cannot resolve anyway.  Returns the first choice
-    under which the incumbent still satisfies every scaled constraint, or
-    None if none verifiably does.
+    under which the incumbent still satisfies every scaled constraint and
+    True, or the eta = _SCALAR_FLOOR choice and False if none verifiably does.
     """
     v = metric.certificate.eigvec
     vmax = float(np.max(v))
@@ -232,47 +233,39 @@ def _conditioned_scalars(metric: GraphMetric, rho: float
         scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
         left = scaled_left_ends(metric.matrix, scalars)
         if float(np.min(left)) >= rho - _FEAS_SLACK:
-            return scalars
-    return None
+            return scalars, True
+    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax)), False
 
 
 def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
-    """Refresh the eigenpair (warm-started LOBPCG) and set s = 1 / v.
+    """Set s = 1 / v from ``state.metric``'s certificate, without a re-solve.
 
     Asserts the incumbent stays feasible under the new scalars: all scaled
     disc left-ends >= rho - 1e-9.  When eigenvector entries sit below
     double precision's reach (relative 1e-6), computed left-ends are too
-    noisy to verify that margin even though it holds; the scalars then fall
-    back to the floored form and the true eigenvalue is dense-verified
-    against rho instead.
+    noisy to verify that margin even though it holds; the eigenpair is then
+    re-solved densely, and failing that the scalars take the floored form
+    and lambda_min is checked against rho instead.
     """
-    matrix = state.metric.matrix
-    metric, pair = _certify_matrix(matrix, state.eigpair.vector)
-    scalars = _conditioned_scalars(metric, rho)
-    if scalars is None:
-        if matrix.dim <= eigen.DENSE_MAX_DIM:
-            dense = eigen.smallest_eigenpair_dense(matrix)
-            v = eigen.clamp_positive(dense.vector)
-            if v is not None:
-                pair = replace(dense, vector=v)
-                metric = GraphMetric(matrix=matrix,
-                                     certificate=Certificate(
-                                         lambda_min=pair.value, eigvec=v))
-                scalars = _conditioned_scalars(metric, rho)
-        if scalars is None:
-            lam = pair.value
-            if lam < rho - _FEAS_SLACK:
-                raise CertificationError(
-                    f"incumbent left the feasible region: lambda_min "
-                    f"{lam:.6e} < rho {rho:.6e}")
-            log.debug("scaled left-ends unverifiable at rho margins "
-                      "(eigenvector entries below relative %.0e); using "
-                      "floored scalars, lambda_min %.6e >= rho",
-                      _SCALAR_FLOOR, lam)
-            vec = metric.certificate.eigvec
-            scalars = GershgorinScalars(
-                1.0 / np.maximum(vec, _SCALAR_FLOOR * float(np.max(vec))))
-    return replace(state, metric=metric, scalars=scalars, eigpair=pair)
+    metric = state.metric
+    scalars, verified = _conditioned_scalars(metric, rho)
+    if not verified and metric.dim <= eigen.DENSE_MAX_DIM:
+        dense = _certified(metric.matrix,
+                           eigen.smallest_eigenpair_dense(metric.matrix))
+        if dense is not None:
+            metric = dense
+            scalars, verified = _conditioned_scalars(metric, rho)
+    if not verified:
+        lam = metric.certificate.lambda_min
+        if lam < rho - _FEAS_SLACK:
+            raise CertificationError(
+                f"incumbent left the feasible region: lambda_min "
+                f"{lam:.6e} < rho {rho:.6e}")
+        log.debug("scaled left-ends unverifiable at rho margins "
+                  "(eigenvector entries below relative %.0e); using "
+                  "floored scalars, lambda_min %.6e >= rho",
+                  _SCALAR_FLOOR, lam)
+    return replace(state, metric=metric, scalars=scalars)
 
 
 def _step_size(phi0: float, slope: float, evaluate) -> tuple[float, float]:
@@ -338,8 +331,8 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         point = move(gamma)
         q = phi
     current = matrix.with_diagonal(x) if np.any(x != x0) else matrix
-    metric, pair = _certify_matrix(current, state.eigpair.vector)
-    return replace(state, metric=metric, eigpair=pair,
+    metric = _certify_matrix(current, state.metric.certificate.eigvec)
+    return replace(state, metric=metric,
                    objective_trace=state.objective_trace + (q,), fw_gap=gap)
 
 
@@ -473,8 +466,8 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                 "off-diagonal step disconnected the graph despite edge floors")
     if tree_after is None:
         tree_after = state.protected_edges
-    metric, pair = _certify_matrix(current, state.eigpair.vector)
-    return replace(state, metric=metric, eigpair=pair,
+    metric = _certify_matrix(current, state.metric.certificate.eigvec)
+    return replace(state, metric=metric,
                    objective_trace=state.objective_trace + (q,),
                    protected_edges=tree_after)
 

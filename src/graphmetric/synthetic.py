@@ -37,12 +37,6 @@ def random_graph_metric(rng: np.random.Generator, dim: int,
     return validate_graph_metric(SymmetricMatrix(lap))
 
 
-def random_symmetric(rng: np.random.Generator, dim: int,
-                     scale: float = 1.0) -> SymmetricMatrix:
-    a = rng.normal(scale=scale, size=(dim, dim))
-    return SymmetricMatrix((a + a.T) / 2.0)
-
-
 def random_spd(rng: np.random.Generator, dim: int) -> SymmetricMatrix:
     """Random SPD matrix with a resolvable spectral gap (not a graph metric).
 

@@ -2,7 +2,7 @@
 
 Everything here recomputes expected values by brute force (enumeration,
 golden section, dense grids) so the tests never trust the code paths they
-check.
+check.  ``count_eigensolves`` is the one spy: it records solver calls.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
+from graphmetric import eigen
 from graphmetric.lp import OPTIMAL, INFEASIBLE
 from graphmetric.objective import ObjectiveContext
 
@@ -188,3 +189,24 @@ def euclidean_knn_label(train_x: np.ndarray, train_y: np.ndarray,
         votes[int(train_y[idx])] = votes.get(int(train_y[idx]), 0) + 1
     top = max(votes.values())
     return min(lbl for lbl, cnt in votes.items() if cnt == top)
+
+
+def count_eigensolves(monkeypatch) -> list[str]:
+    """List that records each smallest-eigenpair solve by solver name.
+
+    Patches the ``eigen`` module attributes, through which the package
+    calls both solvers.
+    """
+    calls: list[str] = []
+
+    def counting(name):
+        solver = getattr(eigen, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+        return wrapped
+
+    for name in ("smallest_eigenpair_lobpcg", "smallest_eigenpair_dense"):
+        monkeypatch.setattr(eigen, name, counting(name))
+    return calls

@@ -172,14 +172,10 @@ def test_criterion_07_oracle_equivalence():
                             [-0.03, 0.1, -0.03],
                             [0.0, -0.03, 0.1]])
     from graphmetric.core import GershgorinScalars, scaled_radii
-    from graphmetric.eigen import EigenPair
     from graphmetric.optimizer import OptimizerState
     g = validate_graph_metric(base)
-    state = OptimizerState(
-        metric=g, scalars=GershgorinScalars(np.ones(3)),
-        eigpair=EigenPair(value=g.certificate.lambda_min,
-                          vector=g.certificate.eigvec, residual=0.0),
-        objective_trace=(0.0,))
+    state = OptimizerState(metric=g, scalars=GershgorinScalars(np.ones(3)),
+                           objective_trace=(0.0,))
     state = update_scalars(state, rho=1e-4)
     lb = scaled_radii(base, state.scalars) + 1e-4
     cap = float(np.sum(lb)) + 0.2
@@ -255,7 +251,8 @@ def test_criterion_10_warm_start_benefit():
         nonlocal previous
         if (event in ("diagonal", "offdiag")
                 and state.metric is not previous.metric):
-            captured.append((state.metric.matrix, previous.eigpair.vector))
+            captured.append((state.metric.matrix,
+                             previous.metric.certificate.eigvec))
         previous = state
 
     learn_metric(ctx, cfg, observer=observer)

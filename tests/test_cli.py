@@ -124,6 +124,8 @@ def test_config_file_merge_and_flag_override(cluster_csv, tmp_path, capsys):
     ('[["rho", 1e-05]]', "must hold a JSON object, not list"),
     ("3", "must hold a JSON object, not int"),
     ('{"rho": ', "cannot read config file"),
+    ('{"rho": "abc"}', "'rho' must be a number, not \"abc\""),
+    ('{"fw_max_iters": 2.5}', "'fw_max_iters' must be an integer, not 2.5"),
 ])
 def test_bad_config_file_is_a_usage_error(cluster_csv, tmp_path, capsys,
                                           text, message):
@@ -134,6 +136,15 @@ def test_bad_config_file_is_a_usage_error(cluster_csv, tmp_path, capsys,
               "--config", str(cfg_path)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_is_rejected_without_optimizer_options(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"rho": 5.0}')
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_verify_quick(capsys):

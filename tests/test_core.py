@@ -13,6 +13,7 @@ from graphmetric.core import (GershgorinScalars, GraphMetricRejection,
                               validate_graph_metric)
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.synthetic import random_graph_metric
+from helpers import count_eigensolves
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -88,6 +89,11 @@ class TestValidation:
         for expected in ("non-positive diagonal", "positive off-diagonal",
                          "disconnected", "non-PD"):
             assert expected in joined
+
+    def test_validation_solves_once(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        validate_graph_metric(EX_MATRIX)
+        assert calls == ["smallest_eigenpair_dense"]
 
     def test_certificate_eigvec_positive_unit(self):
         g = validate_graph_metric(EX_MATRIX)

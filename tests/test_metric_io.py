@@ -29,6 +29,28 @@ def test_load_rejects_wrong_entry_count(tmp_path):
         load_metric(path)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1], "expected a JSON object, found list"),
+    ({"dim": 3}, "key 'entries' is missing or not a list of numbers"),
+    ({"entries": [1.0], "lambda_min": 1.0},
+     "key 'dim' is missing or not an integer"),
+    ({"dim": "1", "entries": [1.0], "lambda_min": 1.0},
+     "key 'dim' is missing or not an integer"),
+    ({"dim": 1, "entries": {"0": 1.0}, "lambda_min": 1.0},
+     "key 'entries' is missing or not a list of numbers"),
+    ({"dim": 1, "entries": [[1.0]], "lambda_min": 1.0},
+     "key 'entries' is not a list of numbers"),
+    ({"dim": 1, "entries": [1.0], "lambda_min": True},
+     "key 'lambda_min' is missing or not a number"),
+])
+def test_load_rejects_malformed_payload(tmp_path, payload, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_metric(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_load_rejects_inconsistent_lambda(tmp_path):
     g = random_graph_metric(np.random.default_rng(1), 4)
     path = tmp_path / "m.json"

@@ -10,7 +10,7 @@ import pytest
 from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
                               scaled_radii, validate_graph_metric)
 from graphmetric.data import load_csv
-from graphmetric.eigen import EigenPair, smallest_eigenpair_dense
+from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.objective import GLRObjective, ObjectiveContext
 from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    OptimizerState, SubproblemInfeasibleError,
@@ -18,8 +18,8 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    learn_metric, offdiag_step, update_scalars,
                                    _max_spanning_tree)
 from graphmetric.synthetic import two_cluster_dataset
-from helpers import (MatrixObjective, diag_objective_fn, golden_section,
-                     grid_search_diag, max_spanning_tree)
+from helpers import (MatrixObjective, count_eigensolves, diag_objective_fn,
+                     golden_section, grid_search_diag, max_spanning_tree)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -30,10 +30,8 @@ def _state_for(matrix: SymmetricMatrix) -> OptimizerState:
     """Optimizer state around an arbitrary graph metric with stale scalars."""
     from graphmetric.core import GershgorinScalars
     g = validate_graph_metric(matrix)
-    pair = EigenPair(value=g.certificate.lambda_min,
-                     vector=g.certificate.eigvec, residual=0.0)
     return OptimizerState(metric=g, scalars=GershgorinScalars(np.ones(g.dim)),
-                          eigpair=pair, objective_trace=(0.0,))
+                          objective_trace=(0.0,))
 
 
 def _random_ctx(rng, n, k):
@@ -57,6 +55,12 @@ class TestConfig:
     def test_epsilon_too_large(self):
         with pytest.raises(ConfigError):
             OptimizerConfig(trace_cap=2.0, epsilon=0.5, rho=1e-4).resolve(2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fw_max_iters", 2.5), ("outer_max_iters", True), ("bcd_sweeps", "1")])
+    def test_iteration_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match="must be integers"):
+            OptimizerConfig(**{field: value}).resolve(3)
 
 
 class TestInitMetric:
@@ -112,10 +116,12 @@ class TestUpdateScalars:
         assert np.max(np.abs(once.scalars.values
                              - twice.scalars.values)) <= 1e-10
 
-    def test_records_solver_iterations(self):
+    def test_solves_no_eigenproblem_on_a_certified_state(self, monkeypatch):
         state = _state_for(EX_MATRIX)
+        calls = count_eigensolves(monkeypatch)
         new = update_scalars(state)
-        assert new.eigpair.iterations >= 0
+        assert calls == []
+        assert new.metric is state.metric
 
 
 @dataclass
