@@ -1,4 +1,4 @@
-"""Command-line interface: learn, classify, experiment, verify."""
+"""Command-line interface: learn, classify, experiment."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metric_io, verify
+from . import metric_io
 from .classify import graph_classify, knn_classify, one_vs_all_predict
 from .data import load_csv, load_feature_matrix
 from .experiment import run_experiment
@@ -102,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="embed wall-clock timing in the JSON output "
                             "(makes it non-reproducible)")
     _add_common(p_exp)
-
-    p_ver = sub.add_parser("verify", help="run the random property suites")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--quick", action="store_true",
-                       help="smaller batches for a fast smoke check")
-    _add_common(p_ver)
     return parser
 
 
@@ -176,6 +170,19 @@ def _parse_seeds(spec: str) -> range:
     return seeds
 
 
+def _load(parser: argparse.ArgumentParser, loader, path: Path, *args):
+    """Run one input-file loader; a missing or malformed file is a usage error.
+
+    Only the loaders are guarded, so a ValueError raised while a command
+    runs still ends in a traceback.
+    """
+    try:
+        return loader(path, *args)
+    except (OSError, ValueError) as exc:
+        msg = str(exc)
+        parser.error(msg if str(path) in msg else f"{path}: {msg}")
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         print(text)
@@ -184,13 +191,14 @@ def _emit(text: str, out: Path | None) -> None:
         log.info("wrote %s", out)
 
 
-def _cmd_learn(args: argparse.Namespace) -> int:
-    dataset = load_csv(args.dataset, _parse_label_col(args.label_col),
-                       args.delimiter)
+def _cmd_learn(parser: argparse.ArgumentParser,
+               args: argparse.Namespace) -> int:
+    dataset = _load(parser, load_csv, args.dataset,
+                    _parse_label_col(args.label_col), args.delimiter)
     cfg = _optimizer_config(args).resolve(dataset.num_features)
     if not 0 <= args.positive_class < dataset.num_classes:
-        raise SystemExit(f"--positive-class {args.positive_class} out of "
-                         f"range for {dataset.num_classes} classes")
+        parser.error(f"--positive-class {args.positive_class} out of "
+                     f"range for {dataset.num_classes} classes")
     z = np.where(dataset.labels == args.positive_class, 1.0, -1.0)
     ctx = ObjectiveContext(features=dataset.features, labels=z)
     result = learn_metric(ctx, cfg)
@@ -206,10 +214,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    metric, _ = metric_io.load_metric(args.metric)
+def _cmd_classify(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> int:
+    metric, _ = _load(parser, metric_io.load_metric, args.metric)
     label_col = _parse_label_col(args.label_col)
-    train = load_csv(args.train, label_col, args.delimiter)
+    train = _load(parser, load_csv, args.train, label_col, args.delimiter)
     test_col = args.test_label_col
     if test_col is None:
         test_col = label_col
@@ -217,13 +226,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         test_col = None
     else:
         test_col = _parse_label_col(test_col)
-    test_features = load_feature_matrix(args.test, test_col, args.delimiter)
+    test_features = _load(parser, load_feature_matrix, args.test, test_col,
+                          args.delimiter)
     if train.num_features != metric.dim:
-        raise SystemExit(f"metric dim {metric.dim} does not match "
-                         f"{train.num_features} features")
+        parser.error(f"metric dim {metric.dim} does not match "
+                     f"{train.num_features} features")
     if test_features.shape[1] != metric.dim:
-        raise SystemExit(f"test file has {test_features.shape[1]} features, "
-                         f"metric dim is {metric.dim}")
+        parser.error(f"test file has {test_features.shape[1]} features, "
+                     f"metric dim is {metric.dim}")
     if args.classifier == "knn":
         preds = [knn_classify(train, row, metric, args.k)
                  for row in test_features]
@@ -245,9 +255,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    dataset = load_csv(args.dataset, _parse_label_col(args.label_col),
-                       args.delimiter)
+def _cmd_experiment(parser: argparse.ArgumentParser,
+                    args: argparse.Namespace) -> int:
+    dataset = _load(parser, load_csv, args.dataset,
+                    _parse_label_col(args.label_col), args.delimiter)
     cfg = _optimizer_config(args)
     report = run_experiment(dataset, cfg, classifier_choice=args.classifier,
                             seeds=args.seeds, folds=args.folds,
@@ -262,16 +273,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_all(seed=args.seed, quick=args.quick)
-    failed = 0
-    for res in results:
-        print(res.line())
-        failed += not res.passed
-    print(f"{len(results) - failed}/{len(results)} property suites passed")
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -280,8 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     _apply_config_file(parser, args)
     handlers = {"learn": _cmd_learn, "classify": _cmd_classify,
-                "experiment": _cmd_experiment, "verify": _cmd_verify}
-    return handlers[args.command](args)
+                "experiment": _cmd_experiment}
+    return handlers[args.command](parser, args)
 
 
 if __name__ == "__main__":

@@ -156,13 +156,6 @@ class GershgorinScalars:
         return self.values.shape[0]
 
 
-def gershgorin_left_ends(m: SymmetricMatrix) -> np.ndarray:
-    """Disc left-ends c_i - r_i: diagonal minus the off-diagonal abs row sum."""
-    a = m.entries
-    radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-    return np.diag(a) - radii
-
-
 def scaled_radii(m: SymmetricMatrix, s: GershgorinScalars) -> np.ndarray:
     """Disc radii of B = S M S^-1: entry i is s_i * sum_{j != i} |m_ij| / s_j."""
     if s.dim != m.dim:
@@ -282,27 +275,6 @@ def alignment_scalars(g: GraphMetric) -> GershgorinScalars:
         raise ValueError(
             "certificate eigenvector has non-positive entries; invalid certificate")
     return GershgorinScalars(values=1.0 / v)
-
-
-def edge_weight(delta: float) -> float:
-    """Exponential edge weight exp(-delta) for a feature distance delta.
-
-    Underflows to exactly 0.0 at the floating-point floor; never NaN.
-    """
-    if delta < 0:
-        raise ValueError(f"feature distance must be non-negative, got {delta}")
-    return math.exp(-delta)
-
-
-def mahalanobis(f_i: np.ndarray, f_j: np.ndarray, m: SymmetricMatrix) -> float:
-    """Quadratic-form feature distance (f_i - f_j)^T M (f_i - f_j)."""
-    f_i = np.asarray(f_i, dtype=float)
-    f_j = np.asarray(f_j, dtype=float)
-    if f_i.shape != (m.dim,) or f_j.shape != (m.dim,):
-        raise DimensionMismatchError(
-            f"feature vectors {f_i.shape}, {f_j.shape} vs matrix dim {m.dim}")
-    d = f_i - f_j
-    return float(d @ m.entries @ d)
 
 
 def pairwise_mahalanobis(features_a: np.ndarray, features_b: np.ndarray,

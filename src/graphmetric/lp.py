@@ -8,8 +8,9 @@ solutions, so no general solver is needed:
 * the off-diagonal column step minimizes g.x over a box with one knapsack
   row (``solve_box_knapsack_lp``).
 
-``verify.check_diagonal_lp_equivalence`` and the tests cross-check both
-against scipy's HiGHS solver.
+The random equivalence batches in ``tests/test_lp.py``
+(``TestDiagonalLP`` and ``TestBoxKnapsackLP``) cross-check both against
+scipy's HiGHS solver.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
-"""Independent oracles shared by the test modules.
+"""Random instances and independent oracles shared by the test modules.
 
-Everything here recomputes expected values by brute force (enumeration,
-golden section, dense grids) so the tests never trust the code paths they
-check.  ``count_eigensolves`` is the one spy: it records solver calls.
+The generators draw seeded random graph metrics, SPD matrices, objective
+instances and labelled datasets.  The oracles recompute expected values
+by brute force (enumeration, golden section, dense grids, finite
+differences, plain formulas) so the tests never trust the code paths
+they check.  ``count_eigensolves`` is the one spy: it records solver
+calls.
 """
 
 from __future__ import annotations
@@ -12,8 +15,146 @@ from itertools import combinations
 import numpy as np
 
 from graphmetric import eigen
+from graphmetric.core import (DimensionMismatchError, GraphMetric,
+                              SymmetricMatrix, validate_graph_metric)
+from graphmetric.data import Dataset
 from graphmetric.lp import OPTIMAL, INFEASIBLE
-from graphmetric.objective import ObjectiveContext
+from graphmetric.objective import ObjectiveContext, glr_value
+
+
+def random_graph_metric(rng: np.random.Generator, dim: int,
+                        extra_edge_prob: float = 0.4,
+                        dominance_cut: float = 0.9) -> GraphMetric:
+    """Random certified graph metric, usually not diagonally dominant.
+
+    Construction: random connected weighted graph (spanning tree plus extra
+    edges), combinatorial Laplacian plus positive self-loops (PD and
+    dominant), then a uniform diagonal shift removing up to ``dominance_cut``
+    of lambda_min.  The shift keeps PD but generically drives some plain
+    Gershgorin left-ends negative, which is the interesting regime for disc
+    alignment.
+    """
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    w = np.zeros((dim, dim))
+    order = rng.permutation(dim)
+    for a, b in zip(order[:-1], order[1:]):  # random spanning tree
+        w[a, b] = w[b, a] = rng.uniform(0.2, 2.0)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if w[i, j] == 0 and rng.random() < extra_edge_prob:
+                w[i, j] = w[j, i] = rng.uniform(0.2, 2.0)
+    lap = np.diag(w.sum(axis=1)) - w
+    lap += np.diag(rng.uniform(0.1, 1.0, size=dim))
+    lam = float(np.linalg.eigvalsh(lap)[0])
+    lap -= rng.uniform(0.0, dominance_cut) * lam * np.eye(dim)
+    return validate_graph_metric(SymmetricMatrix(lap))
+
+
+def random_spd(rng: np.random.Generator, dim: int) -> SymmetricMatrix:
+    """Random SPD matrix with a resolvable spectral gap (not a graph metric).
+
+    Built from an explicit increasing spectrum under a random rotation, so
+    the smallest eigenpair is well defined and iterative solvers are
+    expected to match the dense oracle tightly.
+    """
+    eigs = np.cumsum(rng.uniform(0.1, 1.0, size=dim))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return SymmetricMatrix((q * eigs) @ q.T)
+
+
+def two_cluster_dataset(rng: np.random.Generator, n_per_class: int = 20,
+                        num_features: int = 2, separation: float = 4.0,
+                        name: str = "two-cluster") -> Dataset:
+    """Two Gaussian blobs separated along feature 0 only.
+
+    Features beyond the first are pure noise, so a good metric up-weights
+    feature 0.
+    """
+    mean_a = np.zeros(num_features)
+    mean_b = np.zeros(num_features)
+    mean_b[0] = separation
+    xa = rng.normal(size=(n_per_class, num_features)) + mean_a
+    xb = rng.normal(size=(n_per_class, num_features)) + mean_b
+    features = np.vstack([xa, xb])
+    labels = np.array([0] * n_per_class + [1] * n_per_class)
+    return Dataset(name=name, features=features, labels=labels, num_classes=2)
+
+
+def gaussian_blobs_dataset(rng: np.random.Generator, n_classes: int = 3,
+                           n_per_class: int = 12, num_features: int = 4,
+                           spread: float = 1.0, separation: float = 3.0,
+                           name: str = "blobs") -> Dataset:
+    """Multi-class Gaussian blobs with random centers."""
+    centers = rng.normal(scale=separation, size=(n_classes, num_features))
+    feats = []
+    labels = []
+    for cls in range(n_classes):
+        feats.append(rng.normal(scale=spread,
+                                size=(n_per_class, num_features)) + centers[cls])
+        labels.extend([cls] * n_per_class)
+    return Dataset(name=name, features=np.vstack(feats),
+                   labels=np.array(labels), num_classes=n_classes)
+
+
+def random_objective_instance(rng: np.random.Generator
+                              ) -> tuple[ObjectiveContext, SymmetricMatrix]:
+    """Small objective (4..9 samples, 2..6 features, both labels) and metric."""
+    n = int(rng.integers(4, 10))
+    k = int(rng.integers(2, 7))
+    feats = rng.normal(size=(n, k))
+    z = rng.choice([-1.0, 1.0], size=n)
+    if np.all(z == z[0]):
+        z[0] = -z[0]
+    ctx = ObjectiveContext(features=feats, labels=z)
+    return ctx, random_graph_metric(rng, k).matrix
+
+
+def fd_grad_diag(ctx: ObjectiveContext, m: SymmetricMatrix,
+                 h: float = 1e-5) -> np.ndarray:
+    """Central-difference oracle for the diagonal gradient."""
+    out = np.zeros(m.dim)
+    d = m.diagonal()
+    for kk in range(m.dim):
+        dp, dm = d.copy(), d.copy()
+        dp[kk] += h
+        dm[kk] -= h
+        out[kk] = (glr_value(ctx, m.with_diagonal(dp))
+                   - glr_value(ctx, m.with_diagonal(dm))) / (2 * h)
+    return out
+
+
+def fd_grad_offdiag_col(ctx: ObjectiveContext, m: SymmetricMatrix, col: int,
+                        h: float = 1e-5) -> np.ndarray:
+    """Central differences with m[r, col] and m[col, r] perturbed together."""
+    rows = [r for r in range(m.dim) if r != col]
+    x = m.entries[rows, col]
+    out = np.zeros(len(rows))
+    for idx in range(len(rows)):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        out[idx] = (glr_value(ctx, m.with_offdiag_column(col, xp))
+                    - glr_value(ctx, m.with_offdiag_column(col, xm))) / (2 * h)
+    return out
+
+
+def gershgorin_left_ends(m: SymmetricMatrix) -> np.ndarray:
+    """Plain disc left-ends c_i - r_i: diagonal minus off-diagonal |row| sum."""
+    a = m.entries
+    radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+    return np.diag(a) - radii
+
+
+def mahalanobis(f_i: np.ndarray, f_j: np.ndarray, m: SymmetricMatrix) -> float:
+    """Quadratic-form feature distance (f_i - f_j)^T M (f_i - f_j)."""
+    f_i = np.asarray(f_i, dtype=float)
+    f_j = np.asarray(f_j, dtype=float)
+    if f_i.shape != (m.dim,) or f_j.shape != (m.dim,):
+        raise DimensionMismatchError(
+            f"feature vectors {f_i.shape}, {f_j.shape} vs matrix dim {m.dim}")
+    d = f_i - f_j
+    return float(d @ m.entries @ d)
 
 
 def enumerate_lp_vertices(c, a_ub, b_ub, lo, hi, tol: float = 1e-9):

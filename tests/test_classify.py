@@ -10,8 +10,7 @@ from graphmetric.classify import (build_labeled_graph, graph_classify,
                                   one_vs_all_predict)
 from graphmetric.core import SymmetricMatrix, validate_graph_metric
 from graphmetric.data import Dataset
-from graphmetric.synthetic import random_graph_metric
-from helpers import euclidean_knn_label
+from helpers import euclidean_knn_label, random_graph_metric
 
 IDENTITY_3 = validate_graph_metric(SymmetricMatrix(
     [[1.0, -1e-6, 0.0], [-1e-6, 1.0, -1e-6], [0.0, -1e-6, 1.0]]))

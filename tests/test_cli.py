@@ -7,7 +7,7 @@ import pytest
 
 from graphmetric.cli import main
 from graphmetric.metric_io import load_metric
-from graphmetric.synthetic import two_cluster_dataset
+from helpers import two_cluster_dataset
 
 
 @pytest.fixture()
@@ -142,14 +142,40 @@ def test_config_is_rejected_without_optimizer_options(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"rho": 5.0}')
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--quick", "--config", str(cfg_path)])
+        main(["classify", "--metric", "m.json", "--train", "t.csv",
+              "--test", "t.csv", "--config", str(cfg_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
-def test_verify_quick(capsys):
-    rc = main(["verify", "--quick", "--seed", "1"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "PASS" in out
-    assert "FAIL" not in out
+_CLASSIFY = ("classify --metric {bad} --train {csv} --test {csv} "
+             "--label-col label")
+_LEARN = "learn --dataset {bad} --label-col label"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (_CLASSIFY, "[1]", "expected a JSON object, found list"),
+    (_CLASSIFY, '{"dim": 3}', "key 'entries' is missing"),
+    (_CLASSIFY, None, "No such file or directory"),
+    (_CLASSIFY, '{"dim": 2, "entries": [1, 0, 0, 1], "lambda_min": 1}',
+     "not a graph metric: disconnected graph"),
+    (_CLASSIFY, '{"dim": 1, "entries": [1], "lambda_min": 1}',
+     "metric dim 1 does not match 2 features"),
+    (_LEARN, None, "No such file or directory"),
+    (_LEARN, "f0,label\n1.5,a\nabc,b\n", "bad:3: non-numeric feature cell"),
+    (_LEARN, "f0,f1,label\n1,2,a\n3,b\n", "bad:3: expected 3 cells, found 2"),
+    (_LEARN, "f0,f1,class\n1,2,a\n3,4,b\n", "no column named 'label'"),
+    ("learn --dataset {csv} --label-col label --positive-class 2",
+     None, "--positive-class 2 out of range for 2 classes"),
+], ids=["metric-list", "metric-no-entries", "metric-missing",
+        "metric-rejected", "metric-dim", "csv-missing", "csv-non-numeric",
+        "csv-ragged", "csv-label-col", "positive-class"])
+def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
+                                    message):
+    bad = tmp_path / "bad"
+    if text is not None:
+        bad.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(bad=bad, csv=cluster_csv).split())
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

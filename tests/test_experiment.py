@@ -9,7 +9,7 @@ from graphmetric.data import Dataset
 from graphmetric.experiment import (DegenerateFoldError, recomputed_mean,
                                     run_experiment, stratified_folds)
 from graphmetric.optimizer import OptimizerConfig
-from graphmetric.synthetic import gaussian_blobs_dataset, two_cluster_dataset
+from helpers import gaussian_blobs_dataset, two_cluster_dataset
 
 
 def _separable():

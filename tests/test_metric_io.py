@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphmetric.metric_io import load_metric, save_metric
-from graphmetric.synthetic import random_graph_metric
+from helpers import random_graph_metric
 
 
 def test_round_trip_bit_exact(tmp_path):

@@ -11,9 +11,7 @@ from graphmetric.objective import (GLRObjective, ObjectiveContext,
                                    PairDistances, glr_grad_diag,
                                    glr_grad_offdiag_col, glr_value,
                                    pair_distances)
-from graphmetric.synthetic import random_graph_metric
-from graphmetric.verify import (_random_objective_instance, fd_grad_diag,
-                                fd_grad_offdiag_col)
+from helpers import random_graph_metric, random_objective_instance
 
 
 def _two_point_ctx(dim=3):
@@ -37,7 +35,7 @@ class TestValue:
 
     def test_scaling_metric_non_increasing(self):
         rng = np.random.default_rng(1)
-        ctx, m = _random_objective_instance(rng)
+        ctx, m = random_objective_instance(rng)
         vals = [glr_value(ctx, SymmetricMatrix(t * m.entries))
                 for t in (1.0, 2.0, 4.0)]
         assert vals[0] >= vals[1] >= vals[2]
@@ -45,7 +43,7 @@ class TestValue:
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            ctx, m = _random_objective_instance(rng)
+            ctx, m = random_objective_instance(rng)
             assert glr_value(ctx, m) >= 0.0
 
     def test_dimension_mismatch(self):
@@ -67,15 +65,6 @@ class TestGradDiag:
         assert g[0] == pytest.approx(-8.0 / np.e, rel=1e-14)
         assert g[1] == g[2] == 0.0
 
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            ctx, m = _random_objective_instance(rng)
-            ana = glr_grad_diag(ctx, m)
-            ref = fd_grad_diag(ctx, m)
-            scale = max(1.0, float(np.max(np.abs(ana))))
-            assert float(np.max(np.abs(ana - ref))) / scale <= 1e-5
-
 
 class TestGradOffdiag:
     def test_equal_labels_zero(self):
@@ -94,16 +83,6 @@ class TestGradOffdiag:
         # rows are (1, 2); entry for row 2 vanishes
         assert g[1] == 0.0
 
-    def test_matches_symmetric_finite_differences(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            ctx, m = _random_objective_instance(rng)
-            col = int(rng.integers(0, m.dim))
-            ana = glr_grad_offdiag_col(ctx, m, col)
-            ref = fd_grad_offdiag_col(ctx, m, col)
-            scale = max(1.0, float(np.max(np.abs(ana))))
-            assert float(np.max(np.abs(ana - ref))) / scale <= 1e-5
-
     def test_bad_column_index(self):
         ctx = _two_point_ctx()
         with pytest.raises(IndexError):
@@ -112,9 +91,9 @@ class TestGradOffdiag:
 
 class TestConvexity:
     def test_segment_inequality(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            ctx, _ = _random_objective_instance(rng)
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            ctx, _ = random_objective_instance(rng)
             k = ctx.num_features
             m1 = random_graph_metric(rng, k).matrix
             m2 = random_graph_metric(rng, k).matrix

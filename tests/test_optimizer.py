@@ -17,9 +17,9 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    diagonal_step, init_metric, initial_state,
                                    learn_metric, offdiag_step, update_scalars,
                                    _max_spanning_tree)
-from graphmetric.synthetic import two_cluster_dataset
 from helpers import (MatrixObjective, count_eigensolves, diag_objective_fn,
-                     golden_section, grid_search_diag, max_spanning_tree)
+                     golden_section, grid_search_diag, max_spanning_tree,
+                     two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
