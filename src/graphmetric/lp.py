@@ -93,9 +93,9 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
         return LPSolution(point=None, objective_value=np.nan,
                           status=INFEASIBLE)
     remaining = max(budget - spent, 0.0)
-    order = sorted((r for r in range(n) if g[r] > 0),
-                   key=lambda r: (-(g[r] / a[r]), r))
-    for r in order:
+    pos = np.flatnonzero(g > 0)
+    order = pos[np.lexsort((pos, -(g[pos] / a[pos])))]
+    for r in order.tolist():
         if remaining <= 0.0:
             break
         step = min(x[r] - lo[r], remaining / a[r])

@@ -33,7 +33,8 @@ def load_metric(path: str | Path) -> tuple[GraphMetric, dict]:
     """Read a metric file and re-certify the matrix.
 
     Returns (metric, config echo).  The stored lambda_min is cross-checked
-    against the fresh certificate; a missing or mistyped key is a ValueError.
+    against the fresh certificate; a missing, mistyped or non-finite key is
+    a ValueError.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
@@ -47,6 +48,15 @@ def load_metric(path: str | Path) -> tuple[GraphMetric, dict]:
             raise ValueError(f"{path}: key {key!r} is missing or not {what}")
     if any(type(v) not in (int, float) for v in payload["entries"]):
         raise ValueError(f"{path}: key 'entries' is not a list of numbers")
+    # json parses NaN, Infinity and 1e400, and a NaN would slip past the
+    # cross-check below; an integer beyond the float range overflows
+    for key in ("entries", "lambda_min"):
+        try:
+            finite = np.all(np.isfinite(np.asarray(payload[key], dtype=float)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{path}: key {key!r} holds a non-finite number")
     dim = payload["dim"]
     entries = np.array(payload["entries"], dtype=float)
     if entries.shape != (dim * dim,):

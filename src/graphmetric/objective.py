@@ -18,7 +18,7 @@ Any object that follows :class:`ConvexObjective` can drive the optimizer;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Protocol
 
@@ -187,12 +187,21 @@ class GLRObjective:
     """The GLR objective bound to one sample context (ConvexObjective).
 
     Points are :class:`PairDistances`; moving one along a ray costs O(P).
+    ``at`` remembers its last matrix: matrices are immutable, so a block
+    step that starts from the matrix the previous step started from (and
+    left unchanged) reuses its distances.
     """
 
     ctx: ObjectiveContext
+    _last: list = field(default_factory=lambda: [None, None], init=False,
+                        repr=False, compare=False)
 
     def at(self, m: SymmetricMatrix) -> PairDistances:
-        return pair_distances(self.ctx, m)
+        matrix, point = self._last
+        if matrix is not m:
+            point = pair_distances(self.ctx, m)
+            self._last[:] = m, point
+        return point
 
     def ray(self, point: PairDistances, direction: np.ndarray,
             col: int | None = None) -> Callable[[float], PairDistances]:

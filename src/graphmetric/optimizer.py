@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -110,10 +110,14 @@ class OptimizerState:
     """One point of the optimization trajectory.
 
     ``metric.certificate`` holds the iterate's smallest eigenpair; every
-    step that changes the matrix certifies it afresh.  ``scalars`` are
-    aligned with that certificate as of the most recent scalar update.
-    ``protected_edges`` is the spanning set of edges currently pinned at
-    magnitude >= epsilon to keep the graph irreducible.
+    step that changes the matrix certifies it afresh, and a step that
+    leaves it unchanged keeps the certificate object.  ``scalars`` are
+    aligned with that certificate as of the most recent scalar update;
+    ``alignment`` records (certificate, scalars, rho) of that update, so
+    aligning the same certificate again is free.  ``protected_edges`` is
+    the spanning tree of edges currently pinned at magnitude >= epsilon to
+    keep the graph irreducible: Prim's tree of the incumbent as of the last
+    column step that found one.
     """
 
     metric: GraphMetric
@@ -122,6 +126,8 @@ class OptimizerState:
     iteration: int = 0
     protected_edges: tuple[tuple[int, int], ...] = ()
     fw_gap: float = math.nan
+    alignment: tuple[Certificate, GershgorinScalars, float] | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -245,9 +251,15 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
     double precision's reach (relative 1e-6), computed left-ends are too
     noisy to verify that margin even though it holds; the eigenpair is then
     re-solved densely, and failing that the scalars take the floored form
-    and lambda_min is checked against rho instead.
+    and lambda_min is checked against rho instead.  Returns ``state``
+    itself when its scalars are already aligned to its certificate object
+    at this ``rho``.
     """
     metric = state.metric
+    done = state.alignment
+    if (done is not None and done[0] is metric.certificate
+            and done[1] is state.scalars and done[2] == rho):
+        return state
     scalars, verified = _conditioned_scalars(metric, rho)
     if not verified and metric.dim <= eigen.DENSE_MAX_DIM:
         dense = _certified(metric.matrix,
@@ -265,7 +277,8 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
                   "(eigenvector entries below relative %.0e); using "
                   "floored scalars, lambda_min %.6e >= rho",
                   _SCALAR_FLOOR, lam)
-    return replace(state, metric=metric, scalars=scalars)
+    return replace(state, metric=metric, scalars=scalars,
+                   alignment=(metric.certificate, scalars, rho))
 
 
 def _step_size(phi0: float, slope: float, evaluate) -> tuple[float, float]:
@@ -330,10 +343,23 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         x = x + gamma * direction
         point = move(gamma)
         q = phi
-    current = matrix.with_diagonal(x) if np.any(x != x0) else matrix
-    metric = _certify_matrix(current, state.metric.certificate.eigvec)
+    if np.any(x != x0):
+        metric = _certify_matrix(matrix.with_diagonal(x),
+                                 state.metric.certificate.eigvec)
+    else:
+        metric = _unchanged(state.metric)
     return replace(state, metric=metric,
                    objective_trace=state.objective_trace + (q,), fw_gap=gap)
+
+
+def _unchanged(metric: GraphMetric) -> GraphMetric:
+    """A new wrapper of ``metric``'s matrix and certificate.
+
+    A block step that leaves its block bit-identical keeps the certificate
+    computed for that exact matrix.  The new object still tells a step
+    that ran from one that kept the incumbent (see ``learn_metric``).
+    """
+    return GraphMetric(matrix=metric.matrix, certificate=metric.certificate)
 
 
 def _max_spanning_tree(matrix: SymmetricMatrix, floor: float
@@ -371,6 +397,38 @@ def _max_spanning_tree(matrix: SymmetricMatrix, floor: float
     return tuple(sorted(edges))
 
 
+def _column_tree_edges(tree: tuple[tuple[int, int], ...], col: int
+                       ) -> list[int]:
+    """Positions of ``col``'s tree neighbours among its off-diagonal rows.
+
+    The rows run 0..K-1 with ``col`` skipped, so row r sits at r - (r > col).
+    """
+    neighbours = (j if i == col else i for i, j in tree if col in (i, j))
+    return [r - (r > col) for r in neighbours]
+
+
+def _tree_survives(tree: tuple[tuple[int, int], ...], tree_local: list[int],
+                   before: np.ndarray, after: np.ndarray,
+                   current: SymmetricMatrix, floor: float) -> bool:
+    """Whether ``tree`` is still Prim's tree after a column step.
+
+    ``before`` and ``after`` are the column's off-diagonals, ``tree_local``
+    the positions of its tree edges among them.  ``tree`` must be Prim's
+    tree of the matrix before the step whenever all its edges reach
+    ``floor`` there, as learn_metric keeps it.  If the step left every tree
+    entry alone, only shrank the magnitudes of the others it changed, and
+    every tree edge still reaches ``floor``, then no edge outside the tree
+    gained weight, so each of Prim's choices, ties included, is as before.
+    """
+    moved = before != after
+    if not tree or moved[tree_local].any():
+        return False
+    if np.any(np.abs(after[moved]) > np.abs(before[moved])):
+        return False
+    i, j = np.array(tree).T
+    return bool(np.all(np.abs(current.entries[i, j]) >= floor))
+
+
 def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                  cfg: OptimizerConfig, col: int,
                  objective: ConvexObjective | None = None) -> OptimizerState:
@@ -397,8 +455,8 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
 
     zeta_local = int(np.argmax(np.abs(x0)))
     tree = state.protected_edges or _max_spanning_tree(matrix, cfg.epsilon) or ()
-    pinned = {idx for idx, r in enumerate(rows)
-              if (min(r, col), max(r, col)) in tree}
+    tree_local = _column_tree_edges(tree, col)
+    pinned = set(tree_local)
     pinned.add(zeta_local)
 
     # row r's budget for |m_r,col|, by direct summation (no cancellation):
@@ -425,9 +483,11 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
         return state
     x = np.clip(x0, lower, upper)
     start = obj.at(matrix)
-    q0 = obj.value(start)
-    point = obj.ray(start, x - x0, col)(1.0) if np.any(x != x0) else start
-    q = obj.value(point)
+    q = q0 = obj.value(start)
+    point = start
+    if np.any(x != x0):
+        point = obj.ray(start, x - x0, col)(1.0)
+        q = obj.value(point)
 
     for _ in range(cfg.fw_max_iters):
         g = obj.grad_offdiag_col(point, col)
@@ -456,10 +516,17 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                   "keeping the incumbent", col)
         return replace(state,
                        objective_trace=state.objective_trace + (q0,))
-    current = matrix.with_offdiag_column(col, x) if np.any(x != x0) else matrix
+    if not np.any(x != x0):
+        return replace(state, metric=_unchanged(state.metric),
+                       objective_trace=state.objective_trace + (q,))
+    current = matrix.with_offdiag_column(col, x)
     # a spanning tree over edges >= epsilon > CONNECTIVITY_EPS proves the
     # graph connected; only without one is the full search needed
-    tree_after = _max_spanning_tree(current, cfg.epsilon)
+    if _tree_survives(state.protected_edges, tree_local, x0, x, current,
+                      cfg.epsilon):
+        tree_after = state.protected_edges
+    else:
+        tree_after = _max_spanning_tree(current, cfg.epsilon)
     if tree_after is None or cfg.epsilon <= CONNECTIVITY_EPS:
         if not is_connected(current):
             raise CertificationError(

@@ -320,6 +320,36 @@ def max_spanning_tree(matrix, floor: float):
     return tuple(sorted(edges))
 
 
+def column_tree_edges_by_scan(tree, col: int, dim: int) -> set[int]:
+    """Positions of ``col``'s tree edges among its off-diagonal rows.
+
+    Scans every row r != col for the sorted edge (min, max) in ``tree``.
+    """
+    rows = [r for r in range(dim) if r != col]
+    return {idx for idx, r in enumerate(rows)
+            if (min(r, col), max(r, col)) in tree}
+
+
+def knapsack_greedy_sorted(g, lo, up, a, budget) -> np.ndarray:
+    """Continuous-knapsack greedy vertex of min g.x over {lo <= x <= up,
+    sum a * (-x) <= budget}, for a feasible instance.
+
+    Every variable starts at min(up, 0); the budget goes to positive-gradient
+    variables by Python's ``sorted`` on (-g_r / a_r, r).
+    """
+    x = np.minimum(up, 0.0)
+    remaining = max(budget - float(a @ (-x)), 0.0)
+    order = sorted((r for r in range(g.shape[0]) if g[r] > 0),
+                   key=lambda r: (-(g[r] / a[r]), r))
+    for r in order:
+        if remaining <= 0.0:
+            break
+        step = min(x[r] - lo[r], remaining / a[r])
+        x[r] -= step
+        remaining -= step * a[r]
+    return x
+
+
 def euclidean_knn_label(train_x: np.ndarray, train_y: np.ndarray,
                         point: np.ndarray, k: int) -> int:
     """Reference Euclidean kNN with the same tie rules as the package."""

@@ -157,6 +157,10 @@ _LEARN = "learn --dataset {bad} --label-col label"
     (_CLASSIFY, "[1]", "expected a JSON object, found list"),
     (_CLASSIFY, '{"dim": 3}', "key 'entries' is missing"),
     (_CLASSIFY, None, "No such file or directory"),
+    (_CLASSIFY, '{"dim": 2, "entries": [2, -1, -1, 2], "lambda_min": NaN}',
+     "key 'lambda_min' holds a non-finite number"),
+    (_CLASSIFY, '{"dim": 2, "entries": [2, -1, -1, Infinity], '
+     '"lambda_min": 1}', "key 'entries' holds a non-finite number"),
     (_CLASSIFY, '{"dim": 2, "entries": [1, 0, 0, 1], "lambda_min": 1}',
      "not a graph metric: disconnected graph"),
     (_CLASSIFY, '{"dim": 1, "entries": [1], "lambda_min": 1}',
@@ -168,7 +172,7 @@ _LEARN = "learn --dataset {bad} --label-col label"
     ("learn --dataset {csv} --label-col label --positive-class 2",
      None, "--positive-class 2 out of range for 2 classes"),
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
-        "metric-rejected", "metric-dim", "csv-missing", "csv-non-numeric",
+        "metric-nan-lambda", "metric-inf-entry", "metric-rejected", "metric-dim", "csv-missing", "csv-non-numeric",
         "csv-ragged", "csv-label-col", "positive-class"])
 def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
                                     message):

@@ -17,7 +17,8 @@ from scipy.optimize import linprog
 import graphmetric
 from graphmetric.lp import (INFEASIBLE, OPTIMAL, solve_box_knapsack_lp,
                             solve_diagonal_lp)
-from helpers import count_active, enumerate_lp_vertices
+from helpers import (count_active, enumerate_lp_vertices,
+                     knapsack_greedy_sorted)
 
 _HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE}
 
@@ -140,6 +141,27 @@ class TestBoxKnapsackLP:
                 x = fast.point
                 assert a @ (-x) <= budget + 1e-12
                 assert np.all(x >= lo - 1e-12) and np.all(x <= up + 1e-12)
+
+
+    def test_tied_ratios_match_sorted_greedy(self):
+        # rounded gradients and coefficients that are powers of two make many
+        # gain ratios tie exactly; ties must go to the lower index
+        rng = np.random.default_rng(21)
+        tied = 0
+        for _ in range(2000):
+            dim = int(rng.integers(2, 12))
+            _, lo, up, _, _ = _random_knapsack(rng, dim)
+            g = np.round(rng.normal(size=dim), 1)
+            a = (np.ones(dim) if rng.random() < 0.5
+                 else rng.choice([0.5, 1.0, 2.0], size=dim))
+            budget = float(a @ (-up)) + float(rng.uniform(0.0, 1.5))
+            sol = solve_box_knapsack_lp(g, lo, up, a, budget)
+            assert sol.status == OPTIMAL
+            assert np.array_equal(sol.point,
+                                  knapsack_greedy_sorted(g, lo, up, a, budget))
+            ratios = (g / a)[g > 0]
+            tied += np.unique(ratios).size < ratios.size
+        assert tied > 300
 
 
 @pytest.mark.parametrize("solve, program, draw", [

@@ -51,6 +51,24 @@ def test_load_rejects_malformed_payload(tmp_path, payload, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+_METRIC = '{{"dim": 2, "entries": [1, -0.5, -0.5, {last}], "lambda_min": {lam}}}'
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
+                                   "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400", "huge-int"])
+@pytest.mark.parametrize("key", ["entries", "lambda_min"])
+def test_load_rejects_non_finite_numbers(tmp_path, key, token):
+    path = tmp_path / "m.json"
+    path.write_text(_METRIC.format(last=1, lam=0.5))
+    load_metric(path)
+    path.write_text(_METRIC.format(last=token if key == "entries" else 1,
+                                   lam=token if key == "lambda_min" else 0.5))
+    with pytest.raises(ValueError) as exc:
+        load_metric(path)
+    assert str(exc.value) == f"{path}: key {key!r} holds a non-finite number"
+
+
 def test_load_rejects_inconsistent_lambda(tmp_path):
     g = random_graph_metric(np.random.default_rng(1), 4)
     path = tmp_path / "m.json"

@@ -2,7 +2,7 @@
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,14 +12,16 @@ from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
 from graphmetric.data import load_csv
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.objective import GLRObjective, ObjectiveContext
+from graphmetric import optimizer
 from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    OptimizerState, SubproblemInfeasibleError,
                                    diagonal_step, init_metric, initial_state,
                                    learn_metric, offdiag_step, update_scalars,
-                                   _max_spanning_tree)
-from helpers import (MatrixObjective, count_eigensolves, diag_objective_fn,
-                     golden_section, grid_search_diag, max_spanning_tree,
-                     two_cluster_dataset)
+                                   _column_tree_edges, _max_spanning_tree,
+                                   _tree_survives)
+from helpers import (MatrixObjective, column_tree_edges_by_scan,
+                     count_eigensolves, diag_objective_fn, golden_section,
+                     grid_search_diag, max_spanning_tree, two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -122,6 +124,21 @@ class TestUpdateScalars:
         new = update_scalars(state)
         assert calls == []
         assert new.metric is state.metric
+
+    def test_aligned_state_is_returned_as_is(self, monkeypatch):
+        state = update_scalars(_state_for(EX_MATRIX), rho=0.0)
+        solves = count_eigensolves(monkeypatch)
+        left_ends = []
+        real = optimizer.scaled_left_ends
+        monkeypatch.setattr(optimizer, "scaled_left_ends",
+                            lambda *a: left_ends.append(a) or real(*a))
+        assert update_scalars(state, rho=0.0) is state
+        assert solves == [] and left_ends == []
+        # another rho, or scalars replaced by hand, align afresh
+        assert update_scalars(state, rho=1e-3) is not state
+        assert update_scalars(replace(state, scalars=_state_for(
+            EX_MATRIX).scalars), rho=0.0) is not state
+        assert len(left_ends) == 2
 
 
 @dataclass
@@ -294,6 +311,115 @@ class TestMaxSpanningTree:
         assert nones > 0 or k == 48
 
 
+class TestColumnTreeEdges:
+    def test_matches_tuple_scan(self):
+        rng = np.random.default_rng(17)
+        for k in (2, 3, 4, 13, 48):
+            for _ in range(20):
+                # random spanning tree: each node joins an earlier one
+                labels = rng.permutation(k)
+                tree = tuple(sorted(
+                    (min(labels[v], labels[u]), max(labels[v], labels[u]))
+                    for v in range(1, k)
+                    for u in [int(rng.integers(v))]))
+                for col in range(k):
+                    assert (sorted(_column_tree_edges(tree, col))
+                            == sorted(column_tree_edges_by_scan(tree, col, k)))
+
+
+class TestTreeSurvives:
+    """Shrinking non-tree entries of one column keeps Prim's tree."""
+
+    @pytest.mark.parametrize("k", [3, 4, 13, 48])
+    def test_shrink_only_edits_keep_prims_tree(self, k):
+        rng = np.random.default_rng(100 + k)
+        eps = 1e-3
+        trials = 0
+        for _ in range(300 if k < 48 else 60):
+            matrix, levels = TestMaxSpanningTree._tied_matrix(rng, k, eps)
+            tree = _max_spanning_tree(matrix, eps)
+            if tree is None:
+                continue
+            col = int(rng.integers(k))
+            before = np.delete(matrix.entries[:, col], col)
+            tree_local = _column_tree_edges(tree, col)
+            after = before.copy()
+            for idx in set(range(k - 1)) - set(tree_local):
+                # shrink to a tied level (0, eps, ...) at or below |entry|
+                lower = levels[levels <= -before[idx]]
+                if rng.random() < 0.6:
+                    after[idx] = -rng.choice(lower)
+            current = matrix.with_offdiag_column(col, after)
+            assert _tree_survives(tree, tree_local, before, after, current,
+                                  eps)
+            assert max_spanning_tree(current, eps) == tree
+            assert _max_spanning_tree(current, eps) == tree
+            trials += 1
+        assert trials >= 40
+
+    def test_rejects_other_edits(self):
+        eps = 1e-3
+        matrix = SymmetricMatrix([[3.0, -0.5, -0.2, 0.0],
+                                  [-0.5, 3.0, -0.4, -eps],
+                                  [-0.2, -0.4, 3.0, -0.3],
+                                  [0.0, -eps, -0.3, 3.0]])
+        tree = _max_spanning_tree(matrix, eps)
+        assert tree == ((0, 1), (1, 2), (2, 3))
+        col = 1
+        before = np.delete(matrix.entries[:, col], col)  # rows 0, 2, 3
+
+        def survives(after, tree=tree):
+            current = matrix.with_offdiag_column(col, np.array(after))
+            kept = _tree_survives(tree, _column_tree_edges(tree, col), before,
+                                  np.array(after), current, eps)
+            if kept:
+                assert _max_spanning_tree(current, eps) == tree
+            return kept
+
+        assert survives([-0.5, -0.4, 0.0])
+        # a non-tree entry that grows; a tree entry that shrinks, which here
+        # lets edge (0, 2) replace (1, 2)
+        assert not survives([-0.5, -0.4, -0.6])
+        assert not survives([-0.5, -0.1, -eps])
+        assert _max_spanning_tree(matrix.with_offdiag_column(
+            col, np.array([-0.5, -0.1, -eps])), eps) != tree
+        # a tree with an edge below the floor is not Prim's tree
+        assert not survives([-0.5, -0.4, 0.0], tree=((0, 1), (0, 3), (1, 2)))
+        assert not _tree_survives((), [], before, before, matrix, eps)
+
+
+class TestUnchangedBlock:
+    """A block step whose Frank-Wolfe gap is already 0 at the incumbent."""
+
+    @staticmethod
+    def _stationary():
+        # equal labels: Q = 0 and every gradient vanishes
+        ctx = ObjectiveContext(
+            features=np.random.default_rng(3).normal(size=(6, 4)),
+            labels=np.ones(6))
+        cfg = OptimizerConfig().resolve(4)
+        return ctx, cfg, update_scalars(initial_state(ctx, cfg), rho=cfg.rho)
+
+    @pytest.mark.parametrize("block", ["diagonal", 0, 2])
+    def test_keeps_matrix_and_certificate_without_solving(self, monkeypatch,
+                                                          block):
+        ctx, cfg, state = self._stationary()
+        solves = count_eigensolves(monkeypatch)
+        trees = []
+        real = optimizer._max_spanning_tree
+        monkeypatch.setattr(optimizer, "_max_spanning_tree",
+                            lambda *a: trees.append(a) or real(*a))
+        new = (diagonal_step(state, ctx, cfg) if block == "diagonal"
+               else offdiag_step(state, ctx, cfg, block))
+        assert solves == [] and trees == []
+        assert new.metric is not state.metric
+        assert new.metric.matrix is state.metric.matrix
+        assert new.metric.certificate is state.metric.certificate
+        assert new.protected_edges == state.protected_edges
+        assert new.objective_trace == state.objective_trace + (0.0,)
+        assert update_scalars(new, rho=cfg.rho) is new
+
+
 class TestLearnMetric:
     def test_informative_feature_upweighted(self):
         rng = np.random.default_rng(10)
@@ -437,7 +563,9 @@ class TestLogging:
                                   observer=observe)
         assert result.converged
         skipped, stalled = outcomes.count("skipped"), outcomes.count("stalled")
-        assert skipped > 0
+        # an unchanged column keeps its certificate yet counts as a step
+        # that ran, not as stalled
+        assert (skipped, stalled, len(outcomes)) == (5, 4, 27)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno >= logging.WARNING]
         assert warnings == [
