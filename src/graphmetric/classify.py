@@ -131,6 +131,8 @@ def knn_vote_scores(train_features: np.ndarray, train_z: np.ndarray,
     The one-vs-all harness uses this as the per-class kNN score.
     """
     train_z = np.asarray(train_z, dtype=float)
+    if not 1 <= k <= train_z.size:
+        raise ValueError(f"k={k} must be in 1..{train_z.size}")
     neighbors = _k_nearest(np.asarray(train_features, dtype=float),
                            np.atleast_2d(np.asarray(test_features, dtype=float)),
                            metric, k)

@@ -13,7 +13,7 @@ import numpy as np
 from . import metric_io
 from .classify import graph_classify, knn_classify, one_vs_all_predict
 from .data import load_csv, load_feature_matrix
-from .experiment import run_experiment
+from .experiment import DegenerateFoldError, ProtocolError, run_experiment
 from .objective import ObjectiveContext
 from .optimizer import OptimizerConfig, learn_metric
 
@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 # the --config file
 _CONFIG_TYPES = {"trace_cap": float, "rho": float, "epsilon": float,
                  "fw_max_iters": int, "outer_max_iters": int,
-                 "bcd_sweeps": int, "obj_rel_tol": float}
+                 "obj_rel_tol": float}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -235,6 +235,9 @@ def _cmd_classify(parser: argparse.ArgumentParser,
         parser.error(f"test file has {test_features.shape[1]} features, "
                      f"metric dim is {metric.dim}")
     if args.classifier == "knn":
+        if not 1 <= args.k <= train.num_samples:
+            parser.error(f"--k {args.k} must be in 1..{train.num_samples} "
+                         f"(training samples)")
         preds = [knn_classify(train, row, metric, args.k)
                  for row in test_features]
     else:
@@ -259,12 +262,15 @@ def _cmd_experiment(parser: argparse.ArgumentParser,
                     args: argparse.Namespace) -> int:
     dataset = _load(parser, load_csv, args.dataset,
                     _parse_label_col(args.label_col), args.delimiter)
-    cfg = _optimizer_config(args)
-    report = run_experiment(dataset, cfg, classifier_choice=args.classifier,
-                            seeds=args.seeds, folds=args.folds,
-                            k=args.k,
-                            scale_features=not args.no_standardize,
-                            n_jobs=args.jobs)
+    try:
+        # both are raised before any metric is learned
+        report = run_experiment(dataset, _optimizer_config(args),
+                                classifier_choice=args.classifier,
+                                seeds=args.seeds, folds=args.folds, k=args.k,
+                                scale_features=not args.no_standardize,
+                                n_jobs=args.jobs)
+    except (ProtocolError, DegenerateFoldError) as exc:
+        parser.error(str(exc))
     if args.format == "table":
         text = report.to_table()
     else:

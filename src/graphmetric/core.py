@@ -206,8 +206,8 @@ def definition_violations(m: SymmetricMatrix, tol: float = PD_TOL) -> list[str]:
     """Check the four graph-metric conditions; return the violated ones.
 
     An empty list means the matrix is a graph metric.  The PD check solves
-    densely for K <= ``eigen.DENSE_MAX_DIM``, iteratively beyond; it
-    accepts lambda_min > tol * trace / K (scale-relative floor).
+    densely at every K and accepts lambda_min > tol * trace / K
+    (scale-relative floor).
     """
     return _audit(m, tol)[0]
 
@@ -242,21 +242,13 @@ def _audit(m: SymmetricMatrix, tol: float
     if not np.all(diag > 0):
         bad = np.nonzero(diag <= 0)[0]
         reasons.append(f"non-positive diagonal (rows {bad.tolist()})")
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off > 0):
-        i, j = np.nonzero(np.triu(off, 1) > 0)
+    i, j = np.nonzero(np.triu(a, 1) > 0)
+    if i.size:
         pairs = list(zip(i.tolist(), j.tolist()))
         reasons.append(f"positive off-diagonal (entries {pairs})")
     if not is_connected(m):
         reasons.append("disconnected graph")
-    if m.dim <= eigen.DENSE_MAX_DIM:
-        pair = eigen.smallest_eigenpair_dense(m)
-    else:
-        try:
-            pair = eigen.smallest_eigenpair_lobpcg(m)
-        except eigen.LobpcgNonConvergence as exc:
-            pair = exc.best
+    pair = eigen.smallest_eigenpair_dense(m)
     floor = tol * max(m.trace(), 0.0) / m.dim
     if not pair.value > floor:
         reasons.append(f"non-PD (lambda_min {pair.value:.6g} <= floor "

@@ -2,8 +2,8 @@
 
 The optimizer refreshes the first eigenpair of the metric after every block
 update; Jacobi-preconditioned LOBPCG with the previous eigenvector as
-initial guess makes that refresh cheap.  The dense solver doubles as the
-test oracle.
+initial guess makes that refresh cheap.  Every other solve is dense:
+validation, scalar realignment and the backstop when LOBPCG fails.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatchError, SymmetricMatrix
-
-DENSE_MAX_DIM = 500
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 200
@@ -84,13 +82,7 @@ def clamp_positive(v: np.ndarray) -> np.ndarray | None:
 
 
 def smallest_eigenpair_dense(m: SymmetricMatrix) -> EigenPair:
-    """Exact smallest eigenpair via full symmetric eigendecomposition.
-
-    Guarded to K <= 500 to catch accidental large dense solves.
-    """
-    if m.dim > DENSE_MAX_DIM:
-        raise DimensionMismatchError(
-            f"dense solver guard: dim {m.dim} > {DENSE_MAX_DIM}")
+    """Exact smallest eigenpair via full symmetric eigendecomposition."""
     a = m.entries
     vals, vecs = np.linalg.eigh(a)
     lam = float(vals[0])

@@ -34,6 +34,10 @@ class DegenerateFoldError(RuntimeError):
     """A training fold lost an entire class; the split cannot be used."""
 
 
+class ProtocolError(ValueError):
+    """The protocol's settings cannot run: raised before any learning."""
+
+
 @dataclass(frozen=True)
 class RunRecord:
     seed: int
@@ -131,7 +135,6 @@ def _evaluate_seed(dataset: Dataset, cfg: OptimizerConfig, seed: int,
         knn_scores = np.zeros((test_idx.size, dataset.num_classes))
         graph_scores = np.zeros_like(knn_scores)
         stacked = np.vstack([x_train, x_test])
-        known_template = {i: 0.0 for i in range(train_idx.size)}
         for cls in range(dataset.num_classes):
             z = np.where(y_train == cls, 1.0, -1.0)
             ctx = ObjectiveContext(features=x_train, labels=z)
@@ -140,7 +143,7 @@ def _evaluate_seed(dataset: Dataset, cfg: OptimizerConfig, seed: int,
                 knn_scores[:, cls] = knn_vote_scores(x_train, z, x_test,
                                                      metric, k)
             if "graph" in classifiers:
-                known = {i: float(z[i]) for i in known_template}
+                known = {i: float(z[i]) for i in range(train_idx.size)}
                 scores = graph_classify(stacked, known, metric)
                 graph_scores[:, cls] = scores[train_idx.size:]
         for name, scores in (("knn", knn_scores), ("graph", graph_scores)):
@@ -169,17 +172,25 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     elif classifier_choice in CLASSIFIERS:
         classifiers = (classifier_choice,)
     else:
-        raise ValueError(f"unknown classifier {classifier_choice!r}")
+        raise ProtocolError(f"unknown classifier {classifier_choice!r}")
     requested, seeds = seeds, tuple(int(s) for s in seeds)
     if not seeds:
-        raise ValueError(f"empty seed range {requested!r}: the protocol "
-                         f"needs at least one CV seed")
+        raise ProtocolError(f"empty seed range {requested!r}: the protocol "
+                            f"needs at least one CV seed")
+    if folds < 2:
+        raise ProtocolError(f"folds={folds}: cross-validation needs at "
+                            f"least 2 folds")
     counts = dataset.class_counts()
-    if np.any(counts < max(2, folds)):
-        short = np.nonzero(counts < max(2, folds))[0].tolist()
+    if np.any(counts < folds):
+        short = np.nonzero(counts < folds)[0].tolist()
         raise DegenerateFoldError(
-            f"classes {short} have fewer than {max(2, folds)} samples; "
+            f"classes {short} have fewer than {folds} samples; "
             f"stratified {folds}-fold CV is impossible")
+    # fold 0 is the largest test fold: ceil(count / folds) of each class
+    n_train = int(np.sum(counts - (counts + folds - 1) // folds))
+    if "knn" in classifiers and not 1 <= k <= n_train:
+        raise ProtocolError(f"k={k} must be in 1..{n_train}, the size of "
+                            f"the smallest training fold")
     cfg = (cfg or OptimizerConfig()).resolve(dataset.num_features)
     start = time.perf_counter()
 
@@ -199,9 +210,8 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     config_echo = {
         "trace_cap": cfg.trace_cap, "rho": cfg.rho, "epsilon": cfg.epsilon,
         "fw_max_iters": cfg.fw_max_iters,
-        "outer_max_iters": cfg.outer_max_iters, "bcd_sweeps": cfg.bcd_sweeps,
-        "obj_rel_tol": cfg.obj_rel_tol, "k": k, "seeds": list(seeds),
-        "folds": folds,
+        "outer_max_iters": cfg.outer_max_iters, "obj_rel_tol": cfg.obj_rel_tol,
+        "k": k, "seeds": list(seeds), "folds": folds,
         "standardized": scale_features, "prng": PRNG_NOTE,
     }
     return ExperimentReport(dataset_name=dataset.name, classifiers=classifiers,

@@ -63,7 +63,6 @@ class OptimizerConfig:
     epsilon: float | None = None
     fw_max_iters: int = 100
     outer_max_iters: int = 50
-    bcd_sweeps: int = 1
     obj_rel_tol: float = 1e-6
 
     def resolve(self, dim: int) -> "OptimizerConfig":
@@ -91,7 +90,7 @@ class OptimizerConfig:
             raise ConfigError(
                 f"need trace_cap/K > 2*epsilon + rho for a PD start "
                 f"({c / dim} vs {2 * eps + rho})")
-        counts = (self.fw_max_iters, self.outer_max_iters, self.bcd_sweeps)
+        counts = (self.fw_max_iters, self.outer_max_iters)
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
                for n in counts):
             raise ConfigError(f"iteration counts must be integers: {counts}")
@@ -123,7 +122,6 @@ class OptimizerState:
     metric: GraphMetric
     scalars: GershgorinScalars
     objective_trace: tuple[float, ...]
-    iteration: int = 0
     protected_edges: tuple[tuple[int, int], ...] = ()
     fw_gap: float = math.nan
     alignment: tuple[Certificate, GershgorinScalars, float] | None = field(
@@ -177,7 +175,7 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
     obj = objective if objective is not None else GLRObjective(ctx)
     g = init_metric(cfg, dim)
     return OptimizerState(metric=g, scalars=alignment_scalars(g),
-                          objective_trace=(obj.value(g.matrix),), iteration=0,
+                          objective_trace=(obj.value(g.matrix),),
                           protected_edges=_path_edges(dim))
 
 
@@ -261,7 +259,7 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
             and done[1] is state.scalars and done[2] == rho):
         return state
     scalars, verified = _conditioned_scalars(metric, rho)
-    if not verified and metric.dim <= eigen.DENSE_MAX_DIM:
+    if not verified:
         dense = _certified(metric.matrix,
                            eigen.smallest_eigenpair_dense(metric.matrix))
         if dense is not None:
@@ -292,23 +290,54 @@ def _step_size(phi0: float, slope: float, evaluate) -> tuple[float, float]:
     return 0.0, phi0
 
 
+def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
+                 col: int | None, cfg: OptimizerConfig, vertex):
+    """Frank-Wolfe on the diagonal (``col`` None) or on column ``col``.
+
+    Starts from block values ``x`` at objective point ``point`` of value
+    ``q``; ``vertex(g)`` is the LP vertex for gradient g, or None when the
+    LP is empty.  Stops when the duality gap g.(x - vertex) is at most
+    obj_rel_tol * max(1, |Q|), when backtracking Armijo finds no step of at
+    least _MIN_STEP, or after fw_max_iters.  Returns (x, Q, gap), or None
+    when the LP is empty.
+    """
+    gap = math.nan
+    for _ in range(cfg.fw_max_iters):
+        g = (obj.grad_diag(point) if col is None
+             else obj.grad_offdiag_col(point, col))
+        target = vertex(g)
+        if target is None:
+            return None
+        direction = target - x
+        gap = float(-(g @ direction))
+        if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
+            break
+        move = obj.ray(point, direction, col)
+        gamma, phi = _step_size(q, -gap, lambda t: obj.value(move(t)))
+        if gamma == 0.0:
+            break
+        x = x + gamma * direction
+        point = move(gamma)
+        q = phi
+    return x, q, gap
+
+
 def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
                   cfg: OptimizerConfig,
                   objective: ConvexObjective | None = None) -> OptimizerState:
     """Frank-Wolfe over the diagonal under the current scalars.
 
     Feasible set: m_ii >= s_i * sum_{j != i} |m_ij| / s_j + rho per row and
-    trace <= trace_cap.  The LP vertex is closed-form; iterations stop when
-    the duality gap drops below obj_rel_tol * max(1, |Q|).
+    trace <= trace_cap.  The LP vertex is closed-form; ``_frank_wolfe``
+    states the stop rules.
     """
     cfg = cfg if cfg.is_resolved else cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
     lb = scaled_radii(matrix, state.scalars) + cfg.rho
-    x = x0 = matrix.diagonal()
+    x0 = matrix.diagonal()
     point = obj.at(matrix)
     q = obj.value(point)
-    gap = math.nan
     deficit = float(np.sum(lb)) - cfg.trace_cap
     if deficit > 1e-3 * max(1.0, cfg.trace_cap):
         raise SubproblemInfeasibleError(
@@ -323,26 +352,10 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         return replace(state,
                        objective_trace=state.objective_trace + (q,),
                        fw_gap=0.0)
-    for _ in range(cfg.fw_max_iters):
-        g = obj.grad_diag(point)
-        sol = lp.solve_diagonal_lp(g, lb, cfg.trace_cap)
-        if sol.status != lp.OPTIMAL:
-            raise SubproblemInfeasibleError(
-                f"diagonal LP {sol.status}: sum of lower bounds "
-                f"{float(np.sum(lb)):.6g} vs trace_cap {cfg.trace_cap:.6g}; "
-                f"check rho / trace_cap")
-        direction = sol.point - x
-        gap = float(-(g @ direction))
-        if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
-            break
-        slope = float(g @ direction)
-        move = obj.ray(point, direction)
-        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)))
-        if gamma == 0.0:
-            break
-        x = x + gamma * direction
-        point = move(gamma)
-        q = phi
+    # the deficit test above is solve_diagonal_lp's, so the LP is nonempty
+    x, q, gap = _frank_wolfe(
+        obj, point, x0, q, None, cfg,
+        lambda g: lp.solve_diagonal_lp(g, lb, cfg.trace_cap).point)
     if np.any(x != x0):
         metric = _certify_matrix(matrix.with_diagonal(x),
                                  state.metric.certificate.eigvec)
@@ -436,9 +449,9 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
 
     Feasible set: every scaled Gershgorin row constraint written in the
     column variables, all variables <= 0, and magnitude floors epsilon on
-    the anchor entry zeta (largest magnitude in the previous column, lowest
-    row on ties) plus the protected spanning edges in this column.  The
-    spanning-edge floors keep the whole graph connected across block
+    the anchor entry zeta (this column's largest incumbent magnitude,
+    lowest row on ties) plus the protected spanning edges in this column.
+    The spanning-edge floors keep the whole graph connected across block
     updates; the per-column zeta floor alone only guards this column.
     Infeasible subproblems skip the column and leave the state unchanged.
     """
@@ -482,34 +495,20 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                   "(lambda_min is pressing the rho floor)", col)
         return state
     x = np.clip(x0, lower, upper)
-    start = obj.at(matrix)
+    point = start = obj.at(matrix)
     q = q0 = obj.value(start)
-    point = start
     if np.any(x != x0):
         point = obj.ray(start, x - x0, col)(1.0)
         q = obj.value(point)
 
-    for _ in range(cfg.fw_max_iters):
-        g = obj.grad_offdiag_col(point, col)
-        sol = lp.solve_box_knapsack_lp(g, lower, upper, coupling_coeffs,
-                                       coupling_budget)
-        if sol.status != lp.OPTIMAL:
-            log.debug("off-diagonal step on column %d skipped: LP %s",
-                      col, sol.status)
-            return state
-        direction = sol.point - x
-        gap = float(-(g @ direction))
-        if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
-            break
-        slope = float(g @ direction)
-        move = obj.ray(point, direction, col)
-        gamma, phi = _step_size(q, slope, lambda t: obj.value(move(t)))
-        if gamma == 0.0:
-            break
-        x = x + gamma * direction
-        point = move(gamma)
-        q = phi
-
+    result = _frank_wolfe(
+        obj, point, x, q, col, cfg,
+        lambda g: lp.solve_box_knapsack_lp(g, lower, upper, coupling_coeffs,
+                                           coupling_budget).point)
+    if result is None:
+        log.debug("off-diagonal step on column %d skipped: empty LP", col)
+        return state
+    x, q, _ = result
     if q > q0:
         # the feasibility clamp on the start cost more than the step gained
         log.debug("off-diagonal step on column %d made no progress; "
@@ -564,20 +563,18 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
         notify("scalars", state)
         state = diagonal_step(state, ctx, cfg, objective=obj)
         notify("diagonal", state)
-        for _ in range(cfg.bcd_sweeps):
-            for col in range(ctx.num_features):
-                state = update_scalars(state, rho=cfg.rho)
-                notify("scalars", state)
-                before = state
-                state = offdiag_step(state, ctx, cfg, col, objective=obj)
-                notify("offdiag", state)
-                # a skipped column returns its input state; a stalled one
-                # keeps the input metric
-                if state is before:
-                    skipped += 1
-                elif state.metric is before.metric:
-                    stalled += 1
-        state = replace(state, iteration=outer)
+        for col in range(ctx.num_features):
+            state = update_scalars(state, rho=cfg.rho)
+            notify("scalars", state)
+            before = state
+            state = offdiag_step(state, ctx, cfg, col, objective=obj)
+            notify("offdiag", state)
+            # a skipped column returns its input state; a stalled one
+            # keeps the input metric
+            if state is before:
+                skipped += 1
+            elif state.metric is before.metric:
+                stalled += 1
         notify("outer", state)
         q_end = state.objective_trace[-1]
         log.info("outer=%d objective=%.10e lambda_min=%.6e trace=%.6e "
@@ -591,7 +588,7 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     if skipped or stalled:
         log.warning("%d of %d off-diagonal column steps skipped and %d "
                     "made no progress",
-                    skipped, outer * cfg.bcd_sweeps * ctx.num_features,
+                    skipped, outer * ctx.num_features,
                     stalled)
     if not converged:
         log.warning("stopped unconverged at outer_max_iters=%d: last outer "

@@ -63,6 +63,19 @@ def random_spd(rng: np.random.Generator, dim: int) -> SymmetricMatrix:
     return SymmetricMatrix((q * eigs) @ q.T)
 
 
+def shifted_path_laplacian(dim: int, shift: float) -> SymmetricMatrix:
+    """Unit-weight path-graph Laplacian plus ``shift`` * I.
+
+    A graph metric with lambda_min = ``shift`` and the uniform first
+    eigenvector, at any size.
+    """
+    a = np.diag(np.full(dim, 2.0 + shift))
+    a[0, 0] = a[-1, -1] = 1.0 + shift
+    i = np.arange(dim - 1)
+    a[i, i + 1] = a[i + 1, i] = -1.0
+    return SymmetricMatrix(a)
+
+
 def two_cluster_dataset(rng: np.random.Generator, n_per_class: int = 20,
                         num_features: int = 2, separation: float = 4.0,
                         name: str = "two-cluster") -> Dataset:

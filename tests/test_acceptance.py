@@ -269,14 +269,7 @@ def test_criterion_09c_seeds_protocol():
 
 def test_criterion_10_warm_start_benefit():
     rng = np.random.default_rng(99)
-    ds = gaussian_blobs_dataset(rng, n_classes=2, n_per_class=12,
-                                num_features=8, separation=1.2)
-    feats, _, _ = standardize(ds.features, ds.features)
-    ctx = ObjectiveContext(features=feats,
-                           labels=np.where(ds.labels == 0, 1.0, -1.0))
-    # two BCD sweeps make up to 17 block steps per outer iteration, so even
-    # a short run crosses the 50-sample mark
-    cfg = OptimizerConfig(outer_max_iters=12, obj_rel_tol=1e-15, bcd_sweeps=2)
+    cfg = OptimizerConfig(outer_max_iters=12, obj_rel_tol=1e-15)
     captured = []
     previous = None
 
@@ -290,7 +283,17 @@ def test_criterion_10_warm_start_benefit():
                              previous.metric.certificate.eigvec))
         previous = state
 
-    learn_metric(ctx, cfg, observer=observer)
+    # a short learn certifies up to 9 block steps per outer iteration, so
+    # learns on fresh datasets are pooled until 60 solves are captured
+    for _ in range(10):
+        if len(captured) >= 60:
+            break
+        ds = gaussian_blobs_dataset(rng, n_classes=2, n_per_class=12,
+                                    num_features=8, separation=1.2)
+        feats, _, _ = standardize(ds.features, ds.features)
+        ctx = ObjectiveContext(features=feats,
+                               labels=np.where(ds.labels == 0, 1.0, -1.0))
+        learn_metric(ctx, cfg, observer=observer)
     captured = captured[:60]
     assert len(captured) >= 50, "run too short to measure 50 block steps"
 

@@ -78,6 +78,12 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_classify(train, np.zeros(2), IDENTITY_2, 4)
 
+    def test_vote_scores_k_validation(self):
+        feats, z = np.zeros((3, 3)), np.array([1.0, -1.0, 1.0])
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"k={k} must be in 1..3"):
+                knn_vote_scores(feats, z, np.zeros((1, 3)), IDENTITY_3, k)
+
     def test_vote_scores_shape_and_range(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(12, 3))

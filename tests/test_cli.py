@@ -151,6 +151,9 @@ def test_config_is_rejected_without_optimizer_options(tmp_path, capsys):
 _CLASSIFY = ("classify --metric {bad} --train {csv} --test {csv} "
              "--label-col label")
 _LEARN = "learn --dataset {bad} --label-col label"
+_KNN_EXPERIMENT = ("experiment --dataset {csv} --label-col label "
+                   "--classifier knn --seeds 0")
+_METRIC = '{"dim": 2, "entries": [2, -1, -1, 2], "lambda_min": 1}'
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -171,9 +174,25 @@ _LEARN = "learn --dataset {bad} --label-col label"
     (_LEARN, "f0,f1,class\n1,2,a\n3,4,b\n", "no column named 'label'"),
     ("learn --dataset {csv} --label-col label --positive-class 2",
      None, "--positive-class 2 out of range for 2 classes"),
+    (_KNN_EXPERIMENT + " --k 0", None, "k=0 must be in 1..10"),
+    (_KNN_EXPERIMENT + " --k 11", None, "k=11 must be in 1..10"),
+    (_KNN_EXPERIMENT + " --folds 0", None, "folds=0: cross-validation"),
+    (_KNN_EXPERIMENT + " --folds 1", None, "folds=1: cross-validation"),
+    (_KNN_EXPERIMENT + " --folds -1", None, "folds=-1: cross-validation"),
+    (_KNN_EXPERIMENT + " --folds 11", None,
+     "classes [0, 1] have fewer than 11 samples"),
+    (_CLASSIFY + " --classifier knn --k 0", _METRIC,
+     "--k 0 must be in 1..20"),
+    (_CLASSIFY + " --classifier knn --k 21", _METRIC,
+     "--k 21 must be in 1..20"),
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
-        "metric-nan-lambda", "metric-inf-entry", "metric-rejected", "metric-dim", "csv-missing", "csv-non-numeric",
-        "csv-ragged", "csv-label-col", "positive-class"])
+        "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
+        "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
+        "csv-label-col", "positive-class", "experiment-k-zero",
+        "experiment-k-above-fold", "experiment-folds-zero",
+        "experiment-folds-one", "experiment-folds-negative",
+        "experiment-folds-above-class", "classify-k-zero",
+        "classify-k-above-train"])
 def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
                                     message):
     bad = tmp_path / "bad"

@@ -10,7 +10,7 @@ from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
                               scaled_left_ends, validate_graph_metric)
 from graphmetric.eigen import smallest_eigenpair_dense
 from helpers import (count_eigensolves, gershgorin_left_ends, mahalanobis,
-                     random_graph_metric)
+                     random_graph_metric, shifted_path_laplacian)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -91,6 +91,13 @@ class TestValidation:
         calls = count_eigensolves(monkeypatch)
         validate_graph_metric(EX_MATRIX)
         assert calls == ["smallest_eigenpair_dense"]
+
+    def test_validation_solves_densely_at_any_size(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        g = validate_graph_metric(shifted_path_laplacian(600, 0.1))
+        assert calls == ["smallest_eigenpair_dense"]
+        assert g.certificate.lambda_min == pytest.approx(0.1, abs=1e-10)
+        assert np.allclose(g.certificate.eigvec, 600 ** -0.5, rtol=1e-6)
 
     def test_certificate_eigvec_positive_unit(self):
         g = validate_graph_metric(EX_MATRIX)

@@ -37,11 +37,6 @@ class TestDense:
             EX_MATRIX.entries @ pair.vector - pair.value * pair.vector)
         assert abs(recomputed - pair.residual) <= 1e-12
 
-    def test_dimension_guard(self):
-        big = SymmetricMatrix(np.eye(501))
-        with pytest.raises(DimensionMismatchError):
-            smallest_eigenpair_dense(big)
-
 
 class TestLobpcg:
     def test_worked_example_cold(self):

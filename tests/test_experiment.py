@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from graphmetric import experiment
 from graphmetric.data import Dataset
-from graphmetric.experiment import (DegenerateFoldError, recomputed_mean,
-                                    run_experiment, stratified_folds)
+from graphmetric.experiment import (DegenerateFoldError, ProtocolError,
+                                    recomputed_mean, run_experiment,
+                                    stratified_folds)
 from graphmetric.optimizer import OptimizerConfig
 from helpers import gaussian_blobs_dataset, two_cluster_dataset
 
@@ -81,7 +83,7 @@ class TestRunExperiment:
         report = run_experiment(_separable(), seeds=range(1), k=3)
         cfg = report.config
         for key in ("trace_cap", "rho", "epsilon", "fw_max_iters",
-                    "outer_max_iters", "bcd_sweeps", "obj_rel_tol", "k",
+                    "outer_max_iters", "obj_rel_tol", "k",
                     "seeds", "folds", "standardized", "prng"):
             assert key in cfg
         assert cfg["k"] == 3
@@ -91,6 +93,31 @@ class TestRunExperiment:
                      labels=np.array([0, 0, 0, 0, 1]), num_classes=2)
         with pytest.raises(DegenerateFoldError):
             run_experiment(ds, seeds=range(1))
+
+    @pytest.mark.parametrize("classifier, folds, k, message", [
+        ("graph", 1, 5, "folds=1: cross-validation needs at least 2 folds"),
+        ("both", 0, 5, "folds=0: cross-validation needs at least 2 folds"),
+        ("both", -1, 5, "folds=-1: cross-validation needs at least 2"),
+        ("knn", 2, 0, "k=0 must be in 1..12"),
+        ("both", 2, 13, "k=13 must be in 1..12"),
+        ("knn", 5, 19, "k=19 must be in 1..18"),
+    ])
+    def test_bad_protocol_rejected_before_learning(self, monkeypatch,
+                                                   classifier, folds, k,
+                                                   message):
+        def no_learning(*args, **kwargs):
+            raise AssertionError("a metric was learned")
+        monkeypatch.setattr(experiment, "learn_metric", no_learning)
+        with pytest.raises(ProtocolError, match=message):
+            run_experiment(_separable(), classifier_choice=classifier,
+                           seeds=range(1), folds=folds, k=k)
+
+    def test_k_up_to_smallest_training_fold_accepted(self):
+        # 12 samples per class in 5 folds: test folds of 3, 3, 2, 2, 2 per
+        # class leave training folds of at least 18
+        report = run_experiment(_separable(), classifier_choice="knn",
+                                seeds=range(1), folds=5, k=18)
+        assert len(report.records) == 5
 
     def test_unknown_classifier(self):
         with pytest.raises(ValueError):

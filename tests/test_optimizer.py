@@ -10,6 +10,7 @@ import pytest
 from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
                               scaled_radii, validate_graph_metric)
 from graphmetric.data import load_csv
+from graphmetric import eigen
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.objective import GLRObjective, ObjectiveContext
 from graphmetric import optimizer
@@ -21,7 +22,8 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    _tree_survives)
 from helpers import (MatrixObjective, column_tree_edges_by_scan,
                      count_eigensolves, diag_objective_fn, golden_section,
-                     grid_search_diag, max_spanning_tree, two_cluster_dataset)
+                     grid_search_diag, max_spanning_tree,
+                     shifted_path_laplacian, two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -59,7 +61,7 @@ class TestConfig:
             OptimizerConfig(trace_cap=2.0, epsilon=0.5, rho=1e-4).resolve(2)
 
     @pytest.mark.parametrize("field, value", [
-        ("fw_max_iters", 2.5), ("outer_max_iters", True), ("bcd_sweeps", "1")])
+        ("fw_max_iters", 2.5), ("outer_max_iters", True)])
     def test_iteration_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match="must be integers"):
             OptimizerConfig(**{field: value}).resolve(3)
@@ -386,6 +388,19 @@ class TestTreeSurvives:
         # a tree with an edge below the floor is not Prim's tree
         assert not survives([-0.5, -0.4, 0.0], tree=((0, 1), (0, 3), (1, 2)))
         assert not _tree_survives((), [], before, before, matrix, eps)
+
+
+class TestCertifyMatrix:
+    def test_dense_backstop_certifies_any_size(self, monkeypatch):
+        def no_convergence(matrix, warm_start=None, **kwargs):
+            pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
+            raise eigen.LobpcgNonConvergence(pair, 1)
+        monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
+        matrix = shifted_path_laplacian(600, 0.1)
+        metric = optimizer._certify_matrix(matrix, np.ones(600))
+        assert metric.matrix is matrix
+        assert metric.certificate.lambda_min == pytest.approx(0.1, abs=1e-10)
+        assert np.allclose(metric.certificate.eigvec, 600 ** -0.5, rtol=1e-6)
 
 
 class TestUnchangedBlock:
