@@ -15,7 +15,7 @@ from .classify import graph_classify, knn_classify, one_vs_all_predict
 from .data import load_csv, load_feature_matrix
 from .experiment import DegenerateFoldError, ProtocolError, run_experiment
 from .objective import ObjectiveContext
-from .optimizer import OptimizerConfig, learn_metric
+from .optimizer import ConfigError, OptimizerConfig, learn_metric
 
 log = logging.getLogger(__name__)
 
@@ -195,7 +195,10 @@ def _cmd_learn(parser: argparse.ArgumentParser,
                args: argparse.Namespace) -> int:
     dataset = _load(parser, load_csv, args.dataset,
                     _parse_label_col(args.label_col), args.delimiter)
-    cfg = _optimizer_config(args).resolve(dataset.num_features)
+    try:
+        cfg = _optimizer_config(args).resolve(dataset.num_features)
+    except ConfigError as exc:
+        parser.error(str(exc))
     if not 0 <= args.positive_class < dataset.num_classes:
         parser.error(f"--positive-class {args.positive_class} out of "
                      f"range for {dataset.num_classes} classes")
@@ -263,13 +266,13 @@ def _cmd_experiment(parser: argparse.ArgumentParser,
     dataset = _load(parser, load_csv, args.dataset,
                     _parse_label_col(args.label_col), args.delimiter)
     try:
-        # both are raised before any metric is learned
+        # all three are raised before any metric is learned
         report = run_experiment(dataset, _optimizer_config(args),
                                 classifier_choice=args.classifier,
                                 seeds=args.seeds, folds=args.folds, k=args.k,
                                 scale_features=not args.no_standardize,
                                 n_jobs=args.jobs)
-    except (ProtocolError, DegenerateFoldError) as exc:
+    except (ConfigError, ProtocolError, DegenerateFoldError) as exc:
         parser.error(str(exc))
     if args.format == "table":
         text = report.to_table()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -78,6 +79,10 @@ class OptimizerConfig:
 
     def _validate(self, dim: int) -> None:
         c, rho, eps = self.trace_cap, self.rho, self.epsilon
+        for name in ("trace_cap", "rho", "epsilon", "obj_rel_tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, not {value}")
         if c is None or c <= 0:
             raise ConfigError("trace_cap must be positive")
         if rho is None or rho <= 0:
@@ -279,15 +284,53 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
                    alignment=(metric.certificate, scalars, rho))
 
 
-def _step_size(phi0: float, slope: float, evaluate) -> tuple[float, float]:
-    """Step toward the LP vertex by backtracking Armijo."""
-    gamma = 1.0
-    while gamma >= _MIN_STEP:
+# Largest exponent j with 2**-j >= _MIN_STEP: the last halving that
+# backtracking from gamma = 1 tries.
+_MAX_HALVINGS = math.floor(-math.log2(_MIN_STEP))
+
+
+def _step_size(phi0: float, slope: float, evaluate, j0: int
+               ) -> tuple[float, float, int]:
+    """Backtracking Armijo step toward the LP vertex, searched from 2**-j0.
+
+    Returns (gamma, phi, j) for the largest gamma = 2**-j, 0 <= j <=
+    _MAX_HALVINGS, that passes evaluate(gamma) <= phi0 + _ARMIJO_C * gamma
+    * slope, with phi = evaluate(gamma); or (0.0, phi0, j0) when none
+    passes.  Halving from gamma = 1 finds that step after j + 1 trials; the
+    search starts instead at the caller's previous exponent j0.  If 2**-j0
+    passes it tries j0 - 1, j0 - 2, ... and stops at the first rejection;
+    otherwise it tries j0 + 1, j0 + 2, ... until one passes.
+
+    Skipping the other exponents is exact because the passing steps form
+    one interval.  Along a Frank-Wolfe ray every pair distance delta_p is
+    affine in gamma, so phi(gamma) = sum_p w_p exp(-delta_p(gamma)) is
+    convex.  Then h(gamma) = phi(gamma) - phi0 - c * gamma * slope is
+    convex with h(0) = 0 and h'(0) = (1 - c) * slope < 0 (slope < 0,
+    c < 1), so {gamma > 0 : h(gamma) <= 0} is an interval (0, gamma*]:
+    every step below a passing one passes, every step above a failing one
+    fails.  In floating point a step so small that gamma * slope is below
+    phi0's round-off can fail while a larger step passes; so before giving
+    up, the exponents below j0 are tried in the order halving tries them.
+    """
+    def trial(j: int) -> tuple[bool, float, float]:
+        gamma = math.ldexp(1.0, -j)
         phi = evaluate(gamma)
-        if phi <= phi0 + _ARMIJO_C * gamma * slope:
-            return gamma, phi
-        gamma *= 0.5
-    return 0.0, phi0
+        return phi <= phi0 + _ARMIJO_C * gamma * slope, gamma, phi
+
+    ok, gamma, phi = trial(j0)
+    if ok:
+        j = j0
+        while j > 0:
+            ok, up_gamma, up_phi = trial(j - 1)
+            if not ok:
+                break
+            j, gamma, phi = j - 1, up_gamma, up_phi
+        return gamma, phi, j
+    for j in chain(range(j0 + 1, _MAX_HALVINGS + 1), range(j0)):
+        ok, gamma, phi = trial(j)
+        if ok:
+            return gamma, phi, j
+    return 0.0, phi0, j0
 
 
 def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
@@ -296,12 +339,16 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
 
     Starts from block values ``x`` at objective point ``point`` of value
     ``q``; ``vertex(g)`` is the LP vertex for gradient g, or None when the
-    LP is empty.  Stops when the duality gap g.(x - vertex) is at most
-    obj_rel_tol * max(1, |Q|), when backtracking Armijo finds no step of at
-    least _MIN_STEP, or after fw_max_iters.  Returns (x, Q, gap), or None
-    when the LP is empty.
+    LP is empty.  Each iteration steps by backtracking Armijo over gamma =
+    2**-j; ``_step_size`` starts its search at the exponent the previous
+    iteration accepted (0 on the first), which finds the same step as
+    halving from gamma = 1 in fewer objective evaluations.  Stops when the
+    duality gap g.(x - vertex) is at most obj_rel_tol * max(1, |Q|), when
+    backtracking Armijo finds no step of at least _MIN_STEP, or after
+    fw_max_iters.  Returns (x, Q, gap), or None when the LP is empty.
     """
     gap = math.nan
+    j = 0
     for _ in range(cfg.fw_max_iters):
         g = (obj.grad_diag(point) if col is None
              else obj.grad_offdiag_col(point, col))
@@ -313,7 +360,7 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
         if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
             break
         move = obj.ray(point, direction, col)
-        gamma, phi = _step_size(q, -gap, lambda t: obj.value(move(t)))
+        gamma, phi, j = _step_size(q, -gap, lambda t: obj.value(move(t)), j)
         if gamma == 0.0:
             break
         x = x + gamma * direction

@@ -20,6 +20,7 @@ from graphmetric.core import (DimensionMismatchError, GraphMetric,
 from graphmetric.data import Dataset
 from graphmetric.lp import OPTIMAL, INFEASIBLE
 from graphmetric.objective import ObjectiveContext, glr_value
+from graphmetric.optimizer import _ARMIJO_C, _MIN_STEP
 
 
 def random_graph_metric(rng: np.random.Generator, dim: int,
@@ -303,6 +304,23 @@ class MatrixObjective:
     def grad_offdiag_col(self, m, col: int) -> np.ndarray:
         d = self.ctx.pair_cache.diffs
         return -2.0 * ((self._terms(m) * d[:, col]) @ np.delete(d, col, axis=1))
+
+
+def armijo_backtracking(phi0: float, slope: float, evaluate
+                        ) -> tuple[float, float]:
+    """Backtracking Armijo from gamma = 1, halving every rejected step.
+
+    The reference ``optimizer._step_size`` must match from any start
+    exponent: the first gamma = 2**-j >= _MIN_STEP with evaluate(gamma) <=
+    phi0 + _ARMIJO_C * gamma * slope, or (0.0, phi0) when none passes.
+    """
+    gamma = 1.0
+    while gamma >= _MIN_STEP:
+        phi = evaluate(gamma)
+        if phi <= phi0 + _ARMIJO_C * gamma * slope:
+            return gamma, phi
+        gamma *= 0.5
+    return 0.0, phi0
 
 
 def max_spanning_tree(matrix, floor: float):

@@ -154,6 +154,8 @@ _LEARN = "learn --dataset {bad} --label-col label"
 _KNN_EXPERIMENT = ("experiment --dataset {csv} --label-col label "
                    "--classifier knn --seeds 0")
 _METRIC = '{"dim": 2, "entries": [2, -1, -1, 2], "lambda_min": 1}'
+_LEARN_CSV = "learn --dataset {csv} --label-col label"
+_EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -185,6 +187,16 @@ _METRIC = '{"dim": 2, "entries": [2, -1, -1, 2], "lambda_min": 1}'
      "--k 0 must be in 1..20"),
     (_CLASSIFY + " --classifier knn --k 21", _METRIC,
      "--k 21 must be in 1..20"),
+    (_LEARN_CSV + " --rho 5", None, "rho=5.0 must be < trace_cap/K = 1.0"),
+    (_LEARN_CSV + " --trace-cap -1", None, "trace_cap must be positive"),
+    (_LEARN_CSV + " --epsilon 0", None, "epsilon must be positive"),
+    (_LEARN_CSV + " --obj-rel-tol nan", None,
+     "obj_rel_tol must be finite, not nan"),
+    (_LEARN_CSV + " --config {bad}", '{"rho": 5}',
+     "rho=5.0 must be < trace_cap/K = 1.0"),
+    (_EXPERIMENT + " --fw-max-iters 0", None,
+     "iteration counts must be >= 1"),
+    (_EXPERIMENT + " --obj-rel-tol 0", None, "obj_rel_tol must be positive"),
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
         "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
         "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
@@ -192,7 +204,9 @@ _METRIC = '{"dim": 2, "entries": [2, -1, -1, 2], "lambda_min": 1}'
         "experiment-k-above-fold", "experiment-folds-zero",
         "experiment-folds-one", "experiment-folds-negative",
         "experiment-folds-above-class", "classify-k-zero",
-        "classify-k-above-train"])
+        "classify-k-above-train", "learn-rho", "learn-trace-cap",
+        "learn-epsilon", "learn-obj-rel-tol-nan", "learn-config-rho",
+        "experiment-fw-max-iters", "experiment-obj-rel-tol"])
 def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
                                     message):
     bad = tmp_path / "bad"

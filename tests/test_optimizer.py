@@ -1,6 +1,8 @@
 """Tests for the alternating Frank-Wolfe metric learner."""
 
+import functools
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -9,9 +11,10 @@ import pytest
 
 from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
                               scaled_radii, validate_graph_metric)
-from graphmetric.data import load_csv
-from graphmetric import eigen
+from graphmetric.data import load_csv, standardize
+from graphmetric import eigen, objective
 from graphmetric.eigen import smallest_eigenpair_dense
+from graphmetric.experiment import stratified_folds
 from graphmetric.objective import GLRObjective, ObjectiveContext
 from graphmetric import optimizer
 from graphmetric.optimizer import (ConfigError, OptimizerConfig,
@@ -20,10 +23,11 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    learn_metric, offdiag_step, update_scalars,
                                    _column_tree_edges, _max_spanning_tree,
                                    _tree_survives)
-from helpers import (MatrixObjective, column_tree_edges_by_scan,
-                     count_eigensolves, diag_objective_fn, golden_section,
-                     grid_search_diag, max_spanning_tree,
-                     shifted_path_laplacian, two_cluster_dataset)
+from helpers import (MatrixObjective, armijo_backtracking,
+                     column_tree_edges_by_scan, count_eigensolves,
+                     diag_objective_fn, golden_section, grid_search_diag,
+                     max_spanning_tree, shifted_path_laplacian,
+                     two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -65,6 +69,13 @@ class TestConfig:
     def test_iteration_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match="must be integers"):
             OptimizerConfig(**{field: value}).resolve(3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["trace_cap", "rho", "epsilon",
+                                       "obj_rel_tol"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            OptimizerConfig(**{field: value}).resolve(4)
 
 
 class TestInitMetric:
@@ -141,6 +152,74 @@ class TestUpdateScalars:
         assert update_scalars(replace(state, scalars=_state_for(
             EX_MATRIX).scalars), rho=0.0) is not state
         assert len(left_ends) == 2
+
+
+class TestStepSize:
+    """The search from any start exponent accepts backtracking's step."""
+
+    @staticmethod
+    def _ray(w, delta, rate):
+        """phi(gamma) = sum w exp(-(delta + gamma rate)) and its phi'(0).
+
+        A term that overflows reads inf, which no Armijo test accepts.
+        Values are memoized: the 40 searches of one ray share their trials.
+        """
+        @functools.cache
+        def phi(gamma):
+            with np.errstate(over="ignore"):
+                return float(np.sum(w * np.exp(-(delta + gamma * rate))))
+        return phi, float(-np.sum(w * rate * np.exp(-delta)))
+
+    @staticmethod
+    def _assert_matches_backtracking(phi, slope):
+        phi0 = phi(0.0)
+        expected = armijo_backtracking(phi0, slope, phi)
+        for j0 in range(40):
+            gamma, value, j = optimizer._step_size(phi0, slope, phi, j0)
+            assert (gamma, value) == expected
+            assert gamma == 0.0 or gamma == 2.0 ** -j
+        return expected
+
+    def test_exponent_range_matches_min_step(self):
+        assert optimizer._MAX_HALVINGS == 39
+        assert 2.0 ** -39 >= optimizer._MIN_STEP > 2.0 ** -40
+
+    def test_random_rays_match_backtracking(self):
+        rng = np.random.default_rng(31)
+        accepted = set()
+        for _ in range(1500):
+            p = int(rng.integers(1, 30))
+            w = rng.uniform(0.0, 1.0, p)
+            delta = rng.uniform(-1.0, 3.0, p)
+            rate = 10.0 ** rng.uniform(-2.0, 6.0) * rng.normal(size=p)
+            phi, slope = self._ray(w, delta, rate)
+            if slope > 0.0:
+                phi, slope = self._ray(w, delta, -rate)
+            gamma, _ = self._assert_matches_backtracking(phi, slope)
+            accepted.add(gamma)
+        # the draws reach full steps and steps many halvings down
+        assert 1.0 in accepted and min(accepted - {0.0}) <= 2.0 ** -20
+        assert len(accepted) >= 15
+
+    def test_no_acceptable_step(self):
+        # slope -1 against curvature 2e14: no gamma >= 2**-39 passes
+        phi, slope = self._ray(np.ones(2), np.zeros(2),
+                               np.array([1e7 + 1.0, -1e7]))
+        assert slope == -1.0
+        assert self._assert_matches_backtracking(phi, slope) == (0.0, 2.0)
+
+    def test_round_off_rejection_below_a_passing_step(self):
+        # a linear decrease that the smallest steps round up to 1 ulp above
+        # phi0: starts at those exponents fail upward, yet gamma = 1 passes
+        def phi(gamma):
+            return (1.0 - 0.5 * gamma if gamma == 0.0 or gamma >= 2.0 ** -30
+                    else math.nextafter(1.0, 2.0))
+        assert self._assert_matches_backtracking(phi, -0.5) == (1.0, 0.5)
+
+    def test_full_step_accepted(self):
+        phi, slope = self._ray(np.ones(1), np.zeros(1), np.ones(1))
+        assert self._assert_matches_backtracking(phi, slope) == (
+            1.0, math.exp(-1.0))
 
 
 @dataclass
@@ -552,6 +631,48 @@ def _blob_ctx(seed, k=9, per_class=8):
     x = centers[y] + rng.normal(size=(y.size, k))
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     return ObjectiveContext(features=x, labels=np.where(y == 0, 1.0, -1.0))
+
+
+def _iris_fold_ctx():
+    """One learn of the iris protocol: CV seed 0, fold 0, class 0."""
+    ds = load_csv("data/iris.csv", label_column="class")
+    test = stratified_folds(ds.labels, 2, np.random.default_rng(0))[0]
+    train = np.setdiff1d(np.arange(ds.num_samples), test)
+    x_train, _, _ = standardize(ds.features[train], ds.features[test])
+    z = np.where(ds.labels[train] == 0, 1.0, -1.0)
+    return ObjectiveContext(features=x_train, labels=z)
+
+
+class TestWarmStartedLineSearch:
+    """Learns equal cold backtracking's, with fewer evaluations."""
+
+    @staticmethod
+    def _learn(monkeypatch, ctx, cold):
+        calls = []
+        real = objective.glr_value
+        with monkeypatch.context() as patch:
+            patch.setattr(objective, "glr_value",
+                          lambda *a: calls.append(1) or real(*a))
+            if cold:
+                patch.setattr(
+                    optimizer, "_step_size",
+                    lambda phi0, slope, evaluate, j0:
+                        (*armijo_backtracking(phi0, slope, evaluate), j0))
+            result = learn_metric(ctx)
+        return result, len(calls)
+
+    @pytest.mark.parametrize("name", ["iris", "blobs"])
+    def test_same_learn_at_most_half_the_evaluations(self, monkeypatch,
+                                                      name):
+        ctx = _iris_fold_ctx() if name == "iris" else _blob_ctx(0)
+        warm, warm_calls = self._learn(monkeypatch, ctx, cold=False)
+        cold, cold_calls = self._learn(monkeypatch, ctx, cold=True)
+        assert np.array_equal(warm.metric.matrix.entries,
+                              cold.metric.matrix.entries)
+        assert warm.objective_trace == cold.objective_trace
+        assert warm.outer_iterations == cold.outer_iterations
+        assert warm.converged == cold.converged
+        assert warm_calls <= cold_calls / 2
 
 
 class TestLogging:
