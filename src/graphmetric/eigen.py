@@ -1,9 +1,10 @@
 """Smallest-eigenpair solvers: exact dense and warm-startable LOBPCG.
 
 The optimizer refreshes the first eigenpair of the metric after every block
-update; Jacobi-preconditioned LOBPCG with the previous eigenvector as
-initial guess makes that refresh cheap.  Every other solve is dense:
-validation, scalar realignment and the backstop when LOBPCG fails.
+update that changes it.  Up to K = 16 one dense solve is cheapest, with
+warm LOBPCG as the backstop.  Above that, Jacobi-preconditioned LOBPCG with
+the previous eigenvector as initial guess comes first, with a dense
+backstop.  Every other solve is dense: validation and scalar realignment.
 """
 
 from __future__ import annotations

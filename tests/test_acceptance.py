@@ -274,8 +274,9 @@ def test_criterion_10_warm_start_benefit():
     previous = None
 
     def observer(event, state):
-        # a block step that moves the metric certifies the new matrix with
-        # LOBPCG warm-started from the eigenvector of the state it was given
+        # a block step that moves the metric certifies the new matrix; the
+        # replay below solves it with LOBPCG warm-started from the
+        # eigenvector of the state it was given
         nonlocal previous
         if (event in ("diagonal", "offdiag")
                 and state.metric is not previous.metric):

@@ -26,8 +26,8 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
 from helpers import (MatrixObjective, armijo_backtracking,
                      column_tree_edges_by_scan, count_eigensolves,
                      diag_objective_fn, golden_section, grid_search_diag,
-                     max_spanning_tree, shifted_path_laplacian,
-                     two_cluster_dataset)
+                     max_spanning_tree, random_graph_metric,
+                     shifted_path_laplacian, two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -75,6 +75,18 @@ class TestConfig:
                                        "obj_rel_tol"])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            OptimizerConfig(**{field: value}).resolve(4)
+
+    def test_numeric_strings_coerced_to_float(self):
+        cfg = OptimizerConfig(trace_cap="4", obj_rel_tol="1e-6").resolve(4)
+        assert (cfg.trace_cap, cfg.obj_rel_tol) == (4.0, 1e-6)
+        assert type(cfg.obj_rel_tol) is float
+
+    @pytest.mark.parametrize("field, value", [
+        ("obj_rel_tol", None), ("obj_rel_tol", "tight"), ("rho", [1]),
+        ("epsilon", "1e-3x"), ("trace_cap", 1j)])
+    def test_non_numeric_values_raise_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
             OptimizerConfig(**{field: value}).resolve(4)
 
 
@@ -470,6 +482,95 @@ class TestTreeSurvives:
 
 
 class TestCertifyMatrix:
+    @staticmethod
+    def _iterate(k):
+        """A random graph metric and a warm vector near its eigenvector."""
+        rng = np.random.default_rng(k)
+        g = random_graph_metric(rng, k)
+        warm = g.certificate.eigvec + 1e-3 * rng.random(k)
+        return g, warm
+
+    @pytest.mark.parametrize("k", [4, 13, 16])
+    def test_small_k_is_one_dense_solve(self, monkeypatch, k):
+        g, warm = self._iterate(k)
+        solves = count_eigensolves(monkeypatch)
+        metric = optimizer._certify_matrix(g.matrix, warm)
+        assert solves == ["smallest_eigenpair_dense"]
+        assert metric.certificate.lambda_min == pytest.approx(
+            g.certificate.lambda_min, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [17, 48])
+    def test_large_k_starts_with_warm_lobpcg(self, monkeypatch, k):
+        g, warm = self._iterate(k)
+        solves = count_eigensolves(monkeypatch)
+        metric = optimizer._certify_matrix(g.matrix, warm)
+        assert solves[0] == "smallest_eigenpair_lobpcg"
+        assert metric.certificate.lambda_min == pytest.approx(
+            g.certificate.lambda_min, rel=1e-8)
+
+    @staticmethod
+    def _negative_dense(monkeypatch):
+        """Make the dense solver return a vector too negative to clamp."""
+        real = eigen.smallest_eigenpair_dense
+
+        def negative(matrix):
+            pair = real(matrix)
+            v = pair.vector.copy()
+            v[-1] = -eigen.NEGATIVE_GRACE
+            return replace(pair, vector=v)
+        monkeypatch.setattr(eigen, "smallest_eigenpair_dense", negative)
+
+    def test_small_k_falls_back_to_warm_lobpcg(self, monkeypatch):
+        g, warm = self._iterate(4)
+        self._negative_dense(monkeypatch)
+        solves = count_eigensolves(monkeypatch)
+        metric = optimizer._certify_matrix(g.matrix, warm)
+        assert solves == ["smallest_eigenpair_dense",
+                          "smallest_eigenpair_lobpcg"]
+        assert metric.matrix is g.matrix
+        assert np.all(metric.certificate.eigvec > 0)
+        assert metric.certificate.lambda_min == pytest.approx(
+            g.certificate.lambda_min, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [4, 48])
+    def test_both_solvers_failing_raises(self, monkeypatch, k):
+        def no_convergence(matrix, warm_start=None, **kwargs):
+            pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
+            raise eigen.LobpcgNonConvergence(pair, 1)
+        g, warm = self._iterate(k)
+        self._negative_dense(monkeypatch)
+        monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
+        solves = count_eigensolves(monkeypatch)
+        with pytest.raises(optimizer.CertificationError):
+            optimizer._certify_matrix(g.matrix, warm)
+        order = ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
+        assert solves == (order if k <= 16 else order[::-1])
+
+    def test_wine_learn_certifies_every_step_densely(self, monkeypatch):
+        ds = load_csv("data/wine.csv", label_column="class")
+        feats, _, _ = standardize(ds.features, ds.features)
+        ctx = ObjectiveContext(features=feats,
+                               labels=np.where(ds.labels == 0, 1.0, -1.0))
+        assert ctx.num_features == 13
+        checked = []
+        previous = None
+
+        def observe(event, state):
+            nonlocal previous
+            cert = state.metric.certificate
+            if (event in ("diagonal", "offdiag")
+                    and cert is not previous.metric.certificate):
+                m = state.metric.matrix
+                exact = float(np.linalg.eigvalsh(m.entries)[0])
+                checked.append(abs(cert.lambda_min - exact)
+                               <= 1e-12 * m.trace())
+            previous = state
+
+        solves = count_eigensolves(monkeypatch)
+        learn_metric(ctx, observer=observe)
+        assert "smallest_eigenpair_lobpcg" not in solves
+        assert len(checked) > 0 and all(checked)
+
     def test_dense_backstop_certifies_any_size(self, monkeypatch):
         def no_convergence(matrix, warm_start=None, **kwargs):
             pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
@@ -701,7 +802,7 @@ class TestLogging:
         skipped, stalled = outcomes.count("skipped"), outcomes.count("stalled")
         # an unchanged column keeps its certificate yet counts as a step
         # that ran, not as stalled
-        assert (skipped, stalled, len(outcomes)) == (5, 4, 27)
+        assert (skipped, stalled, len(outcomes)) == (4, 3, 27)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno >= logging.WARNING]
         assert warnings == [
