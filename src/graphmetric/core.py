@@ -46,7 +46,7 @@ class SymmetricMatrix:
 
     Symmetry is exact by construction: the constructor mirrors the upper
     triangle onto the lower, so ``entries[i, j]`` and ``entries[j, i]`` are
-    the same float.  The entry array is read-only.
+    the same float.  Entries must be finite.  The entry array is read-only.
     """
 
     entries: np.ndarray
@@ -57,6 +57,8 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
         if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
             raise ValueError("input matrix is not symmetric")

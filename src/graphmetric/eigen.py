@@ -9,6 +9,7 @@ backstop.  Every other solve is dense: validation and scalar realignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,10 @@ def clamp_positive(v: np.ndarray) -> np.ndarray | None:
     -NEGATIVE_GRACE are lifted to a 1e-13-relative floor and the vector is
     renormalized (the residual moves by ~1e-13 * ||M||, far inside the
     certificate tolerance).  Returns None when some entry is genuinely
-    negative.
+    negative or not finite.
     """
+    if not np.isfinite(v).all():
+        return None
     vmax = float(np.max(v))
     if vmax <= 0 or float(np.min(v)) <= -NEGATIVE_GRACE:
         return None
@@ -93,6 +96,25 @@ def smallest_eigenpair_dense(m: SymmetricMatrix) -> EigenPair:
     return EigenPair(value=lam, vector=v, residual=residual, iterations=0)
 
 
+def _gram_well_conditioned(gram: np.ndarray) -> bool:
+    """Whether Gershgorin's discs prove cond(gram) <= _REORTH_COND / 100.
+
+    The discs bound the spectrum to [lo, hi], up to a few ulps of hi from
+    summing them in floating point.  eigvalsh's eigenvalues are within a
+    few ulps of ||gram|| <= hi of the true ones, so when hi / lo is 100x
+    inside the threshold, eigvalsh would not ask for re-orthogonalization
+    either.  A Gram matrix of Gram-Schmidt output is the identity up to
+    round-off, which this proves without eigvalsh.
+    """
+    lo, hi = math.inf, 0.0
+    for i, row in enumerate(gram.tolist()):
+        centre = row[i]
+        radius = sum(map(abs, row)) - abs(centre)
+        lo = min(lo, centre - radius)
+        hi = max(hi, centre + radius)
+    return lo > 0 and hi <= 1e-2 * _REORTH_COND * lo
+
+
 def _orthonormal_basis(columns: list[np.ndarray]) -> np.ndarray:
     """Modified Gram-Schmidt with conditional re-orthogonalization.
 
@@ -104,12 +126,17 @@ def _orthonormal_basis(columns: list[np.ndarray]) -> np.ndarray:
         w = col.astype(float, copy=True)
         for q in kept:
             w -= (q @ w) * q
-        norm = np.linalg.norm(w)
-        if norm <= 1e-12 * max(1.0, float(np.linalg.norm(col))):
+        # LOBPCG's norms are math.sqrt(w @ w): for a contiguous w that is
+        # bit for bit np.linalg.norm(w), without its wrapper (a strided
+        # view would take another BLAS path)
+        norm = math.sqrt(w @ w)
+        if norm <= 1e-12 * max(1.0, math.sqrt(col @ col)):
             continue
         kept.append(w / norm)
     v = np.column_stack(kept)
     gram = v.T @ v
+    if _gram_well_conditioned(gram):
+        return v
     gvals = np.linalg.eigvalsh(gram)
     if gvals[0] <= 0 or gvals[-1] / gvals[0] > _REORTH_COND:
         # one more MGS pass restores orthogonality at double precision
@@ -118,7 +145,7 @@ def _orthonormal_basis(columns: list[np.ndarray]) -> np.ndarray:
             w = v[:, idx].copy()
             for q in refreshed:
                 w -= (q @ w) * q
-            norm = np.linalg.norm(w)
+            norm = math.sqrt(w @ w)
             if norm > 1e-12:
                 refreshed.append(w / norm)
         v = np.column_stack(refreshed)
@@ -178,10 +205,10 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     r = ax - lam * x
     p: np.ndarray | None = None
     # (residual, value, vector, iterations) of the best iterate so far
-    best = (float(np.linalg.norm(r)), lam, x, 0)
+    best = (math.sqrt(r @ r), lam, x, 0)
 
     for it in range(max_iters + 1):
-        res_norm = float(np.linalg.norm(r))
+        res_norm = math.sqrt(r @ r)
         if res_norm <= tol:
             return _eigenpair(lam, x, res_norm, it)
         if res_norm < best[0]:
@@ -196,11 +223,11 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
         tvals, tvecs = np.linalg.eigh(t)
         y = tvecs[:, 0]
         x_new = basis @ y
-        x_new /= np.linalg.norm(x_new)
+        x_new /= math.sqrt(x_new @ x_new)
         # new direction: the Ritz combination minus its x component
         if basis.shape[1] > 1:
             p = basis[:, 1:] @ y[1:]
-            pn = np.linalg.norm(p)
+            pn = math.sqrt(p @ p)
             p = p / pn if pn > 1e-14 else None
         else:
             p = None

@@ -48,15 +48,16 @@ def solve_diagonal_lp(gradient: np.ndarray, lower_bounds: np.ndarray,
     lb = np.asarray(lower_bounds, dtype=float)
     if g.shape != lb.shape or g.ndim != 1:
         raise LPError("gradient and lower_bounds must be 1-D and equal length")
-    if not np.all(np.isfinite(lb)):
+    if not np.isfinite(lb).all():
         raise LPError("lower bounds must be finite")
-    slack = trace_cap - float(np.sum(lb))
+    slack = trace_cap - float(lb.sum())
     if slack < -FEASIBILITY_TOL * max(1.0, abs(trace_cap)):
         return LPSolution(point=None, objective_value=np.nan, status=INFEASIBLE)
     x = lb.copy()
-    slack = max(slack, 0.0)
-    if slack > 0 and float(np.min(g)) < 0:
-        x[int(np.argmin(g))] += slack
+    if slack > 0:
+        best = int(g.argmin())
+        if g[best] < 0:
+            x[best] += slack
     return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
 
 
@@ -82,9 +83,11 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
     n = g.shape[0]
     if not (lo.shape == up.shape == a.shape == (n,)):
         raise LPError("knapsack LP vectors must share one length")
-    if not np.all(a > 0):
+    coef, los, ups = a.tolist(), lo.tolist(), up.tolist()
+    if not all(c > 0 for c in coef):
         raise LPError("knapsack coefficients must be strictly positive")
-    if np.any(lo > up + FEASIBILITY_TOL) or np.any(up > FEASIBILITY_TOL):
+    if (any(lo_r > up_r + FEASIBILITY_TOL for lo_r, up_r in zip(los, ups))
+            or any(up_r > FEASIBILITY_TOL for up_r in ups)):
         return LPSolution(point=None, objective_value=np.nan,
                           status=INFEASIBLE)
     x = np.minimum(up, 0.0)
@@ -92,13 +95,21 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
     if spent > budget + FEASIBILITY_TOL * max(1.0, abs(budget)):
         return LPSolution(point=None, objective_value=np.nan,
                           status=INFEASIBLE)
-    remaining = max(budget - spent, 0.0)
-    pos = np.flatnonzero(g > 0)
-    order = pos[np.lexsort((pos, -(g[pos] / a[pos])))]
-    for r in order.tolist():
-        if remaining <= 0.0:
-            break
-        step = min(x[r] - lo[r], remaining / a[r])
-        x[r] -= step
-        remaining -= step * a[r]
+    remaining = max(float(budget) - spent, 0.0)
+    if remaining > 0.0:
+        # the greedy on Python floats does the IEEE operations of numpy
+        # scalars without their overhead; sorted is stable, so tied gains
+        # stay in index order
+        gs = g.tolist()
+        order = sorted((r for r in range(n) if gs[r] > 0),
+                       key=lambda r: -(gs[r] / coef[r]))
+        if order:
+            xs = x.tolist()
+            for r in order:
+                step = min(xs[r] - los[r], remaining / coef[r])
+                xs[r] -= step
+                remaining -= step * coef[r]
+                if remaining <= 0.0:
+                    break
+            x = np.array(xs)
     return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)

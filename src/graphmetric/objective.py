@@ -10,7 +10,11 @@ Q depends on M only through the per-pair distances delta_p = d_p^T M d_p,
 and a Frank-Wolfe direction moves every delta_p linearly in the step size.
 The value and gradients therefore accept either a matrix or its
 :class:`PairDistances`, and a line-search trial costs O(P) once the
-distances of the incumbent are known.
+distances of the incumbent are known.  A point keeps its pair terms
+w_p e^{-delta_p} once they are computed, so the gradient at an accepted
+line-search trial reuses the exponentials of its value.  The pair cache
+memoizes the feature-difference columns of the last off-diagonal column
+asked for, which every gradient and ray of one column step shares.
 
 Any object that follows :class:`ConvexObjective` can drive the optimizer;
 :class:`GLRObjective` is the one the experiments use.
@@ -61,6 +65,28 @@ class _PairCache:
     diffs: np.ndarray      # (P, K) f_i - f_j per cross pair
     sq_diffs: np.ndarray   # (P, K) elementwise squares of diffs
     weights: np.ndarray    # (P,)
+    # (col, diffs[:, col], diffs[:, rows]) of the last column asked for
+    _block: list = field(default_factory=lambda: [None], init=False,
+                         repr=False, compare=False)
+
+    def column_block(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """``diffs[:, col]`` and ``diffs[:, rows]`` for rows 0..K-1 with
+        ``col`` skipped, both read-only; memoized for the last column.
+
+        The second array is the fancy-index copy itself (Fortran-ordered):
+        its layout picks the BLAS kernel of the products taken with it, so
+        a C-ordered copy would change their last bits.
+        """
+        block = self._block[0]
+        if block is None or block[0] != col:
+            d = self.diffs
+            rows = [r for r in range(d.shape[1]) if r != col]
+            column, others = d[:, col].copy(), d[:, rows]
+            column.setflags(write=False)
+            others.setflags(write=False)
+            block = (col, column, others)
+            self._block[0] = block
+        return block[1], block[2]
 
 
 @dataclass(frozen=True)
@@ -126,6 +152,18 @@ class PairDistances:
     def dim(self) -> int:
         return self.ctx.num_features
 
+    @property
+    def terms(self) -> np.ndarray:
+        """weights * exp(-delta) per cross pair, computed once; read-only."""
+        # memoized by hand: functools.cached_property takes a lock per miss
+        terms = self.__dict__.get("_terms")
+        if terms is None:
+            terms = self.ctx.pair_cache.weights * np.exp(
+                -np.minimum(np.maximum(self.delta, -745.0), 745.0))
+            terms.setflags(write=False)
+            self.__dict__["_terms"] = terms
+        return terms
+
 
 MetricLike = SymmetricMatrix | PairDistances
 
@@ -143,28 +181,28 @@ def pair_distances(ctx: ObjectiveContext, m: SymmetricMatrix) -> PairDistances:
     return PairDistances(ctx, np.sum((d @ m.entries) * d, axis=1))
 
 
-def _pair_terms(ctx: ObjectiveContext, m: MetricLike) -> np.ndarray:
-    """weights * exp(-delta) per cached cross pair."""
+def _point(ctx: ObjectiveContext, m: MetricLike) -> PairDistances:
+    """``m`` as distances over ``ctx``'s cross pairs, checked against ``ctx``.
+
+    Distances of ``ctx`` itself have its dimension, so only foreign ones
+    need the dimension check.
+    """
     if isinstance(m, PairDistances):
         if m.ctx is not ctx:
+            _check_dims(ctx, m)
             raise ValueError("pair distances belong to another context")
-        delta = m.delta
-    else:
-        delta = pair_distances(ctx, m).delta
-    return ctx.pair_cache.weights * np.exp(
-        -np.minimum(np.maximum(delta, -745.0), 745.0))
+        return m
+    return pair_distances(ctx, m)
 
 
 def glr_value(ctx: ObjectiveContext, m: MetricLike) -> float:
     """Q(M): non-negative, zero iff no pair of samples disagrees in label."""
-    _check_dims(ctx, m)
-    return float(np.sum(_pair_terms(ctx, m)))
+    return float(_point(ctx, m).terms.sum())
 
 
 def glr_grad_diag(ctx: ObjectiveContext, m: MetricLike) -> np.ndarray:
     """dQ/dm_kk = -sum over ordered pairs of (f_i^k - f_j^k)^2 e^{-delta} (z_i-z_j)^2."""
-    _check_dims(ctx, m)
-    return -(_pair_terms(ctx, m) @ ctx.pair_cache.sq_diffs)
+    return -(_point(ctx, m).terms @ ctx.pair_cache.sq_diffs)
 
 
 def glr_grad_offdiag_col(ctx: ObjectiveContext, m: MetricLike,
@@ -174,12 +212,12 @@ def glr_grad_offdiag_col(ctx: ObjectiveContext, m: MetricLike,
     Entries m[r, col] and m[col, r] are one tied variable, hence the factor
     2.  Returns length K-1, rows 0..K-1 with ``col`` skipped.
     """
-    _check_dims(ctx, m)
-    if not 0 <= col < m.dim:
-        raise IndexError(f"column {col} out of range for dim {m.dim}")
-    rows = [r for r in range(m.dim) if r != col]
-    d = ctx.pair_cache.diffs
-    return -2.0 * ((_pair_terms(ctx, m) * d[:, col]) @ d[:, rows])
+    point = _point(ctx, m)
+    dim = ctx.num_features
+    if not 0 <= col < dim:
+        raise IndexError(f"column {col} out of range for dim {dim}")
+    column, others = ctx.pair_cache.column_block(col)
+    return -2.0 * ((point.terms * column) @ others)
 
 
 @dataclass(frozen=True)
@@ -212,9 +250,8 @@ class GLRObjective:
         if col is None:
             rate = cache.sq_diffs @ direction
         else:
-            d = cache.diffs
-            rows = [r for r in range(self.ctx.num_features) if r != col]
-            rate = 2.0 * d[:, col] * (d[:, rows] @ direction)
+            column, others = cache.column_block(col)
+            rate = 2.0 * column * (others @ direction)
         return lambda gamma: PairDistances(self.ctx, point.delta + gamma * rate)
 
     def value(self, point: MetricLike) -> float:

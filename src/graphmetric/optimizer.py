@@ -240,7 +240,7 @@ def _certify_matrix(matrix: SymmetricMatrix,
         metric = _certified(matrix, pair)
         if metric is not None:
             break
-    if metric is None or pair.value <= 0:
+    if metric is None or not pair.value > 0:
         raise CertificationError(
             f"iterate is not certifiable (lambda_min={pair.value:.3e}, "
             f"min eigvec entry={float(np.min(pair.vector)):.3e}); the "
@@ -318,17 +318,19 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
 _MAX_HALVINGS = math.floor(-math.log2(_MIN_STEP))
 
 
-def _step_size(phi0: float, slope: float, evaluate, j0: int
-               ) -> tuple[float, float, int]:
+def _step_size(phi0: float, slope: float, move, value, j0: int
+               ) -> tuple[float, object, float, int]:
     """Backtracking Armijo step toward the LP vertex, searched from 2**-j0.
 
-    Returns (gamma, phi, j) for the largest gamma = 2**-j, 0 <= j <=
-    _MAX_HALVINGS, that passes evaluate(gamma) <= phi0 + _ARMIJO_C * gamma
-    * slope, with phi = evaluate(gamma); or (0.0, phi0, j0) when none
-    passes.  Halving from gamma = 1 finds that step after j + 1 trials; the
-    search starts instead at the caller's previous exponent j0.  If 2**-j0
-    passes it tries j0 - 1, j0 - 2, ... and stops at the first rejection;
-    otherwise it tries j0 + 1, j0 + 2, ... until one passes.
+    A trial at gamma evaluates phi = value(move(gamma)).  Returns (gamma,
+    point, phi, j) for the largest gamma = 2**-j, 0 <= j <= _MAX_HALVINGS,
+    that passes phi <= phi0 + _ARMIJO_C * gamma * slope, with point =
+    move(gamma) the accepted trial's point; or (0.0, None, phi0, j0) when
+    none passes.  Halving from gamma = 1 finds that step after j + 1
+    trials; the search starts instead at the caller's previous exponent
+    j0.  If 2**-j0 passes it tries j0 - 1, j0 - 2, ... and stops at the
+    first rejection; otherwise it tries j0 + 1, j0 + 2, ... until one
+    passes.
 
     Skipping the other exponents is exact because the passing steps form
     one interval.  Along a Frank-Wolfe ray every pair distance delta_p is
@@ -341,25 +343,26 @@ def _step_size(phi0: float, slope: float, evaluate, j0: int
     phi0's round-off can fail while a larger step passes; so before giving
     up, the exponents below j0 are tried in the order halving tries them.
     """
-    def trial(j: int) -> tuple[bool, float, float]:
+    def trial(j: int) -> tuple[bool, float, object, float]:
         gamma = math.ldexp(1.0, -j)
-        phi = evaluate(gamma)
-        return phi <= phi0 + _ARMIJO_C * gamma * slope, gamma, phi
+        point = move(gamma)
+        phi = value(point)
+        return phi <= phi0 + _ARMIJO_C * gamma * slope, gamma, point, phi
 
-    ok, gamma, phi = trial(j0)
+    ok, gamma, point, phi = trial(j0)
     if ok:
         j = j0
         while j > 0:
-            ok, up_gamma, up_phi = trial(j - 1)
+            ok, up_gamma, up_point, up_phi = trial(j - 1)
             if not ok:
                 break
-            j, gamma, phi = j - 1, up_gamma, up_phi
-        return gamma, phi, j
+            j, gamma, point, phi = j - 1, up_gamma, up_point, up_phi
+        return gamma, point, phi, j
     for j in chain(range(j0 + 1, _MAX_HALVINGS + 1), range(j0)):
-        ok, gamma, phi = trial(j)
+        ok, gamma, point, phi = trial(j)
         if ok:
-            return gamma, phi, j
-    return 0.0, phi0, j0
+            return gamma, point, phi, j
+    return 0.0, None, phi0, j0
 
 
 def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
@@ -371,7 +374,8 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
     LP is empty.  Each iteration steps by backtracking Armijo over gamma =
     2**-j; ``_step_size`` starts its search at the exponent the previous
     iteration accepted (0 on the first), which finds the same step as
-    halving from gamma = 1 in fewer objective evaluations.  Stops when the
+    halving from gamma = 1 in fewer objective evaluations, and the next
+    gradient is taken at the accepted trial's point.  Stops when the
     duality gap g.(x - vertex) is at most obj_rel_tol * max(1, |Q|), when
     backtracking Armijo finds no step of at least _MIN_STEP, or after
     fw_max_iters.  Returns (x, Q, gap), or None when the LP is empty.
@@ -388,13 +392,12 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
         gap = float(-(g @ direction))
         if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
             break
-        move = obj.ray(point, direction, col)
-        gamma, phi, j = _step_size(q, -gap, lambda t: obj.value(move(t)), j)
+        gamma, moved, phi, j = _step_size(
+            q, -gap, obj.ray(point, direction, col), obj.value, j)
         if gamma == 0.0:
             break
         x = x + gamma * direction
-        point = move(gamma)
-        q = phi
+        point, q = moved, phi
     return x, q, gap
 
 

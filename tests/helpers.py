@@ -4,8 +4,11 @@ The generators draw seeded random graph metrics, SPD matrices, objective
 instances and labelled datasets.  The oracles recompute expected values
 by brute force (enumeration, golden section, dense grids, finite
 differences, plain formulas) so the tests never trust the code paths
-they check.  ``count_eigensolves`` is the one spy: it records solver
-calls.
+they check.  ``ReferenceGLRObjective``, ``reference_diagonal_lp``,
+``reference_knapsack_lp``, ``reference_basis`` and ``reference_lobpcg``
+are the production kernels' plain formulas without their caches and
+shortcuts: a learn through them must give the same bits.  ``count_eigensolves`` is the one
+spy: it records solver calls.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from graphmetric import eigen
 from graphmetric.core import (DimensionMismatchError, GraphMetric,
                               SymmetricMatrix, validate_graph_metric)
 from graphmetric.data import Dataset
-from graphmetric.lp import OPTIMAL, INFEASIBLE
+from graphmetric.lp import INFEASIBLE, OPTIMAL, LPError, LPSolution
 from graphmetric.objective import ObjectiveContext, glr_value
 from graphmetric.optimizer import _ARMIJO_C, _MIN_STEP
 
@@ -304,6 +307,175 @@ class MatrixObjective:
     def grad_offdiag_col(self, m, col: int) -> np.ndarray:
         d = self.ctx.pair_cache.diffs
         return -2.0 * ((self._terms(m) * d[:, col]) @ np.delete(d, col, axis=1))
+
+
+class ReferenceGLRObjective:
+    """The GLR objective by its plain formulas (ConvexObjective).
+
+    Points are bare distance arrays.  Every value and gradient recomputes
+    the pair terms weights * exp(-delta), and every column gradient and ray
+    takes a fresh ``diffs[:, rows]``: no cached terms, no memoized column
+    block, no remembered matrix.
+    """
+
+    def __init__(self, ctx: ObjectiveContext):
+        self.ctx = ctx
+
+    def _delta(self, m) -> np.ndarray:
+        if isinstance(m, SymmetricMatrix):
+            d = self.ctx.pair_cache.diffs
+            return np.sum((d @ m.entries) * d, axis=1)
+        return m
+
+    def terms(self, m) -> np.ndarray:
+        return self.ctx.pair_cache.weights * np.exp(
+            -np.minimum(np.maximum(self._delta(m), -745.0), 745.0))
+
+    def _rows(self, col: int) -> list[int]:
+        return [r for r in range(self.ctx.num_features) if r != col]
+
+    def at(self, m):
+        return self._delta(m)
+
+    def ray(self, delta, direction, col=None):
+        cache = self.ctx.pair_cache
+        if col is None:
+            rate = cache.sq_diffs @ direction
+        else:
+            d = cache.diffs
+            rate = 2.0 * d[:, col] * (d[:, self._rows(col)] @ direction)
+        return lambda gamma: delta + gamma * rate
+
+    def value(self, m) -> float:
+        return float(np.sum(self.terms(m)))
+
+    def grad_diag(self, m) -> np.ndarray:
+        return -(self.terms(m) @ self.ctx.pair_cache.sq_diffs)
+
+    def grad_offdiag_col(self, m, col: int) -> np.ndarray:
+        d = self.ctx.pair_cache.diffs
+        return -2.0 * ((self.terms(m) * d[:, col]) @ d[:, self._rows(col)])
+
+
+def reference_diagonal_lp(g, lb, trace_cap, tol: float = 1e-9) -> LPSolution:
+    """Vertex of min g.x over {x >= lb, sum(x) <= C}: lower bounds, plus
+    the slack on the first most negative gradient entry."""
+    if g.shape != lb.shape or g.ndim != 1:
+        raise LPError("gradient and lower_bounds must be 1-D and equal length")
+    if not np.all(np.isfinite(lb)):
+        raise LPError("lower bounds must be finite")
+    slack = trace_cap - float(np.sum(lb))
+    if slack < -tol * max(1.0, abs(trace_cap)):
+        return LPSolution(point=None, objective_value=np.nan, status=INFEASIBLE)
+    x = lb.copy()
+    slack = max(slack, 0.0)
+    if slack > 0 and float(np.min(g)) < 0:
+        x[int(np.argmin(g))] += slack
+    return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
+
+
+def reference_knapsack_lp(g, lo, up, a, budget, tol: float = 1e-9
+                          ) -> LPSolution:
+    """Continuous-knapsack vertex of min g.x over {lo <= x <= up <= 0,
+    sum a * (-x) <= budget}, with the greedy on numpy scalars in lexsort
+    order (gain per unit budget, then index)."""
+    n = g.shape[0]
+    if not (lo.shape == up.shape == a.shape == (n,)):
+        raise LPError("knapsack LP vectors must share one length")
+    if not np.all(a > 0):
+        raise LPError("knapsack coefficients must be strictly positive")
+    if np.any(lo > up + tol) or np.any(up > tol):
+        return LPSolution(point=None, objective_value=np.nan,
+                          status=INFEASIBLE)
+    x = np.minimum(up, 0.0)
+    spent = float(a @ (-x))
+    if spent > budget + tol * max(1.0, abs(budget)):
+        return LPSolution(point=None, objective_value=np.nan,
+                          status=INFEASIBLE)
+    remaining = max(budget - spent, 0.0)
+    pos = np.flatnonzero(g > 0)
+    order = pos[np.lexsort((pos, -(g[pos] / a[pos])))]
+    for r in order.tolist():
+        if remaining <= 0.0:
+            break
+        step = min(x[r] - lo[r], remaining / a[r])
+        x[r] -= step
+        remaining -= step * a[r]
+    return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
+
+
+def reference_basis(columns: list[np.ndarray]) -> np.ndarray:
+    """Modified Gram-Schmidt; one more pass when eigvalsh finds the Gram
+    matrix's condition number above 1e8."""
+    kept: list[np.ndarray] = []
+    for col in columns:
+        w = col.astype(float, copy=True)
+        for q in kept:
+            w -= (q @ w) * q
+        norm = np.linalg.norm(w)
+        if norm <= 1e-12 * max(1.0, float(np.linalg.norm(col))):
+            continue
+        kept.append(w / norm)
+    v = np.column_stack(kept)
+    gvals = np.linalg.eigvalsh(v.T @ v)
+    if gvals[0] <= 0 or gvals[-1] / gvals[0] > 1e8:
+        refreshed: list[np.ndarray] = []
+        for idx in range(v.shape[1]):
+            w = v[:, idx].copy()
+            for q in refreshed:
+                w -= (q @ w) * q
+            norm = np.linalg.norm(w)
+            if norm > 1e-12:
+                refreshed.append(w / norm)
+        v = np.column_stack(refreshed)
+    return v
+
+
+def reference_lobpcg(m: SymmetricMatrix, warm_start=None, tol: float = 1e-9,
+                     max_iters: int = 200) -> eigen.EigenPair:
+    """Single-vector Jacobi-preconditioned LOBPCG with np.linalg.norm
+    norms and an eigvalsh test of every Rayleigh-Ritz basis; the same
+    contract as ``eigen.smallest_eigenpair_lobpcg`` for valid inputs."""
+    a = m.entries
+    if warm_start is not None:
+        x = warm_start / np.linalg.norm(warm_start)
+    else:
+        x = np.full(m.dim, 1.0 / np.sqrt(m.dim))
+    diag = np.diag(a)
+    precond = float(np.max(diag)) / diag if bool(np.all(diag > 0)) else None
+    ax = a @ x
+    lam = float(x @ ax)
+    r = ax - lam * x
+    p = None
+    best = (float(np.linalg.norm(r)), lam, x, 0)
+    for it in range(max_iters + 1):
+        res_norm = float(np.linalg.norm(r))
+        if res_norm <= tol:
+            return eigen._eigenpair(lam, x, res_norm, it)
+        if res_norm < best[0]:
+            best = (res_norm, lam, x, it)
+        if it == max_iters:
+            break
+        w = r if precond is None else precond * r
+        basis = reference_basis([x, w] if p is None else [x, w, p])
+        t = basis.T @ (a @ basis)
+        t = 0.5 * (t + t.T)
+        y = np.linalg.eigh(t)[1][:, 0]
+        x_new = basis @ y
+        x_new /= np.linalg.norm(x_new)
+        if basis.shape[1] > 1:
+            p = basis[:, 1:] @ y[1:]
+            pn = np.linalg.norm(p)
+            p = p / pn if pn > 1e-14 else None
+        else:
+            p = None
+        x = x_new
+        ax = a @ x
+        lam = float(x @ ax)
+        r = ax - lam * x
+    res_norm, lam, x, it = best
+    raise eigen.LobpcgNonConvergence(eigen._eigenpair(lam, x, res_norm, it),
+                                     max_iters)
 
 
 def armijo_backtracking(phi0: float, slope: float, evaluate

@@ -31,6 +31,18 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_rejects_nonfinite_before_symmetry(self, bad, mirrored):
+        # an inf would make a - a.T warn, and a symmetric NaN used to pass
+        # construction and fail inside the eigensolver
+        a = EX_MATRIX.entries.copy()
+        a[0, 2] = bad
+        if mirrored:
+            a[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(a)
+
     def test_entries_read_only(self):
         m = SymmetricMatrix(np.eye(2))
         with pytest.raises(ValueError):

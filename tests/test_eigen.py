@@ -5,14 +5,31 @@ import warnings
 import numpy as np
 import pytest
 
+from graphmetric import eigen
 from graphmetric.core import DimensionMismatchError, SymmetricMatrix
-from graphmetric.eigen import (LobpcgNonConvergence, smallest_eigenpair_dense,
+from graphmetric.eigen import (NEGATIVE_GRACE, LobpcgNonConvergence,
+                               clamp_positive, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg)
-from helpers import random_graph_metric, random_spd
+from helpers import (random_graph_metric, random_spd, reference_basis,
+                     reference_lobpcg)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
                              [-1.0, -2.0, 4.0]])
+
+
+class TestClampPositive:
+    def test_lifts_round_off_and_normalizes(self):
+        v = clamp_positive(np.array([0.6, 0.8, -0.5 * NEGATIVE_GRACE]))
+        assert np.all(v > 0)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+
+    def test_genuinely_negative_entry_rejected(self):
+        assert clamp_positive(np.array([0.6, 0.8, -NEGATIVE_GRACE])) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        assert clamp_positive(np.array([0.6, bad, 0.8])) is None
 
 
 class TestDense:
@@ -151,3 +168,54 @@ class TestPreconditioning:
             pair = smallest_eigenpair_lobpcg(m, tol=1e-10, max_iters=500)
         assert abs(pair.value - dense.value) <= 1e-10 * max(1.0, abs(dense.value))
         assert abs(float(pair.vector @ dense.vector)) >= 1.0 - 1e-8
+
+
+class TestLobpcgKernels:
+    def test_gram_bound_never_overrules_eigvalsh(self):
+        # bases from well separated to nearly dependent columns: whenever
+        # the discs prove the Gram matrix well conditioned, eigvalsh agrees
+        # that no re-orthogonalization is needed
+        rng = np.random.default_rng(9)
+        proven = refused = 0
+        for _ in range(3000):
+            v = rng.normal(size=(20, int(rng.integers(1, 4))))
+            if v.shape[1] > 1:
+                v[:, 1] = v[:, 0] + 10.0 ** -rng.uniform(0, 12) * v[:, 1]
+            v /= np.linalg.norm(v, axis=0)
+            gram = v.T @ v
+            if eigen._gram_well_conditioned(gram):
+                proven += 1
+                gvals = np.linalg.eigvalsh(gram)
+                assert 0 < gvals[0] and gvals[-1] / gvals[0] <= eigen._REORTH_COND
+            else:
+                refused += 1
+        assert proven > 500 and refused > 500
+        assert eigen._gram_well_conditioned(np.eye(3))
+
+    def test_basis_bit_identical_on_near_dependent_columns(self):
+        rng = np.random.default_rng(10)
+        for _ in range(500):
+            k = int(rng.integers(2, 50))
+            x = rng.normal(size=k)
+            near = x + 10.0 ** -rng.uniform(0, 13) * rng.normal(size=k)
+            cols = [x, near, rng.normal(size=k)]
+            assert eigen._orthonormal_basis(cols).tobytes() == \
+                reference_basis(cols).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_reference(self, seed):
+        # np.linalg.norm and an eigvalsh test of every basis, as in the
+        # reference, give the same bits
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 60))
+        m = (random_graph_metric(rng, k).matrix if seed % 2
+             else random_spd(rng, k))
+        warm = smallest_eigenpair_dense(m).vector + 1e-2 * rng.random(k)
+        for start in (None, warm):
+            got = smallest_eigenpair_lobpcg(m, warm_start=start, tol=1e-11,
+                                            max_iters=500)
+            want = reference_lobpcg(m, warm_start=start, tol=1e-11,
+                                    max_iters=500)
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert (got.value, got.residual, got.iterations) == \
+                (want.value, want.residual, want.iterations)

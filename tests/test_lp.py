@@ -2,7 +2,9 @@
 
 The references are independent of the closed forms: scipy's HiGHS solver
 for the random equivalence batches, and brute-force vertex enumeration
-(tests/helpers.py) for the vertex property on small instances.
+(tests/helpers.py) for the vertex property on small instances.  The
+batches also hold each vertex bit for bit to the plain-formula reference
+in tests/helpers.py.
 """
 
 import os
@@ -18,7 +20,8 @@ import graphmetric
 from graphmetric.lp import (INFEASIBLE, OPTIMAL, solve_box_knapsack_lp,
                             solve_diagonal_lp)
 from helpers import (count_active, enumerate_lp_vertices,
-                     knapsack_greedy_sorted)
+                     knapsack_greedy_sorted, reference_diagonal_lp,
+                     reference_knapsack_lp)
 
 _HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE}
 
@@ -39,6 +42,16 @@ def _diagonal_program(g, lb, cap):
 def _knapsack_program(g, lo, up, a, budget):
     """{lo <= x <= up, sum a * (-x) <= budget} as (c, a_ub, b_ub, lo, hi)."""
     return g, -a[None, :], np.array([budget]), lo, up
+
+
+def _assert_same_bits(sol, ref):
+    assert sol.status == ref.status
+    assert np.float64(sol.objective_value).tobytes() == \
+        np.float64(ref.objective_value).tobytes()
+    if ref.point is None:
+        assert sol.point is None
+    else:
+        assert sol.point.tobytes() == ref.point.tobytes()
 
 
 def _random_diagonal(rng, dim):
@@ -93,6 +106,7 @@ class TestDiagonalLP:
         for _ in range(500):
             g, lb, cap = _random_diagonal(rng, int(rng.integers(2, 9)))
             fast = solve_diagonal_lp(g, lb, cap)
+            _assert_same_bits(fast, reference_diagonal_lp(g, lb, cap))
             status, value = _highs(*_diagonal_program(g, lb, cap))
             assert fast.status == status
             if fast.status == OPTIMAL:
@@ -134,6 +148,8 @@ class TestBoxKnapsackLP:
             g, lo, up, a, budget = _random_knapsack(rng,
                                                     int(rng.integers(2, 9)))
             fast = solve_box_knapsack_lp(g, lo, up, a, budget)
+            _assert_same_bits(fast, reference_knapsack_lp(g, lo, up, a,
+                                                          budget))
             status, value = _highs(*_knapsack_program(g, lo, up, a, budget))
             assert fast.status == status
             if fast.status == OPTIMAL:
@@ -159,6 +175,8 @@ class TestBoxKnapsackLP:
             assert sol.status == OPTIMAL
             assert np.array_equal(sol.point,
                                   knapsack_greedy_sorted(g, lo, up, a, budget))
+            _assert_same_bits(sol, reference_knapsack_lp(g, lo, up, a,
+                                                         budget))
             ratios = (g / a)[g > 0]
             tied += np.unique(ratios).size < ratios.size
         assert tied > 300

@@ -11,7 +11,8 @@ from graphmetric.objective import (GLRObjective, ObjectiveContext,
                                    PairDistances, glr_grad_diag,
                                    glr_grad_offdiag_col, glr_value,
                                    pair_distances)
-from helpers import random_graph_metric, random_objective_instance
+from helpers import (ReferenceGLRObjective, random_graph_metric,
+                     random_objective_instance)
 
 
 def _two_point_ctx(dim=3):
@@ -190,3 +191,51 @@ class TestPairDistances:
         assert glr_value(ctx, point) == pytest.approx(8.0 / np.e, rel=1e-14)
         with pytest.raises(ValueError):
             glr_value(other, point)
+
+
+class TestKernelCaches:
+    """The cached pair terms and the memoized column block give the bits
+    of a fresh computation."""
+
+    @staticmethod
+    def _ctx(seed, n=12, k=5):
+        rng = np.random.default_rng(seed)
+        z = rng.choice([-1.0, 1.0], size=n)
+        z[0], z[1] = 1.0, -1.0
+        return ObjectiveContext(features=rng.normal(size=(n, k)), labels=z)
+
+    def test_terms_are_read_only_and_fresh(self):
+        ctx = self._ctx(40)
+        m = random_graph_metric(np.random.default_rng(41), 5).matrix
+        point = GLRObjective(ctx).at(m)
+        terms = point.terms
+        assert point.terms is terms
+        assert not terms.flags.writeable
+        with pytest.raises(ValueError):
+            terms[0] = 0.0
+        fresh = ReferenceGLRObjective(ctx).terms(m)
+        assert terms.tobytes() == fresh.tobytes()
+        assert glr_value(ctx, point) == ReferenceGLRObjective(ctx).value(m)
+
+    def test_column_block_interleaved_and_per_context(self):
+        ctxs = [self._ctx(42), self._ctx(43, n=9, k=4)]
+        rng = np.random.default_rng(44)
+        refs = [ReferenceGLRObjective(c) for c in ctxs]
+        mats = [random_graph_metric(rng, c.num_features).matrix
+                for c in ctxs]
+        for _ in range(40):
+            i = int(rng.integers(2))
+            ctx, ref, m = ctxs[i], refs[i], mats[i]
+            col = int(rng.integers(ctx.num_features))
+            point = GLRObjective(ctx).at(m)
+            got = glr_grad_offdiag_col(ctx, point, col)
+            assert got.tobytes() == ref.grad_offdiag_col(m, col).tobytes()
+            direction = rng.normal(size=ctx.num_features - 1)
+            moved = GLRObjective(ctx).ray(point, direction, col)(0.5)
+            want = ref.ray(ref.at(m), direction, col)(0.5)
+            assert moved.delta.tobytes() == want.tobytes()
+            column, others = ctx.pair_cache.column_block(col)
+            d = ctx.pair_cache.diffs
+            assert np.array_equal(column, d[:, col])
+            assert np.array_equal(others, np.delete(d, col, axis=1))
+            assert not (column.flags.writeable or others.flags.writeable)

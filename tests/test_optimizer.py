@@ -12,7 +12,7 @@ import pytest
 from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
                               scaled_radii, validate_graph_metric)
 from graphmetric.data import load_csv, standardize
-from graphmetric import eigen, objective
+from graphmetric import eigen, lp, objective
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.experiment import stratified_folds
 from graphmetric.objective import GLRObjective, ObjectiveContext
@@ -23,11 +23,13 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    learn_metric, offdiag_step, update_scalars,
                                    _column_tree_edges, _max_spanning_tree,
                                    _tree_survives)
-from helpers import (MatrixObjective, armijo_backtracking,
-                     column_tree_edges_by_scan, count_eigensolves,
-                     diag_objective_fn, golden_section, grid_search_diag,
-                     max_spanning_tree, random_graph_metric,
-                     shifted_path_laplacian, two_cluster_dataset)
+from helpers import (MatrixObjective, ReferenceGLRObjective,
+                     armijo_backtracking, column_tree_edges_by_scan,
+                     count_eigensolves, diag_objective_fn, golden_section,
+                     grid_search_diag, max_spanning_tree, random_graph_metric,
+                     reference_diagonal_lp, reference_knapsack_lp,
+                     reference_lobpcg, shifted_path_laplacian,
+                     two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -187,8 +189,12 @@ class TestStepSize:
         phi0 = phi(0.0)
         expected = armijo_backtracking(phi0, slope, phi)
         for j0 in range(40):
-            gamma, value, j = optimizer._step_size(phi0, slope, phi, j0)
+            # the point of a trial is its step, so the accepted point is
+            # the accepted gamma
+            gamma, point, value, j = optimizer._step_size(
+                phi0, slope, lambda t: t, phi, j0)
             assert (gamma, value) == expected
+            assert point == (None if gamma == 0.0 else gamma)
             assert gamma == 0.0 or gamma == 2.0 ** -j
         return expected
 
@@ -546,6 +552,22 @@ class TestCertifyMatrix:
         order = ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
         assert solves == (order if k <= 16 else order[::-1])
 
+    @pytest.mark.parametrize("k", [4, 48])
+    @pytest.mark.parametrize("field", ["value", "vector"])
+    def test_nan_eigenpair_does_not_certify(self, monkeypatch, k, field):
+        def nan_pair(solver):
+            def solve(matrix, *args, **kwargs):
+                pair = solver(matrix, *args, **kwargs)
+                nan = (math.nan if field == "value"
+                       else np.full(matrix.dim, math.nan))
+                return replace(pair, **{field: nan})
+            return solve
+        g, warm = self._iterate(k)
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
+            monkeypatch.setattr(eigen, name, nan_pair(getattr(eigen, name)))
+        with pytest.raises(optimizer.CertificationError):
+            optimizer._certify_matrix(g.matrix, warm)
+
     def test_wine_learn_certifies_every_step_densely(self, monkeypatch):
         ds = load_csv("data/wine.csv", label_column="class")
         feats, _, _ = standardize(ds.features, ds.features)
@@ -734,14 +756,21 @@ def _blob_ctx(seed, k=9, per_class=8):
     return ObjectiveContext(features=x, labels=np.where(y == 0, 1.0, -1.0))
 
 
-def _iris_fold_ctx():
-    """One learn of the iris protocol: CV seed 0, fold 0, class 0."""
-    ds = load_csv("data/iris.csv", label_column="class")
+def _cv_fold_ctx(name="iris"):
+    """One learn of a dataset's CV protocol: CV seed 0, fold 0, class 0."""
+    ds = load_csv(f"data/{name}.csv", label_column="class")
     test = stratified_folds(ds.labels, 2, np.random.default_rng(0))[0]
     train = np.setdiff1d(np.arange(ds.num_samples), test)
     x_train, _, _ = standardize(ds.features[train], ds.features[test])
     z = np.where(ds.labels[train] == 0, 1.0, -1.0)
     return ObjectiveContext(features=x_train, labels=z)
+
+
+def _cold_step_size(phi0, slope, move, value, j0):
+    """``_step_size`` as backtracking from gamma = 1; the accepted point
+    is rebuilt."""
+    gamma, phi = armijo_backtracking(phi0, slope, lambda t: value(move(t)))
+    return gamma, move(gamma) if gamma else None, phi, j0
 
 
 class TestWarmStartedLineSearch:
@@ -755,17 +784,14 @@ class TestWarmStartedLineSearch:
             patch.setattr(objective, "glr_value",
                           lambda *a: calls.append(1) or real(*a))
             if cold:
-                patch.setattr(
-                    optimizer, "_step_size",
-                    lambda phi0, slope, evaluate, j0:
-                        (*armijo_backtracking(phi0, slope, evaluate), j0))
+                patch.setattr(optimizer, "_step_size", _cold_step_size)
             result = learn_metric(ctx)
         return result, len(calls)
 
     @pytest.mark.parametrize("name", ["iris", "blobs"])
     def test_same_learn_at_most_half_the_evaluations(self, monkeypatch,
                                                       name):
-        ctx = _iris_fold_ctx() if name == "iris" else _blob_ctx(0)
+        ctx = _cv_fold_ctx() if name == "iris" else _blob_ctx(0)
         warm, warm_calls = self._learn(monkeypatch, ctx, cold=False)
         cold, cold_calls = self._learn(monkeypatch, ctx, cold=True)
         assert np.array_equal(warm.metric.matrix.entries,
@@ -774,6 +800,47 @@ class TestWarmStartedLineSearch:
         assert warm.outer_iterations == cold.outer_iterations
         assert warm.converged == cold.converged
         assert warm_calls <= cold_calls / 2
+
+
+class TestReferenceKernels:
+    """A learn through the production kernels gives the same bits as one
+    through their plain formulas (tests/helpers.py): pair terms computed
+    afresh, a fresh column block per call, the numpy-scalar LP greedy and
+    LOBPCG with np.linalg.norm and an eigvalsh basis test."""
+
+    CASES = {
+        "iris K=4": lambda: (_cv_fold_ctx(), OptimizerConfig()),
+        "wine K=13": lambda: (_cv_fold_ctx("wine"), OptimizerConfig()),
+        # K > 16: warm LOBPCG certifies first
+        "blobs K=20": lambda: (_blob_ctx(0, k=20),
+                               OptimizerConfig(trace_cap=2.0)),
+    }
+
+    @staticmethod
+    def _learn(patch, ctx, cfg):
+        solves = count_eigensolves(patch)
+        return learn_metric(ctx, cfg), solves
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_learn_is_bit_identical(self, monkeypatch, name):
+        ctx, cfg = self.CASES[name]()
+        with monkeypatch.context() as patch:
+            fast, fast_solves = self._learn(patch, ctx, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "GLRObjective", ReferenceGLRObjective)
+            patch.setattr(lp, "solve_diagonal_lp", reference_diagonal_lp)
+            patch.setattr(lp, "solve_box_knapsack_lp", reference_knapsack_lp)
+            patch.setattr(eigen, "smallest_eigenpair_lobpcg", reference_lobpcg)
+            slow, slow_solves = self._learn(patch, ctx, cfg)
+        assert fast.metric.matrix.entries.tobytes() == \
+            slow.metric.matrix.entries.tobytes()
+        assert np.array(fast.objective_trace).tobytes() == \
+            np.array(slow.objective_trace).tobytes()
+        assert fast.outer_iterations == slow.outer_iterations
+        assert fast.converged == slow.converged
+        assert fast_solves == slow_solves
+        if name.startswith("blobs"):
+            assert "smallest_eigenpair_lobpcg" in fast_solves
 
 
 class TestLogging:
