@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from .optimizer import ConfigError, OptimizerConfig, learn_metric
 
 log = logging.getLogger(__name__)
 
-# OptimizerConfig fields and their value types, shared by the flags and
-# the --config file
+# OptimizerConfig's fields and their value types, shared by the flags and
+# the --config file; a test holds the keys to the dataclass's fields
 _CONFIG_TYPES = {"trace_cap": float, "rho": float, "epsilon": float,
                  "fw_max_iters": int, "outer_max_iters": int,
                  "obj_rel_tol": float}
@@ -210,7 +211,7 @@ def _cmd_learn(parser: argparse.ArgumentParser,
         "objective_final": result.objective_trace[-1],
         "outer_iterations": result.outer_iterations,
         "converged": result.converged,
-        **{key: getattr(cfg, key) for key in _CONFIG_TYPES},
+        **asdict(cfg),
     }
     payload = metric_io.metric_to_dict(result.metric, echo)
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)

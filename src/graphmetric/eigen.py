@@ -4,7 +4,8 @@ The optimizer refreshes the first eigenpair of the metric after every block
 update that changes it.  Up to K = 16 one dense solve is cheapest, with
 warm LOBPCG as the backstop.  Above that, Jacobi-preconditioned LOBPCG with
 the previous eigenvector as initial guess comes first, with a dense
-backstop.  Every other solve is dense: validation and scalar realignment.
+backstop that also replaces a LOBPCG pair whose alignment scalars cannot be
+verified.  The only other solve, validation, is dense.
 """
 
 from __future__ import annotations

@@ -165,7 +165,8 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
 
     ``classifier_choice`` is "knn", "graph", or "both" (both reuse the same
     learned metrics).  Seeds are independent, so ``n_jobs`` > 1 evaluates
-    them in parallel; the merge order is fixed by (seed, fold, classifier).
+    them in parallel in at most one worker process per seed; the merge
+    order is fixed by (seed, fold, classifier).
     """
     if classifier_choice == "both":
         classifiers = CLASSIFIERS
@@ -177,6 +178,9 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     if not seeds:
         raise ProtocolError(f"empty seed range {requested!r}: the protocol "
                             f"needs at least one CV seed")
+    if n_jobs < 1:
+        raise ProtocolError(f"n_jobs={n_jobs}: the protocol needs at least "
+                            f"1 worker")
     if folds < 2:
         raise ProtocolError(f"folds={folds}: cross-validation needs at "
                             f"least 2 folds")
@@ -195,7 +199,7 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     start = time.perf_counter()
 
     if n_jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(seeds))) as pool:
             chunks = pool.map(_seed_worker,
                               [(dataset, cfg, s, folds, classifiers, k,
                                 scale_features) for s in seeds])
@@ -208,10 +212,7 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
                            key=lambda r: (r.seed, r.fold, r.classifier)))
     mean_error = {name: recomputed_mean(records, name) for name in classifiers}
     config_echo = {
-        "trace_cap": cfg.trace_cap, "rho": cfg.rho, "epsilon": cfg.epsilon,
-        "fw_max_iters": cfg.fw_max_iters,
-        "outer_max_iters": cfg.outer_max_iters, "obj_rel_tol": cfg.obj_rel_tol,
-        "k": k, "seeds": list(seeds), "folds": folds,
+        **asdict(cfg), "k": k, "seeds": list(seeds), "folds": folds,
         "standardized": scale_features, "prng": PRNG_NOTE,
     }
     return ExperimentReport(dataset_name=dataset.name, classifiers=classifiers,

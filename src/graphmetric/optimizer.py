@@ -1,18 +1,20 @@
 """Alternating Frank-Wolfe metric learning over graph metric matrices.
 
-The loop alternates three ingredients: scalar updates that re-align all
-Gershgorin disc left-ends at lambda_min via s_k = 1 / v_k (so the linear PD
-surrogate constraints are tight around the incumbent), a diagonal
-Frank-Wolfe pass whose LP subproblem has a closed-form vertex, and
-per-column block-coordinate Frank-Wolfe passes over the off-diagonals with
-an irreducibility floor.  Every iterate stays a certified graph metric.
+The loop alternates a diagonal Frank-Wolfe pass whose LP subproblem has a
+closed-form vertex and per-column block-coordinate Frank-Wolfe passes over
+the off-diagonals with an irreducibility floor.  A step that changes the
+matrix certifies the new iterate by its smallest eigenpair (lambda_min, v)
+and, in the same step, re-aligns all Gershgorin disc left-ends at
+lambda_min via s_k = 1 / v_k, so the linear PD surrogate constraints of the
+next step are tight around the incumbent.  Every iterate stays a certified
+graph metric with scalars aligned to its own certificate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable
 
@@ -20,9 +22,8 @@ import numpy as np
 
 from . import eigen, lp
 from .core import (CONNECTIVITY_EPS, Certificate, GershgorinScalars,
-                   GraphMetric, SymmetricMatrix, alignment_scalars,
-                   is_connected, scaled_left_ends, scaled_radii,
-                   validate_graph_metric)
+                   GraphMetric, SymmetricMatrix, is_connected,
+                   scaled_left_ends, scaled_radii, validate_graph_metric)
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 
 log = logging.getLogger(__name__)
@@ -123,12 +124,10 @@ class OptimizerConfig:
 class OptimizerState:
     """One point of the optimization trajectory.
 
-    ``metric.certificate`` holds the iterate's smallest eigenpair; every
-    step that changes the matrix certifies it afresh, and a step that
-    leaves it unchanged keeps the certificate object.  ``scalars`` are
-    aligned with that certificate as of the most recent scalar update;
-    ``alignment`` records (certificate, scalars, rho) of that update, so
-    aligning the same certificate again is free.  ``protected_edges`` is
+    ``metric.certificate`` holds the iterate's smallest eigenpair and
+    ``scalars`` are aligned with it at rho.  Every step that changes the
+    matrix certifies and aligns it afresh; a step that leaves it unchanged
+    keeps the certificate object and the scalars.  ``protected_edges`` is
     the spanning tree of edges currently pinned at magnitude >= epsilon to
     keep the graph irreducible: Prim's tree of the incumbent as of the last
     column step that found one.
@@ -139,8 +138,6 @@ class OptimizerState:
     objective_trace: tuple[float, ...]
     protected_edges: tuple[tuple[int, int], ...] = ()
     fw_gap: float = math.nan
-    alignment: tuple[Certificate, GershgorinScalars, float] | None = field(
-        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -184,24 +181,14 @@ def _path_edges(dim: int) -> tuple[tuple[int, int], ...]:
 
 def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
                   objective: ConvexObjective | None = None) -> OptimizerState:
-    """State at M^0 with aligned scalars and Q(M^0) as the first trace entry."""
+    """State at M^0, its scalars aligned at rho, and Q(M^0) as the trace."""
     dim = ctx.num_features
     cfg = cfg if cfg.is_resolved else cfg.resolve(dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     g = init_metric(cfg, dim)
-    return OptimizerState(metric=g, scalars=alignment_scalars(g),
+    return OptimizerState(metric=g, scalars=_conditioned_scalars(g, cfg.rho),
                           objective_trace=(obj.value(g.matrix),),
                           protected_edges=_path_edges(dim))
-
-
-def _certified(matrix: SymmetricMatrix, pair: eigen.EigenPair
-               ) -> GraphMetric | None:
-    """``matrix`` certified by ``pair``, or None if its vector is not positive."""
-    v = eigen.clamp_positive(pair.vector)
-    if v is None:
-        return None
-    return GraphMetric(matrix=matrix,
-                       certificate=Certificate(lambda_min=pair.value, eigvec=v))
 
 
 # Largest K whose iterates are certified by a dense solve first.  Replayed
@@ -213,14 +200,18 @@ def _certified(matrix: SymmetricMatrix, pair: eigen.EigenPair
 _DENSE_MAX_DIM = 16
 
 
-def _certify_matrix(matrix: SymmetricMatrix,
-                    warm: np.ndarray | None) -> GraphMetric:
-    """Fresh certificate for ``matrix`` from the first solver that clamps.
+def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
+                    rho: float) -> tuple[GraphMetric, GershgorinScalars]:
+    """Fresh certificate for ``matrix`` and its scalars aligned at ``rho``.
 
-    Up to _DENSE_MAX_DIM one dense solve comes first and warm LOBPCG is
-    the backstop; above it warm LOBPCG comes first and one dense solve is
-    the backstop.  The backstop covers LOBPCG non-convergence and an
-    eigenvector whose sub-precision entries come out too negative to clamp.
+    A pair certifies when its value is positive and its vector clamps
+    positive.  Up to _DENSE_MAX_DIM one dense solve comes first and warm
+    LOBPCG is the backstop; above it warm LOBPCG comes first and one dense
+    solve is the backstop.  The backstop covers LOBPCG non-convergence, an
+    eigenvector whose sub-precision entries come out too negative to
+    clamp, and a LOBPCG pair whose scalars cannot be verified.  A dense
+    pair, or the last solver's, ends the search, with floored scalars if
+    need be (``_conditioned_scalars``).
     """
     def lobpcg() -> eigen.EigenPair:
         return eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
@@ -229,23 +220,32 @@ def _certify_matrix(matrix: SymmetricMatrix,
     def dense() -> eigen.EigenPair:
         return eigen.smallest_eigenpair_dense(matrix)
 
-    metric = None
-    for solve in ((dense, lobpcg) if matrix.dim <= _DENSE_MAX_DIM
-                  else (lobpcg, dense)):
+    order = ((dense, lobpcg) if matrix.dim <= _DENSE_MAX_DIM
+             else (lobpcg, dense))
+    unverified = None
+    for solve in order:
         try:
             pair = solve()
         except eigen.LobpcgNonConvergence:
             log.debug("LOBPCG did not converge")
             continue
-        metric = _certified(matrix, pair)
-        if metric is not None:
-            break
-    if metric is None or not pair.value > 0:
+        v = eigen.clamp_positive(pair.vector)
+        if v is None or not pair.value > 0:
+            continue
+        metric = GraphMetric(matrix=matrix, certificate=Certificate(
+            lambda_min=pair.value, eigvec=v))
+        scalars = _conditioned_scalars(metric, rho,
+                                       floored=solve in (dense, order[-1]))
+        if scalars is not None:
+            return metric, scalars
+        unverified = metric
+    if unverified is None:
         raise CertificationError(
             f"iterate is not certifiable (lambda_min={pair.value:.3e}, "
             f"min eigvec entry={float(np.min(pair.vector)):.3e}); the "
             f"iterate left the graph-metric set")
-    return metric
+    # warm LOBPCG's pair did not verify and the dense backstop failed
+    return unverified, _conditioned_scalars(unverified, rho)
 
 
 # Eigenvector entries below this fraction of the largest entry cannot carry
@@ -253,8 +253,8 @@ def _certify_matrix(matrix: SymmetricMatrix,
 _SCALAR_FLOOR = 1e-6
 
 
-def _conditioned_scalars(metric: GraphMetric, rho: float
-                         ) -> tuple[GershgorinScalars, bool]:
+def _conditioned_scalars(metric: GraphMetric, rho: float,
+                         floored: bool = True) -> GershgorinScalars | None:
     """Alignment scalars with a floor on tiny eigenvector entries.
 
     Exactly s = 1/v when the eigenvector is well resolved.  Entries below
@@ -262,8 +262,12 @@ def _conditioned_scalars(metric: GraphMetric, rho: float
     scalars stay numerically representable; any positive scalars keep the
     Gershgorin PD guarantee, lifting only relaxes tightness on coordinates
     that double precision cannot resolve anyway.  Returns the first choice
-    under which the incumbent still satisfies every scaled constraint and
-    True, or the eta = _SCALAR_FLOOR choice and False if none verifiably does.
+    under which the incumbent verifiably keeps every scaled disc left-end
+    >= rho - 1e-9.  When none does, the entries sit below double
+    precision's reach and the left-ends are too noisy to verify a margin
+    that may still hold: then with ``floored`` the eta = _SCALAR_FLOOR
+    choice is returned once lambda_min >= rho - 1e-9 is checked, and
+    without it None.
     """
     v = metric.certificate.eigvec
     vmax = float(np.max(v))
@@ -271,46 +275,29 @@ def _conditioned_scalars(metric: GraphMetric, rho: float
         scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
         left = scaled_left_ends(metric.matrix, scalars)
         if float(np.min(left)) >= rho - _FEAS_SLACK:
-            return scalars, True
-    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax)), False
+            return scalars
+    if not floored:
+        return None
+    lam = metric.certificate.lambda_min
+    if lam < rho - _FEAS_SLACK:
+        raise CertificationError(
+            f"incumbent left the feasible region: lambda_min "
+            f"{lam:.6e} < rho {rho:.6e}")
+    log.debug("scaled left-ends unverifiable at rho margins "
+              "(eigenvector entries below relative %.0e); using "
+              "floored scalars, lambda_min %.6e >= rho", _SCALAR_FLOOR, lam)
+    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax))
 
 
 def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
-    """Set s = 1 / v from ``state.metric``'s certificate, without a re-solve.
+    """Set s = 1 / v from ``state.metric``'s certificate; solves nothing.
 
-    Asserts the incumbent stays feasible under the new scalars: all scaled
-    disc left-ends >= rho - 1e-9.  When eigenvector entries sit below
-    double precision's reach (relative 1e-6), computed left-ends are too
-    noisy to verify that margin even though it holds; the eigenpair is then
-    re-solved densely, and failing that the scalars take the floored form
-    and lambda_min is checked against rho instead.  Returns ``state``
-    itself when its scalars are already aligned to its certificate object
-    at this ``rho``.
+    Raises CertificationError unless the incumbent stays feasible at
+    ``rho`` under the new scalars, as ``_conditioned_scalars`` states.  The
+    optimizer's steps align every iterate they certify, so this serves
+    states built by hand.
     """
-    metric = state.metric
-    done = state.alignment
-    if (done is not None and done[0] is metric.certificate
-            and done[1] is state.scalars and done[2] == rho):
-        return state
-    scalars, verified = _conditioned_scalars(metric, rho)
-    if not verified:
-        dense = _certified(metric.matrix,
-                           eigen.smallest_eigenpair_dense(metric.matrix))
-        if dense is not None:
-            metric = dense
-            scalars, verified = _conditioned_scalars(metric, rho)
-    if not verified:
-        lam = metric.certificate.lambda_min
-        if lam < rho - _FEAS_SLACK:
-            raise CertificationError(
-                f"incumbent left the feasible region: lambda_min "
-                f"{lam:.6e} < rho {rho:.6e}")
-        log.debug("scaled left-ends unverifiable at rho margins "
-                  "(eigenvector entries below relative %.0e); using "
-                  "floored scalars, lambda_min %.6e >= rho",
-                  _SCALAR_FLOOR, lam)
-    return replace(state, metric=metric, scalars=scalars,
-                   alignment=(metric.certificate, scalars, rho))
+    return replace(state, scalars=_conditioned_scalars(state.metric, rho))
 
 
 # Largest exponent j with 2**-j >= _MIN_STEP: the last halving that
@@ -408,7 +395,8 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
 
     Feasible set: m_ii >= s_i * sum_{j != i} |m_ij| / s_j + rho per row and
     trace <= trace_cap.  The LP vertex is closed-form; ``_frank_wolfe``
-    states the stop rules.
+    states the stop rules.  A new diagonal comes back certified and
+    aligned (``_certify_matrix``).
     """
     cfg = cfg if cfg.is_resolved else cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
@@ -436,11 +424,12 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         obj, point, x0, q, None, cfg,
         lambda g: lp.solve_diagonal_lp(g, lb, cfg.trace_cap).point)
     if np.any(x != x0):
-        metric = _certify_matrix(matrix.with_diagonal(x),
-                                 state.metric.certificate.eigvec)
+        metric, scalars = _certify_matrix(matrix.with_diagonal(x),
+                                          state.metric.certificate.eigvec,
+                                          cfg.rho)
     else:
-        metric = _unchanged(state.metric)
-    return replace(state, metric=metric,
+        metric, scalars = _unchanged(state.metric), state.scalars
+    return replace(state, metric=metric, scalars=scalars,
                    objective_trace=state.objective_trace + (q,), fw_gap=gap)
 
 
@@ -533,6 +522,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     The spanning-edge floors keep the whole graph connected across block
     updates; the per-column zeta floor alone only guards this column.
     Infeasible subproblems skip the column and leave the state unchanged.
+    A new column comes back certified and aligned (``_certify_matrix``).
     """
     cfg = cfg if cfg.is_resolved else cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
@@ -611,8 +601,9 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                 "off-diagonal step disconnected the graph despite edge floors")
     if tree_after is None:
         tree_after = state.protected_edges
-    metric = _certify_matrix(current, state.metric.certificate.eigvec)
-    return replace(state, metric=metric,
+    metric, scalars = _certify_matrix(current, state.metric.certificate.eigvec,
+                                      cfg.rho)
+    return replace(state, metric=metric, scalars=scalars,
                    objective_trace=state.objective_trace + (q,),
                    protected_edges=tree_after)
 
@@ -621,11 +612,15 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
                  observer: Observer | None = None) -> LearnResult:
     """Full alternating optimization: returns the certified metric and trace.
 
-    Loop: scalars -> diagonal Frank-Wolfe -> per-column scalar refresh and
-    off-diagonal Frank-Wolfe, until the relative objective change over an
-    outer iteration falls below obj_rel_tol or outer_max_iters is reached.
-    Logs one warning per run for skipped or stalled column steps, and one
-    when the run stops at outer_max_iters unconverged.
+    Loop: diagonal Frank-Wolfe, then off-diagonal Frank-Wolfe on each
+    column in turn; each step that changes the matrix hands on the new
+    iterate certified and aligned.  Stops when an outer iteration changes
+    the objective Q by at most obj_rel_tol * max(1, |Q|), so the tolerance
+    is relative once |Q| >= 1 and absolute below, or at outer_max_iters.
+    The observer sees "init", then "diagonal", one "offdiag" per column
+    and "outer" in each outer iteration.  Logs one warning per run for
+    skipped or stalled column steps, and one when the run stops at
+    outer_max_iters unconverged.
     """
     cfg = (cfg or OptimizerConfig()).resolve(ctx.num_features)
     obj = GLRObjective(ctx)
@@ -638,13 +633,9 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     skipped = stalled = 0
     for outer in range(1, cfg.outer_max_iters + 1):
         q_start = state.objective_trace[-1]
-        state = update_scalars(state, rho=cfg.rho)
-        notify("scalars", state)
         state = diagonal_step(state, ctx, cfg, objective=obj)
         notify("diagonal", state)
         for col in range(ctx.num_features):
-            state = update_scalars(state, rho=cfg.rho)
-            notify("scalars", state)
             before = state
             state = offdiag_step(state, ctx, cfg, col, objective=obj)
             notify("offdiag", state)
@@ -671,8 +662,8 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
                     stalled)
     if not converged:
         log.warning("stopped unconverged at outer_max_iters=%d: last outer "
-                    "change %.3e exceeds obj_rel_tol %.1e (relative)",
-                    cfg.outer_max_iters,
+                    "change over max(1, |Q|) is %.3e, above obj_rel_tol "
+                    "%.1e", cfg.outer_max_iters,
                     change / max(1.0, abs(q_start)), cfg.obj_rel_tol)
     return LearnResult(metric=state.metric,
                        objective_trace=list(state.objective_trace),

@@ -46,12 +46,14 @@ def _report(num, detail):
 class _RunLog:
     def __init__(self, cfg):
         self.cfg = cfg
-        self.margin_events = []   # min scaled left-end at each scalar update
+        self.margin_events = []   # min scaled left-end of each aligned state
         self.iterates = []        # matrix after every event
         self.trace = ()
 
     def observer(self, event, state):
-        if event == "scalars":
+        # M^0 and each block step's result carry scalars aligned to their
+        # own certificate; "outer" repeats the last column step's state
+        if event != "outer":
             ends = scaled_left_ends(state.metric.matrix, state.scalars)
             self.margin_events.append(float(np.min(ends)))
         self.iterates.append(state.metric.matrix)
@@ -144,7 +146,7 @@ def test_criterion_04_feasibility_after_scalar_updates(optimizer_battery):
             violations += margin < floor
     assert total >= 20
     assert violations == 0
-    _report(4, f"{total} scalar updates across 20 runs, 0 violations "
+    _report(4, f"{total} aligned states across 20 runs, 0 violations "
                f"(worst margin above rho {worst:+.2e})")
 
 

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface (in process)."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from graphmetric.cli import main
+from graphmetric.cli import _CONFIG_TYPES, main
 from graphmetric.metric_io import load_metric
+from graphmetric.optimizer import OptimizerConfig
 from helpers import two_cluster_dataset
 
 
@@ -197,6 +199,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
     (_EXPERIMENT + " --fw-max-iters 0", None,
      "iteration counts must be >= 1"),
     (_EXPERIMENT + " --obj-rel-tol 0", None, "obj_rel_tol must be positive"),
+    (_EXPERIMENT + " --jobs 0", None,
+     "n_jobs=0: the protocol needs at least 1 worker"),
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
         "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
         "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
@@ -206,7 +210,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
         "experiment-folds-above-class", "classify-k-zero",
         "classify-k-above-train", "learn-rho", "learn-trace-cap",
         "learn-epsilon", "learn-obj-rel-tol-nan", "learn-config-rho",
-        "experiment-fw-max-iters", "experiment-obj-rel-tol"])
+        "experiment-fw-max-iters", "experiment-obj-rel-tol",
+        "experiment-jobs-zero"])
 def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
                                     message):
     bad = tmp_path / "bad"
@@ -216,3 +221,7 @@ def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
         main(argv.format(bad=bad, csv=cluster_csv).split())
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_types_name_every_optimizer_field():
+    assert list(_CONFIG_TYPES) == [f.name for f in fields(OptimizerConfig)]

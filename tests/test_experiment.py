@@ -112,6 +112,42 @@ class TestRunExperiment:
             run_experiment(_separable(), classifier_choice=classifier,
                            seeds=range(1), folds=folds, k=k)
 
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_nonpositive_jobs_rejected_before_learning(self, monkeypatch,
+                                                       n_jobs):
+        def no_learning(*args, **kwargs):
+            raise AssertionError("a metric was learned")
+        monkeypatch.setattr(experiment, "learn_metric", no_learning)
+        with pytest.raises(ProtocolError, match=f"n_jobs={n_jobs}: "):
+            run_experiment(_separable(), seeds=range(2), n_jobs=n_jobs)
+
+    def test_pool_has_at_most_one_worker_per_seed(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        ds = _separable()
+        serial = run_experiment(ds, seeds=range(2), n_jobs=1)
+        assert sizes == []
+        assert run_experiment(ds, seeds=range(2),
+                              n_jobs=64).to_json() == serial.to_json()
+        run_experiment(ds, seeds=range(3), n_jobs=2)
+        assert sizes == [2, 2]
+
     def test_k_up_to_smallest_training_fold_accepted(self):
         # 12 samples per class in 5 folds: test folds of 3, 3, 2, 2, 2 per
         # class leave training folds of at least 18

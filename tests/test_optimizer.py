@@ -152,21 +152,6 @@ class TestUpdateScalars:
         assert calls == []
         assert new.metric is state.metric
 
-    def test_aligned_state_is_returned_as_is(self, monkeypatch):
-        state = update_scalars(_state_for(EX_MATRIX), rho=0.0)
-        solves = count_eigensolves(monkeypatch)
-        left_ends = []
-        real = optimizer.scaled_left_ends
-        monkeypatch.setattr(optimizer, "scaled_left_ends",
-                            lambda *a: left_ends.append(a) or real(*a))
-        assert update_scalars(state, rho=0.0) is state
-        assert solves == [] and left_ends == []
-        # another rho, or scalars replaced by hand, align afresh
-        assert update_scalars(state, rho=1e-3) is not state
-        assert update_scalars(replace(state, scalars=_state_for(
-            EX_MATRIX).scalars), rho=0.0) is not state
-        assert len(left_ends) == 2
-
 
 class TestStepSize:
     """The search from any start exponent accepts backtracking's step."""
@@ -500,7 +485,7 @@ class TestCertifyMatrix:
     def test_small_k_is_one_dense_solve(self, monkeypatch, k):
         g, warm = self._iterate(k)
         solves = count_eigensolves(monkeypatch)
-        metric = optimizer._certify_matrix(g.matrix, warm)
+        metric, _ = optimizer._certify_matrix(g.matrix, warm, 0.0)
         assert solves == ["smallest_eigenpair_dense"]
         assert metric.certificate.lambda_min == pytest.approx(
             g.certificate.lambda_min, rel=1e-10)
@@ -509,7 +494,7 @@ class TestCertifyMatrix:
     def test_large_k_starts_with_warm_lobpcg(self, monkeypatch, k):
         g, warm = self._iterate(k)
         solves = count_eigensolves(monkeypatch)
-        metric = optimizer._certify_matrix(g.matrix, warm)
+        metric, _ = optimizer._certify_matrix(g.matrix, warm, 0.0)
         assert solves[0] == "smallest_eigenpair_lobpcg"
         assert metric.certificate.lambda_min == pytest.approx(
             g.certificate.lambda_min, rel=1e-8)
@@ -530,7 +515,7 @@ class TestCertifyMatrix:
         g, warm = self._iterate(4)
         self._negative_dense(monkeypatch)
         solves = count_eigensolves(monkeypatch)
-        metric = optimizer._certify_matrix(g.matrix, warm)
+        metric, _ = optimizer._certify_matrix(g.matrix, warm, 0.0)
         assert solves == ["smallest_eigenpair_dense",
                           "smallest_eigenpair_lobpcg"]
         assert metric.matrix is g.matrix
@@ -548,7 +533,7 @@ class TestCertifyMatrix:
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
         solves = count_eigensolves(monkeypatch)
         with pytest.raises(optimizer.CertificationError):
-            optimizer._certify_matrix(g.matrix, warm)
+            optimizer._certify_matrix(g.matrix, warm, 0.0)
         order = ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
         assert solves == (order if k <= 16 else order[::-1])
 
@@ -566,7 +551,7 @@ class TestCertifyMatrix:
         for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
             monkeypatch.setattr(eigen, name, nan_pair(getattr(eigen, name)))
         with pytest.raises(optimizer.CertificationError):
-            optimizer._certify_matrix(g.matrix, warm)
+            optimizer._certify_matrix(g.matrix, warm, 0.0)
 
     def test_wine_learn_certifies_every_step_densely(self, monkeypatch):
         ds = load_csv("data/wine.csv", label_column="class")
@@ -593,13 +578,77 @@ class TestCertifyMatrix:
         assert "smallest_eigenpair_lobpcg" not in solves
         assert len(checked) > 0 and all(checked)
 
+    @staticmethod
+    def _unverifiable(monkeypatch, name):
+        """Make solver ``name`` return its pair with v_0 cut to 1e-13 max(v).
+
+        The vector still clamps, but row 0's scaled radius is then about
+        1e6 times too large, so no scalars built from it verify.
+        """
+        real = getattr(eigen, name)
+
+        def shrunk(matrix, *args, **kwargs):
+            pair = real(matrix, *args, **kwargs)
+            v = pair.vector.copy()
+            v[0] = 1e-13 * np.max(v)
+            return replace(pair, vector=v)
+        monkeypatch.setattr(eigen, name, shrunk)
+
+    def test_unverified_lobpcg_pair_gives_way_to_dense(self, monkeypatch):
+        g, warm = self._iterate(48)
+        self._unverifiable(monkeypatch, "smallest_eigenpair_lobpcg")
+        solves = count_eigensolves(monkeypatch)
+        metric, scalars = optimizer._certify_matrix(g.matrix, warm, 0.0)
+        assert solves == ["smallest_eigenpair_lobpcg",
+                          "smallest_eigenpair_dense"]
+        dense = smallest_eigenpair_dense(g.matrix)
+        assert metric.certificate.lambda_min == dense.value
+        assert np.array_equal(metric.certificate.eigvec,
+                              eigen.clamp_positive(dense.vector))
+        expected = optimizer._conditioned_scalars(metric, 0.0, floored=False)
+        assert np.array_equal(scalars.values, expected.values)
+
+    @pytest.mark.parametrize("k", [4, 48])
+    def test_unverified_dense_pair_is_not_solved_again(self, monkeypatch, k):
+        g, warm = self._iterate(k)
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
+            self._unverifiable(monkeypatch, name)
+        solves = count_eigensolves(monkeypatch)
+        metric, scalars = optimizer._certify_matrix(g.matrix, warm, 0.0)
+        assert solves == (["smallest_eigenpair_dense"] if k <= 16 else
+                          ["smallest_eigenpair_lobpcg",
+                           "smallest_eigenpair_dense"])
+        assert metric.certificate.lambda_min == smallest_eigenpair_dense(
+            g.matrix).value
+        assert optimizer._conditioned_scalars(metric, 0.0,
+                                              floored=False) is None
+        v = metric.certificate.eigvec
+        floored = np.maximum(v, optimizer._SCALAR_FLOOR * np.max(v))
+        assert np.array_equal(scalars.values, 1.0 / floored)
+
+    @pytest.mark.parametrize("excess, raises", [(0.9e-9, False),
+                                                (1.1e-9, True)])
+    def test_floored_scalars_need_lambda_min_at_rho(self, monkeypatch,
+                                                    excess, raises):
+        g, warm = self._iterate(48)
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
+            self._unverifiable(monkeypatch, name)
+        rho = g.certificate.lambda_min + excess
+        if raises:
+            with pytest.raises(optimizer.CertificationError,
+                               match="left the feasible region"):
+                optimizer._certify_matrix(g.matrix, warm, rho)
+        else:
+            metric, _ = optimizer._certify_matrix(g.matrix, warm, rho)
+            assert metric.certificate.lambda_min >= rho - 1e-9
+
     def test_dense_backstop_certifies_any_size(self, monkeypatch):
         def no_convergence(matrix, warm_start=None, **kwargs):
             pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
             raise eigen.LobpcgNonConvergence(pair, 1)
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
         matrix = shifted_path_laplacian(600, 0.1)
-        metric = optimizer._certify_matrix(matrix, np.ones(600))
+        metric, _ = optimizer._certify_matrix(matrix, np.ones(600), 0.0)
         assert metric.matrix is matrix
         assert metric.certificate.lambda_min == pytest.approx(0.1, abs=1e-10)
         assert np.allclose(metric.certificate.eigvec, 600 ** -0.5, rtol=1e-6)
@@ -634,7 +683,7 @@ class TestUnchangedBlock:
         assert new.metric.certificate is state.metric.certificate
         assert new.protected_edges == state.protected_edges
         assert new.objective_trace == state.objective_trace + (0.0,)
-        assert update_scalars(new, rho=cfg.rho) is new
+        assert new.scalars is state.scalars
 
 
 class TestLearnMetric:
@@ -696,10 +745,9 @@ class TestLearnMetric:
         rng = np.random.default_rng(13)
         ctx = _random_ctx(rng, 8, 3)
         events = []
-        learn_metric(ctx, observer=lambda ev, st: events.append(ev))
-        assert events[0] == "init"
-        assert "scalars" in events and "diagonal" in events
-        assert "offdiag" in events and "outer" in events
+        result = learn_metric(ctx, observer=lambda ev, st: events.append(ev))
+        assert events == ["init"] + result.outer_iterations * (
+            ["diagonal"] + 3 * ["offdiag"] + ["outer"])
 
     def test_never_returns_uncertified(self):
         rng = np.random.default_rng(15)
@@ -756,10 +804,10 @@ def _blob_ctx(seed, k=9, per_class=8):
     return ObjectiveContext(features=x, labels=np.where(y == 0, 1.0, -1.0))
 
 
-def _cv_fold_ctx(name="iris"):
-    """One learn of a dataset's CV protocol: CV seed 0, fold 0, class 0."""
+def _cv_fold_ctx(name="iris", seed=0, fold=0):
+    """One learn of a dataset's CV protocol: class 0 of one CV seed's fold."""
     ds = load_csv(f"data/{name}.csv", label_column="class")
-    test = stratified_folds(ds.labels, 2, np.random.default_rng(0))[0]
+    test = stratified_folds(ds.labels, 2, np.random.default_rng(seed))[fold]
     train = np.setdiff1d(np.arange(ds.num_samples), test)
     x_train, _, _ = standardize(ds.features[train], ds.features[test])
     z = np.where(ds.labels[train] == 0, 1.0, -1.0)
@@ -895,3 +943,46 @@ class TestLogging:
             result = learn_metric(ctx)
         assert result.converged
         assert caplog.records == []
+
+
+class TestAlignedIterates:
+    """A step that changes the matrix certifies and aligns it in one go."""
+
+    @pytest.mark.parametrize("name", list(TestReferenceKernels.CASES))
+    def test_observed_states_carry_their_own_scalars(self, name):
+        ctx, cfg = TestReferenceKernels.CASES[name]()
+        rho = cfg.resolve(ctx.num_features).rho
+        seen = []
+
+        def observe(event, state):
+            expected = optimizer._conditioned_scalars(state.metric, rho)
+            seen.append((event, np.array_equal(state.scalars.values,
+                                               expected.values)))
+
+        learn_metric(ctx, cfg, observer=observe)
+        assert {event for event, _ in seen} == {"init", "diagonal",
+                                                "offdiag", "outer"}
+        assert all(aligned for _, aligned in seen)
+
+    def test_unverified_iterate_is_solved_once(self, monkeypatch):
+        # wine CV seed 2, fold 1, class 0: an iterate whose dense pair
+        # gives scalars that cannot be verified at the rho margin
+        ctx = _cv_fold_ctx("wine", seed=2, fold=1)
+        rho = OptimizerConfig().resolve(ctx.num_features).rho
+        changed = unverified = 0
+        previous = None
+
+        def observe(event, state):
+            nonlocal changed, unverified, previous
+            if event in ("diagonal", "offdiag"):
+                changed += not np.array_equal(state.metric.matrix.entries,
+                                              previous.metric.matrix.entries)
+            unverified += optimizer._conditioned_scalars(
+                state.metric, rho, floored=False) is None
+            previous = state
+
+        solves = count_eigensolves(monkeypatch)
+        learn_metric(ctx, observer=observe)
+        assert unverified > 0
+        # M^0's validation, then one solve per step that changed the matrix
+        assert solves == ["smallest_eigenpair_dense"] * (1 + changed)
