@@ -12,8 +12,8 @@ from .classify import (LabeledGraph, build_labeled_graph, graph_classify,
                        knn_classify, knn_vote_scores, one_vs_all_predict)
 from .core import (Certificate, GershgorinScalars, GraphMetric,
                    GraphMetricRejection, SymmetricMatrix, alignment_scalars,
-                   definition_violations, pairwise_mahalanobis,
-                   scaled_left_ends, validate_graph_metric)
+                   pairwise_mahalanobis, scaled_left_ends,
+                   validate_graph_metric)
 from .data import Dataset, Scaler, load_csv, load_feature_matrix, standardize
 from .eigen import (EigenPair, LobpcgNonConvergence, smallest_eigenpair_dense,
                     smallest_eigenpair_lobpcg)
@@ -36,7 +36,7 @@ __all__ = [
     "LobpcgNonConvergence", "LPSolution", "ObjectiveContext",
     "OptimizerConfig", "OptimizerState", "PairDistances", "RunRecord", "Scaler",
     "SymmetricMatrix", "alignment_scalars", "build_labeled_graph",
-    "definition_violations", "diagonal_step", "glr_grad_diag",
+    "diagonal_step", "glr_grad_diag",
     "glr_grad_offdiag_col", "glr_value", "graph_classify", "init_metric",
     "knn_classify", "knn_vote_scores", "learn_metric", "load_csv",
     "load_feature_matrix", "load_metric", "offdiag_step",

@@ -63,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--out", type=Path, default=None,
                          help="metric JSON output path (default stdout)")
     _add_common(p_learn)
+    p_learn.set_defaults(handler=_cmd_learn, parser=p_learn)
 
     p_cls = sub.add_parser("classify", help="predict labels with a metric")
     p_cls.add_argument("--metric", type=Path, required=True)
@@ -83,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--out", type=Path, default=None)
     p_cls.add_argument("--format", choices=("json", "table"), default="json")
     _add_common(p_cls)
+    p_cls.set_defaults(handler=_cmd_classify, parser=p_cls)
 
     p_exp = sub.add_parser("experiment",
                            help="repeated stratified CV protocol")
@@ -103,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="embed wall-clock timing in the JSON output "
                             "(makes it non-reproducible)")
     _add_common(p_exp)
+    p_exp.set_defaults(handler=_cmd_experiment, parser=p_exp)
     return parser
 
 
@@ -284,15 +287,13 @@ def _cmd_experiment(parser: argparse.ArgumentParser,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    _apply_config_file(parser, args)
-    handlers = {"learn": _cmd_learn, "classify": _cmd_classify,
-                "experiment": _cmd_experiment}
-    return handlers[args.command](parser, args)
+    # usage errors found after parsing print the subcommand's usage line
+    _apply_config_file(args.parser, args)
+    return args.handler(args.parser, args)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,15 @@
 A *graph metric matrix* is a positive definite generalized graph Laplacian:
 strictly positive diagonal, non-positive off-diagonals, and a connected
 off-diagonal sparsity graph.  The set of such matrices is the search space
-of the metric learner; this module provides the matrix substrate, the
-membership test, and the disc-alignment scalars that turn the PD cone
-constraint into linear constraints.
+of the metric learner; this module provides the matrix substrate, the one
+membership check (``validate_graph_metric``), and the disc-alignment
+scalars that turn the PD cone constraint into linear constraints.
+
+Connectivity has one rule and one routine: the graph is connected when
+Prim's maximum spanning tree (``max_spanning_tree``) exists over the edges
+with |m_ij| > CONNECTIVITY_EPS.  The optimizer keeps its protected edges
+with the same routine over edges >= epsilon > CONNECTIVITY_EPS, so any
+tree it finds also proves connectivity.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Off-diagonal entries with magnitude above this count as graph edges when
-# testing connectivity.
+# testing connectivity; the optimizer's epsilon must exceed it.
 CONNECTIVITY_EPS = 1e-12
 
 # Relative floor for positive-definiteness certification: accept when
@@ -178,66 +184,65 @@ def scaled_left_ends(m: SymmetricMatrix, s: GershgorinScalars) -> np.ndarray:
     return np.diag(m.entries) - scaled_radii(m, s)
 
 
-def connected_components(m: SymmetricMatrix, eps: float = CONNECTIVITY_EPS) -> int:
-    """Number of connected components of the off-diagonal sparsity graph."""
-    k = m.dim
-    adj = np.abs(m.entries) > eps
-    np.fill_diagonal(adj, False)
-    seen = np.zeros(k, dtype=bool)
-    components = 0
-    for start in range(k):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            for nbr in np.nonzero(adj[node])[0]:
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    stack.append(int(nbr))
-    return components
+def max_spanning_tree(m: SymmetricMatrix, floor: float
+                      ) -> tuple[tuple[int, int], ...] | None:
+    """Maximum-weight spanning tree over edges with |m_ij| >= floor (Prim).
 
-
-def is_connected(m: SymmetricMatrix, eps: float = CONNECTIVITY_EPS) -> bool:
-    return connected_components(m, eps) == 1
-
-
-def definition_violations(m: SymmetricMatrix, tol: float = PD_TOL) -> list[str]:
-    """Check the four graph-metric conditions; return the violated ones.
-
-    An empty list means the matrix is a graph metric.  The PD check solves
-    densely at every K and accepts lambda_min > tol * trace / K
-    (scale-relative floor).
+    O(K^2) with a key array.  Ties go to the lowest tree node, then the
+    lowest new node.  Returns the sorted edge tuple, or None when those
+    edges do not span the graph.
     """
-    return _audit(m, tol)[0]
+    k = m.dim
+    w = np.abs(m.entries)
+    w[w < floor] = 0.0
+    rows = w.tolist()
+    # key[j]: heaviest edge from the tree to node j, reached from parent[j]
+    key = list(rows[0])
+    parent = [0] * k
+    outside = list(range(1, k))
+    edges: list[tuple[int, int]] = []
+    while outside:
+        node, weight, via = -1, 0.0, k
+        for j in outside:
+            kj = key[j]
+            if kj > weight or (kj == weight and parent[j] < via):
+                node, weight, via = j, kj, parent[j]
+        if weight <= 0.0:
+            return None
+        outside.remove(node)
+        edges.append((min(via, node), max(via, node)))
+        row = rows[node]
+        for j in outside:
+            wj = row[j]
+            if wj > key[j] or (wj == key[j] and node < parent[j]):
+                key[j] = wj
+                parent[j] = node
+    return tuple(sorted(edges))
 
 
-def validate_graph_metric(m: SymmetricMatrix, tol: float = PD_TOL) -> GraphMetric:
+# The smallest double above CONNECTIVITY_EPS: a tree over edges at or above
+# it is a tree over edges strictly above CONNECTIVITY_EPS.
+_EDGE_FLOOR = math.nextafter(CONNECTIVITY_EPS, math.inf)
+
+
+def is_connected(m: SymmetricMatrix) -> bool:
+    """Whether the edges with |m_ij| > CONNECTIVITY_EPS span the graph."""
+    return max_spanning_tree(m, _EDGE_FLOOR) is not None
+
+
+def validate_graph_metric(m: SymmetricMatrix) -> GraphMetric:
     """Certify ``m`` as a graph metric or raise with the full rejection report.
 
-    On success the returned certificate carries the smallest eigenpair,
-    sign-normalized so all entries are positive (Perron-Frobenius guarantees
-    a strictly positive first eigenvector for graph metrics).
+    The one membership check.  ``GraphMetricRejection.reasons`` lists every
+    violated condition: a non-positive diagonal entry, a positive
+    off-diagonal entry, a disconnected graph (``is_connected``), and
+    lambda_min at or below PD_TOL * trace / K from one dense solve at any
+    K.  On success the certificate carries the smallest eigenpair,
+    sign-normalized so all entries are positive (Perron-Frobenius
+    guarantees a strictly positive first eigenvector for graph metrics).
     """
-    reasons, lam, vec = _audit(m, tol)
-    if reasons:
-        raise GraphMetricRejection(reasons)
-    if vec is None:
-        # cannot happen for a true graph metric; indicates a broken solve
-        raise GraphMetricRejection(
-            ["first eigenvector has non-positive entries (certification failed)"])
-    return GraphMetric(matrix=m, certificate=Certificate(lambda_min=lam, eigvec=vec))
-
-
-def _audit(m: SymmetricMatrix, tol: float
-           ) -> tuple[list[str], float, np.ndarray | None]:
-    """Reasons, lambda_min and clamped eigenvector from one eigensolve."""
     from . import eigen  # local import: eigen depends on this module's types
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     reasons = []
     a = m.entries
     diag = np.diag(a)
@@ -251,11 +256,19 @@ def _audit(m: SymmetricMatrix, tol: float
     if not is_connected(m):
         reasons.append("disconnected graph")
     pair = eigen.smallest_eigenpair_dense(m)
-    floor = tol * max(m.trace(), 0.0) / m.dim
+    floor = PD_TOL * max(m.trace(), 0.0) / m.dim
     if not pair.value > floor:
         reasons.append(f"non-PD (lambda_min {pair.value:.6g} <= floor "
                        f"{floor:.6g})")
-    return reasons, pair.value, eigen.clamp_positive(pair.vector)
+    if reasons:
+        raise GraphMetricRejection(reasons)
+    vec = eigen.clamp_positive(pair.vector)
+    if vec is None:
+        # cannot happen for a true graph metric; indicates a broken solve
+        raise GraphMetricRejection(
+            ["first eigenvector has non-positive entries (certification failed)"])
+    return GraphMetric(matrix=m, certificate=Certificate(lambda_min=pair.value,
+                                                         eigvec=vec))
 
 
 def alignment_scalars(g: GraphMetric) -> GershgorinScalars:

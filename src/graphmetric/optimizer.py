@@ -7,7 +7,11 @@ matrix certifies the new iterate by its smallest eigenpair (lambda_min, v)
 and, in the same step, re-aligns all Gershgorin disc left-ends at
 lambda_min via s_k = 1 / v_k, so the linear PD surrogate constraints of the
 next step are tight around the incumbent.  Every iterate stays a certified
-graph metric with scalars aligned to its own certificate.
+graph metric with scalars aligned to its own certificate.  Column steps
+keep the graph connected by pinning the edges of Prim's maximum spanning
+tree (``core.max_spanning_tree``) at magnitude >= epsilon; the config
+holds epsilon above core.CONNECTIVITY_EPS, so that tree also proves
+connectivity under ``core.is_connected``'s rule.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 from . import eigen, lp
 from .core import (CONNECTIVITY_EPS, Certificate, GershgorinScalars,
                    GraphMetric, SymmetricMatrix, is_connected,
-                   scaled_left_ends, scaled_radii, validate_graph_metric)
+                   max_spanning_tree, scaled_left_ends, scaled_radii,
+                   validate_graph_metric)
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 
 log = logging.getLogger(__name__)
@@ -57,7 +62,9 @@ class OptimizerConfig:
 
     ``trace_cap``, ``rho`` and ``epsilon`` default to None and are resolved
     against the feature dimension K: trace_cap = K, rho = 1e-4 * C / K,
-    epsilon = 1e-3 * C / K.
+    epsilon = 1e-3 * C / K.  Building a config coerces numeric strings to
+    float and checks the invariants that hold at any K; ``resolve`` checks
+    the ones that depend on K.
     """
 
     trace_cap: float | None = None
@@ -67,57 +74,55 @@ class OptimizerConfig:
     outer_max_iters: int = 50
     obj_rel_tol: float = 1e-6
 
-    def resolve(self, dim: int) -> "OptimizerConfig":
-        """Fill defaults for dimension ``dim`` and validate all invariants."""
-        if dim < 2:
-            raise ConfigError("need at least 2 features")
-
-        def number(name: str) -> float:
+    def __post_init__(self):
+        for name in ("trace_cap", "rho", "epsilon", "obj_rel_tol"):
             value = getattr(self, name)
+            if value is None and name != "obj_rel_tol":
+                continue  # resolved against K
             try:
-                return float(value)
+                value = float(value)
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"{name} must be a number, not {value!r}") from None
-
-        c = number("trace_cap") if self.trace_cap is not None else float(dim)
-        rho = number("rho") if self.rho is not None else 1e-4 * c / dim
-        eps = number("epsilon") if self.epsilon is not None else 1e-3 * c / dim
-        cfg = replace(self, trace_cap=c, rho=rho, epsilon=eps,
-                      obj_rel_tol=number("obj_rel_tol"))
-        cfg._validate(dim)
-        return cfg
-
-    def _validate(self, dim: int) -> None:
-        c, rho, eps = self.trace_cap, self.rho, self.epsilon
-        for name in ("trace_cap", "rho", "epsilon", "obj_rel_tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, not {value}")
-        if c is None or c <= 0:
-            raise ConfigError("trace_cap must be positive")
-        if rho is None or rho <= 0:
-            raise ConfigError("rho must be positive")
-        if eps is None or eps <= 0:
-            raise ConfigError("epsilon must be positive")
-        if not rho < c / dim:
-            raise ConfigError(f"rho={rho} must be < trace_cap/K = {c / dim}")
-        if not c / dim > 2 * eps + rho:
-            raise ConfigError(
-                f"need trace_cap/K > 2*epsilon + rho for a PD start "
-                f"({c / dim} vs {2 * eps + rho})")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive")
+            object.__setattr__(self, name, value)
         counts = (self.fw_max_iters, self.outer_max_iters)
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
                for n in counts):
             raise ConfigError(f"iteration counts must be integers: {counts}")
         if min(counts) < 1:
             raise ConfigError("iteration counts must be >= 1")
-        if self.obj_rel_tol <= 0:
-            raise ConfigError("obj_rel_tol must be positive")
 
-    @property
-    def is_resolved(self) -> bool:
-        return None not in (self.trace_cap, self.rho, self.epsilon)
+    def resolve(self, dim: int) -> "OptimizerConfig":
+        """Fill defaults for dimension ``dim``; check the invariants on K.
+
+        A config whose trace_cap, rho and epsilon are all set comes back as
+        the same object.
+        """
+        if dim < 2:
+            raise ConfigError("need at least 2 features")
+        cfg = self
+        if None in (self.trace_cap, self.rho, self.epsilon):
+            # a set value is positive, so ``or`` picks it over the default
+            c = self.trace_cap or float(dim)
+            cfg = replace(self, trace_cap=c, rho=self.rho or 1e-4 * c / dim,
+                          epsilon=self.epsilon or 1e-3 * c / dim)
+        c, rho, eps = cfg.trace_cap, cfg.rho, cfg.epsilon
+        if not rho < c / dim:
+            raise ConfigError(f"rho={rho} must be < trace_cap/K = {c / dim}")
+        if not c / dim > 2 * eps + rho:
+            raise ConfigError(
+                f"need trace_cap/K > 2*epsilon + rho for a PD start "
+                f"({c / dim} vs {2 * eps + rho})")
+        if not eps > CONNECTIVITY_EPS:
+            # the floors must keep every pinned edge a graph edge
+            raise ConfigError(
+                f"epsilon={eps} must be above the {CONNECTIVITY_EPS:g} "
+                f"edge floor (CONNECTIVITY_EPS)")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -153,8 +158,7 @@ def init_metric(cfg: OptimizerConfig, dim: int) -> GraphMetric:
 
     The diagonal is nudged so the trace hits the cap exactly.
     """
-    cfg = cfg if cfg.is_resolved else cfg.resolve(dim)
-    cfg._validate(dim)
+    cfg = cfg.resolve(dim)
     d = cfg.trace_cap / dim
     a = np.zeros((dim, dim))
     np.fill_diagonal(a, d)
@@ -183,7 +187,7 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
                   objective: ConvexObjective | None = None) -> OptimizerState:
     """State at M^0, its scalars aligned at rho, and Q(M^0) as the trace."""
     dim = ctx.num_features
-    cfg = cfg if cfg.is_resolved else cfg.resolve(dim)
+    cfg = cfg.resolve(dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     g = init_metric(cfg, dim)
     return OptimizerState(metric=g, scalars=_conditioned_scalars(g, cfg.rho),
@@ -398,7 +402,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
     states the stop rules.  A new diagonal comes back certified and
     aligned (``_certify_matrix``).
     """
-    cfg = cfg if cfg.is_resolved else cfg.resolve(state.metric.dim)
+    cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
     lb = scaled_radii(matrix, state.scalars) + cfg.rho
@@ -441,41 +445,6 @@ def _unchanged(metric: GraphMetric) -> GraphMetric:
     that ran from one that kept the incumbent (see ``learn_metric``).
     """
     return GraphMetric(matrix=metric.matrix, certificate=metric.certificate)
-
-
-def _max_spanning_tree(matrix: SymmetricMatrix, floor: float
-                       ) -> tuple[tuple[int, int], ...] | None:
-    """Maximum-weight spanning tree over edges with |m_ij| >= floor (Prim).
-
-    Ties go to the lowest tree node, then the lowest new node.  Returns None
-    when those edges do not span the graph.
-    """
-    k = matrix.dim
-    w = np.abs(matrix.entries)
-    w[w < floor] = 0.0
-    rows = w.tolist()
-    # key[j]: heaviest edge from the tree to node j, reached from parent[j]
-    key = list(rows[0])
-    parent = [0] * k
-    outside = list(range(1, k))
-    edges: list[tuple[int, int]] = []
-    while outside:
-        node, weight, via = -1, 0.0, k
-        for j in outside:
-            kj = key[j]
-            if kj > weight or (kj == weight and parent[j] < via):
-                node, weight, via = j, kj, parent[j]
-        if weight <= 0.0:
-            return None
-        outside.remove(node)
-        edges.append((min(via, node), max(via, node)))
-        row = rows[node]
-        for j in outside:
-            wj = row[j]
-            if wj > key[j] or (wj == key[j] and node < parent[j]):
-                key[j] = wj
-                parent[j] = node
-    return tuple(sorted(edges))
 
 
 def _column_tree_edges(tree: tuple[tuple[int, int], ...], col: int
@@ -524,7 +493,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     Infeasible subproblems skip the column and leave the state unchanged.
     A new column comes back certified and aligned (``_certify_matrix``).
     """
-    cfg = cfg if cfg.is_resolved else cfg.resolve(state.metric.dim)
+    cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
     k = matrix.dim
@@ -533,37 +502,32 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     rows = [r for r in range(k) if r != col]
     a = matrix.entries
     s = state.scalars.values
-    x0 = a[rows, col].copy()
+    x0 = a[rows, col]
 
     zeta_local = int(np.argmax(np.abs(x0)))
-    tree = state.protected_edges or _max_spanning_tree(matrix, cfg.epsilon) or ()
+    tree = state.protected_edges or max_spanning_tree(matrix, cfg.epsilon) or ()
     tree_local = _column_tree_edges(tree, col)
-    pinned = set(tree_local)
-    pinned.add(zeta_local)
 
     # row r's budget for |m_r,col|, by direct summation (no cancellation):
     # u_r = s_col * ((a_rr - rho)/s_r - sum_{j not in {r, col}} |a_rj|/s_j)
-    abs_a = np.abs(a)
-    ratio_rows = abs_a[rows] / s[None, :]  # |a_rj| / s_j
+    ratio_rows = np.abs(a[rows]) / s[None, :]  # |a_rj| / s_j
     other_sum = (ratio_rows.sum(axis=1) - ratio_rows[np.arange(k - 1), rows]
                  - ratio_rows[:, col])
     upper_mag = s[col] * ((a[rows, rows] - cfg.rho) / s[rows] - other_sum)
     coupling_budget = (a[col, col] - cfg.rho) / s[col]
     lower = -np.maximum(upper_mag, 0.0)
     upper = np.zeros(k - 1)
-    for idx in pinned:
-        upper[idx] = -cfg.epsilon
+    upper[[zeta_local, *tree_local]] = -cfg.epsilon
 
     coupling_coeffs = 1.0 / s[rows]
+    x = np.clip(x0, lower, upper)
     if (np.any(lower > upper) or coupling_budget < 0
-            or float(coupling_coeffs @ np.maximum(-np.clip(x0, lower, upper),
-                                                  0.0))
+            or float(coupling_coeffs @ np.maximum(-x, 0.0))
             > coupling_budget * (1.0 + 1e-9) + 1e-15):
         log.debug("off-diagonal step on column %d skipped: the epsilon "
                   "floor or coupling budget excludes the incumbent "
                   "(lambda_min is pressing the rho floor)", col)
         return state
-    x = np.clip(x0, lower, upper)
     point = start = obj.at(matrix)
     q = q0 = obj.value(start)
     if np.any(x != x0):
@@ -589,17 +553,16 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                        objective_trace=state.objective_trace + (q,))
     current = matrix.with_offdiag_column(col, x)
     # a spanning tree over edges >= epsilon > CONNECTIVITY_EPS proves the
-    # graph connected; only without one is the full search needed
+    # graph connected; only without one is the full check needed
     if _tree_survives(state.protected_edges, tree_local, x0, x, current,
                       cfg.epsilon):
         tree_after = state.protected_edges
     else:
-        tree_after = _max_spanning_tree(current, cfg.epsilon)
-    if tree_after is None or cfg.epsilon <= CONNECTIVITY_EPS:
+        tree_after = max_spanning_tree(current, cfg.epsilon)
+    if tree_after is None:
         if not is_connected(current):
             raise CertificationError(
                 "off-diagonal step disconnected the graph despite edge floors")
-    if tree_after is None:
         tree_after = state.protected_edges
     metric, scalars = _certify_matrix(current, state.metric.certificate.eigvec,
                                       cfg.rho)

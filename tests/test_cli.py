@@ -192,6 +192,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
     (_LEARN_CSV + " --rho 5", None, "rho=5.0 must be < trace_cap/K = 1.0"),
     (_LEARN_CSV + " --trace-cap -1", None, "trace_cap must be positive"),
     (_LEARN_CSV + " --epsilon 0", None, "epsilon must be positive"),
+    (_LEARN_CSV + " --epsilon 1e-13", None,
+     "epsilon=1e-13 must be above the 1e-12 edge floor"),
     (_LEARN_CSV + " --obj-rel-tol nan", None,
      "obj_rel_tol must be finite, not nan"),
     (_LEARN_CSV + " --config {bad}", '{"rho": 5}',
@@ -209,7 +211,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
         "experiment-folds-one", "experiment-folds-negative",
         "experiment-folds-above-class", "classify-k-zero",
         "classify-k-above-train", "learn-rho", "learn-trace-cap",
-        "learn-epsilon", "learn-obj-rel-tol-nan", "learn-config-rho",
+        "learn-epsilon", "learn-epsilon-edge-floor", "learn-obj-rel-tol-nan",
+        "learn-config-rho",
         "experiment-fw-max-iters", "experiment-obj-rel-tol",
         "experiment-jobs-zero"])
 def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
@@ -225,3 +228,31 @@ def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
 
 def test_config_types_name_every_optimizer_field():
     assert list(_CONFIG_TYPES) == [f.name for f in fields(OptimizerConfig)]
+
+
+@pytest.mark.parametrize("argv, command", [
+    (_EXPERIMENT + " --jobs 0", "experiment"),
+    (_LEARN_CSV + " --epsilon 1e-13", "learn"),
+    (_LEARN_CSV + " --config {bad}", "learn"),
+    (_CLASSIFY, "classify"),
+], ids=["experiment-jobs", "learn-epsilon", "learn-config-file",
+        "classify-metric"])
+def test_usage_error_prints_the_subcommand_usage(cluster_csv, tmp_path,
+                                                 capsys, argv, command):
+    bad = tmp_path / "bad"
+    bad.write_text("[1]")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(bad=bad, csv=cluster_csv).split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: graphmetric {command} ")
+    assert f"graphmetric {command}: error: " in err
+
+
+def test_epsilon_just_above_the_edge_floor_learns(cluster_csv, tmp_path):
+    out = tmp_path / "metric.json"
+    rc = main(["learn", "--dataset", str(cluster_csv), "--label-col", "label",
+               "--epsilon", "2e-12", "--out", str(out)])
+    assert rc == 0
+    _, echo = load_metric(out)
+    assert echo["epsilon"] == 2e-12

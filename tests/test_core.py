@@ -1,13 +1,16 @@
 """Tests for the matrix types, validation, and Gershgorin machinery."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
-from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
-                              GraphMetricRejection, SymmetricMatrix,
-                              alignment_scalars, definition_violations,
-                              is_connected, pairwise_mahalanobis,
-                              scaled_left_ends, validate_graph_metric)
+from graphmetric.core import (CONNECTIVITY_EPS, DimensionMismatchError,
+                              GershgorinScalars, GraphMetricRejection,
+                              SymmetricMatrix, alignment_scalars, is_connected,
+                              pairwise_mahalanobis, scaled_left_ends,
+                              validate_graph_metric)
 from graphmetric.eigen import smallest_eigenpair_dense
 from helpers import (count_eigensolves, gershgorin_left_ends, mahalanobis,
                      random_graph_metric, shifted_path_laplacian)
@@ -79,21 +82,25 @@ class TestValidation:
             validate_graph_metric(SymmetricMatrix([[1.0, -2.0], [-2.0, 1.0]]))
         assert any("non-PD" in r for r in exc.value.reasons)
 
+    @staticmethod
+    def _reasons(m: SymmetricMatrix) -> list[str]:
+        with pytest.raises(GraphMetricRejection) as exc:
+            validate_graph_metric(m)
+        return exc.value.reasons
+
     def test_positive_offdiagonal_rejected(self):
-        reasons = definition_violations(
-            SymmetricMatrix([[2.0, 0.5], [0.5, 2.0]]))
+        reasons = self._reasons(SymmetricMatrix([[2.0, 0.5], [0.5, 2.0]]))
         assert any("positive off-diagonal" in r for r in reasons)
 
     def test_nonpositive_diagonal_rejected(self):
-        reasons = definition_violations(
-            SymmetricMatrix([[0.0, -1.0], [-1.0, 2.0]]))
+        reasons = self._reasons(SymmetricMatrix([[0.0, -1.0], [-1.0, 2.0]]))
         assert any("non-positive diagonal" in r for r in reasons)
 
     def test_all_violations_reported_together(self):
         m = SymmetricMatrix([[-1.0, 0.0, 0.5],
                              [0.0, 1.0, 0.0],
                              [0.5, 0.0, 1.0]])
-        reasons = definition_violations(m)
+        reasons = self._reasons(m)
         joined = " ".join(reasons)
         for expected in ("non-positive diagonal", "positive off-diagonal",
                          "disconnected", "non-PD"):
@@ -238,6 +245,34 @@ class TestConnectivity:
     def test_threshold(self):
         m = SymmetricMatrix([[1.0, -1e-13], [-1e-13, 1.0]])
         assert not is_connected(m)  # below the 1e-12 edge floor
+
+    def test_edge_floor_is_strict(self):
+        # an entry of exactly CONNECTIVITY_EPS is no edge; the next double is
+        at_floor = SymmetricMatrix([[1.0, -CONNECTIVITY_EPS],
+                                    [-CONNECTIVITY_EPS, 1.0]])
+        above = math.nextafter(CONNECTIVITY_EPS, math.inf)
+        assert not is_connected(at_floor)
+        assert is_connected(SymmetricMatrix([[1.0, -above], [-above, 1.0]]))
+
+    def test_matches_scipy_components(self):
+        # entries on either side of the edge floor, most matrices sparse
+        floor = CONNECTIVITY_EPS
+        levels = np.array([0.0, floor, math.nextafter(floor, 0.0),
+                           math.nextafter(floor, math.inf), 1e-3, 0.7])
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(300):
+            k = int(rng.integers(1, 30))
+            w = rng.choice(levels, size=(k, k),
+                           p=[0.8, 0.04, 0.03, 0.04, 0.05, 0.04])
+            a = -np.triu(w, 1)
+            a = a + a.T
+            np.fill_diagonal(a, 1.0)
+            n, _ = connected_components(np.abs(a) > floor, directed=False)
+            expected = n == 1
+            assert is_connected(SymmetricMatrix(a)) == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestMahalanobis:

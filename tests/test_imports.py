@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports or keeps private is used in it."""
 
 import ast
 from pathlib import Path
@@ -40,6 +40,42 @@ def test_detects_unused_names():
     assert unused_imports(source) == ["line 4: dataclass", "line 4: field"]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` definitions that nothing in ``source`` loads.
+
+    Functions, classes and assignment targets count; a private name is
+    used wherever it is loaded, including from inside another definition.
+    """
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined.setdefault(name.id, node.lineno)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in sorted(defined.items())
+            if name.startswith("_") and not name.startswith("__")
+            and name not in loaded]
+
+
+def test_detects_unused_private_names():
+    source = ("_USED = 1\n_UNUSED, public = 2, 3\n"
+              "def _helper():\n    return _USED\n"
+              "def _dead():\n    pass\n"
+              "class _Gone:\n    pass\n"
+              "def run():\n    _local = 4\n    return _helper()\n")
+    assert unused_private_names(source) == [
+        "line 7: _Gone", "line 2: _UNUSED", "line 5: _dead"]
+
+
 def test_package_has_modules():
     assert {p.name for p in MODULES} >= {"optimizer.py", "experiment.py",
                                          "cli.py"}
@@ -48,3 +84,8 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []

@@ -11,6 +11,7 @@ import pytest
 
 from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
                               scaled_radii, validate_graph_metric)
+from graphmetric.core import max_spanning_tree as prim_tree
 from graphmetric.data import load_csv, standardize
 from graphmetric import eigen, lp, objective
 from graphmetric.eigen import smallest_eigenpair_dense
@@ -21,8 +22,7 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    OptimizerState, SubproblemInfeasibleError,
                                    diagonal_step, init_metric, initial_state,
                                    learn_metric, offdiag_step, update_scalars,
-                                   _column_tree_edges, _max_spanning_tree,
-                                   _tree_survives)
+                                   _column_tree_edges, _tree_survives)
 from helpers import (MatrixObjective, ReferenceGLRObjective,
                      armijo_backtracking, column_tree_edges_by_scan,
                      count_eigensolves, diag_objective_fn, golden_section,
@@ -90,6 +90,57 @@ class TestConfig:
     def test_non_numeric_values_raise_config_error(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
             OptimizerConfig(**{field: value}).resolve(4)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-13])
+    def test_epsilon_at_or_below_edge_floor_rejected(self, eps):
+        with pytest.raises(ConfigError,
+                           match=r"epsilon=.* above the 1e-12 edge floor"):
+            OptimizerConfig(epsilon=eps).resolve(4)
+
+    def test_default_epsilon_below_edge_floor_rejected(self):
+        # epsilon = 1e-3 * C / K = 2.1e-14 at this trace cap
+        with pytest.raises(ConfigError, match="edge floor"):
+            OptimizerConfig(trace_cap=1e-9).resolve(48)
+
+    def test_epsilon_just_above_edge_floor_accepted(self):
+        eps = math.nextafter(1e-12, math.inf)
+        assert OptimizerConfig(epsilon=eps).resolve(4).epsilon == eps
+
+    def test_construction_checks_dimension_free_invariants(self):
+        with pytest.raises(ConfigError, match="rho must be positive"):
+            OptimizerConfig(rho=-1.0)
+        with pytest.raises(ConfigError, match="iteration counts must be >= 1"):
+            OptimizerConfig(fw_max_iters=0)
+
+    def test_resolve_returns_a_filled_config_as_is(self):
+        cfg = OptimizerConfig().resolve(4)
+        assert cfg.resolve(4) is cfg
+        with pytest.raises(ConfigError, match="trace_cap/K"):
+            cfg.resolve(100_000)  # rho 1e-4 >= trace_cap / K = 4e-5
+
+
+class TestStepsValidateConfig:
+    """Both block steps check a filled config before they use it."""
+
+    BAD = {"rho-negative": dict(rho=-1.0),
+           "trace-cap-nan": dict(trace_cap=math.nan),
+           "epsilon-negative": dict(epsilon=-1.0),
+           "fw-max-iters-zero": dict(fw_max_iters=0),
+           "rho-above-trace-cap-over-k": dict(rho=1.5),
+           "epsilon-at-edge-floor": dict(epsilon=1e-12)}
+
+    @pytest.mark.parametrize("step", ["diagonal", "offdiag"])
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_step_raises_config_error(self, step, bad):
+        rng = np.random.default_rng(4)
+        ctx = _random_ctx(rng, 10, 3)
+        cfg = OptimizerConfig().resolve(3)
+        state = initial_state(ctx, cfg)
+        with pytest.raises(ConfigError):
+            if step == "diagonal":
+                diagonal_step(state, ctx, replace(cfg, **bad))
+            else:
+                offdiag_step(state, ctx, replace(cfg, **bad), 1)
 
 
 class TestInitMetric:
@@ -390,7 +441,7 @@ class TestMaxSpanningTree:
             # floors at entry values keep exactly-equal edges
             for floor in (eps, float(rng.choice(levels[1:])), 1e-12):
                 expected = max_spanning_tree(matrix, floor)
-                assert _max_spanning_tree(matrix, floor) == expected
+                assert prim_tree(matrix, floor) == expected
                 nones += expected is None
         assert nones > 0 or k == 48
 
@@ -421,7 +472,7 @@ class TestTreeSurvives:
         trials = 0
         for _ in range(300 if k < 48 else 60):
             matrix, levels = TestMaxSpanningTree._tied_matrix(rng, k, eps)
-            tree = _max_spanning_tree(matrix, eps)
+            tree = prim_tree(matrix, eps)
             if tree is None:
                 continue
             col = int(rng.integers(k))
@@ -437,7 +488,7 @@ class TestTreeSurvives:
             assert _tree_survives(tree, tree_local, before, after, current,
                                   eps)
             assert max_spanning_tree(current, eps) == tree
-            assert _max_spanning_tree(current, eps) == tree
+            assert prim_tree(current, eps) == tree
             trials += 1
         assert trials >= 40
 
@@ -447,7 +498,7 @@ class TestTreeSurvives:
                                   [-0.5, 3.0, -0.4, -eps],
                                   [-0.2, -0.4, 3.0, -0.3],
                                   [0.0, -eps, -0.3, 3.0]])
-        tree = _max_spanning_tree(matrix, eps)
+        tree = prim_tree(matrix, eps)
         assert tree == ((0, 1), (1, 2), (2, 3))
         col = 1
         before = np.delete(matrix.entries[:, col], col)  # rows 0, 2, 3
@@ -457,7 +508,7 @@ class TestTreeSurvives:
             kept = _tree_survives(tree, _column_tree_edges(tree, col), before,
                                   np.array(after), current, eps)
             if kept:
-                assert _max_spanning_tree(current, eps) == tree
+                assert prim_tree(current, eps) == tree
             return kept
 
         assert survives([-0.5, -0.4, 0.0])
@@ -465,7 +516,7 @@ class TestTreeSurvives:
         # lets edge (0, 2) replace (1, 2)
         assert not survives([-0.5, -0.4, -0.6])
         assert not survives([-0.5, -0.1, -eps])
-        assert _max_spanning_tree(matrix.with_offdiag_column(
+        assert prim_tree(matrix.with_offdiag_column(
             col, np.array([-0.5, -0.1, -eps])), eps) != tree
         # a tree with an edge below the floor is not Prim's tree
         assert not survives([-0.5, -0.4, 0.0], tree=((0, 1), (0, 3), (1, 2)))
@@ -672,8 +723,8 @@ class TestUnchangedBlock:
         ctx, cfg, state = self._stationary()
         solves = count_eigensolves(monkeypatch)
         trees = []
-        real = optimizer._max_spanning_tree
-        monkeypatch.setattr(optimizer, "_max_spanning_tree",
+        real = optimizer.max_spanning_tree
+        monkeypatch.setattr(optimizer, "max_spanning_tree",
                             lambda *a: trees.append(a) or real(*a))
         new = (diagonal_step(state, ctx, cfg) if block == "diagonal"
                else offdiag_step(state, ctx, cfg, block))
