@@ -8,8 +8,7 @@ smallest eigenvector, so diagonal and off-diagonal blocks can be optimized
 alternately by Frank-Wolfe iterations whose subproblems are small LPs.
 """
 
-from .classify import (LabeledGraph, build_labeled_graph, graph_classify,
-                       knn_classify, knn_vote_scores, one_vs_all_predict)
+from .classify import graph_classify, knn_vote_scores, one_vs_all_predict
 from .core import (Certificate, GershgorinScalars, GraphMetric,
                    GraphMetricRejection, SymmetricMatrix, alignment_scalars,
                    pairwise_mahalanobis, scaled_left_ends,
@@ -32,17 +31,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate", "ConvexObjective", "Dataset", "EigenPair",
     "ExperimentReport", "GLRObjective", "GershgorinScalars", "GraphMetric",
-    "GraphMetricRejection", "LabeledGraph", "LearnResult",
-    "LobpcgNonConvergence", "LPSolution", "ObjectiveContext",
-    "OptimizerConfig", "OptimizerState", "PairDistances", "RunRecord", "Scaler",
-    "SymmetricMatrix", "alignment_scalars", "build_labeled_graph",
-    "diagonal_step", "glr_grad_diag",
+    "GraphMetricRejection", "LearnResult", "LobpcgNonConvergence",
+    "LPSolution", "ObjectiveContext", "OptimizerConfig", "OptimizerState",
+    "PairDistances", "RunRecord", "Scaler", "SymmetricMatrix",
+    "alignment_scalars", "diagonal_step", "glr_grad_diag",
     "glr_grad_offdiag_col", "glr_value", "graph_classify", "init_metric",
-    "knn_classify", "knn_vote_scores", "learn_metric", "load_csv",
-    "load_feature_matrix", "load_metric", "offdiag_step",
-    "one_vs_all_predict", "pair_distances", "pairwise_mahalanobis",
-    "run_experiment", "save_metric", "scaled_left_ends",
-    "smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
-    "solve_box_knapsack_lp", "solve_diagonal_lp", "standardize",
-    "update_scalars", "validate_graph_metric", "__version__",
+    "knn_vote_scores", "learn_metric", "load_csv", "load_feature_matrix",
+    "load_metric", "offdiag_step", "one_vs_all_predict", "pair_distances",
+    "pairwise_mahalanobis", "run_experiment", "save_metric",
+    "scaled_left_ends", "smallest_eigenpair_dense",
+    "smallest_eigenpair_lobpcg", "solve_box_knapsack_lp",
+    "solve_diagonal_lp", "standardize", "update_scalars",
+    "validate_graph_metric", "__version__",
 ]

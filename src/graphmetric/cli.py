@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metric_io
-from .classify import graph_classify, knn_classify, one_vs_all_predict
+from .classify import one_vs_all_predict
 from .data import load_csv, load_feature_matrix
-from .experiment import DegenerateFoldError, ProtocolError, run_experiment
+from .experiment import (DegenerateFoldError, ProtocolError,
+                         one_vs_all_scores, run_experiment)
 from .objective import ObjectiveContext
 from .optimizer import ConfigError, OptimizerConfig, learn_metric
 
@@ -241,21 +242,13 @@ def _cmd_classify(parser: argparse.ArgumentParser,
     if test_features.shape[1] != metric.dim:
         parser.error(f"test file has {test_features.shape[1]} features, "
                      f"metric dim is {metric.dim}")
-    if args.classifier == "knn":
-        if not 1 <= args.k <= train.num_samples:
-            parser.error(f"--k {args.k} must be in 1..{train.num_samples} "
-                         f"(training samples)")
-        preds = [knn_classify(train, row, metric, args.k)
-                 for row in test_features]
-    else:
-        n_train = train.num_samples
-        stacked = np.vstack([train.features, test_features])
-        scores = np.zeros((test_features.shape[0], train.num_classes))
-        for cls in range(train.num_classes):
-            known = {i: (1.0 if train.labels[i] == cls else -1.0)
-                     for i in range(n_train)}
-            scores[:, cls] = graph_classify(stacked, known, metric)[n_train:]
-        preds = [int(p) for p in one_vs_all_predict(scores)]
+    if args.classifier == "knn" and not 1 <= args.k <= train.num_samples:
+        parser.error(f"--k {args.k} must be in 1..{train.num_samples} "
+                     f"(training samples)")
+    scores = one_vs_all_scores(train.features, train.labels, test_features,
+                               train.num_classes, lambda z: metric,
+                               (args.classifier,), args.k)
+    preds = one_vs_all_predict(scores[args.classifier]).tolist()
     if args.format == "table":
         text = "\n".join(f"{i:6d} {p}" for i, p in enumerate(preds))
     else:

@@ -61,9 +61,9 @@ def _parse_csv(path: Path, label_column: int | str | None,
     """Shared CSV core: numeric feature matrix plus raw label strings.
 
     ``label_column`` may be a header name (the first row is then treated as
-    a header), a column index (header auto-detected: a first row whose
-    feature cells fail numeric parsing is skipped), or None for a file of
-    features only.
+    a header), a column index in -width..width-1 (header auto-detected: a
+    first row whose feature cells fail numeric parsing is skipped), or None
+    for a file of features only.
     """
     with path.open(newline="") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
@@ -81,7 +81,13 @@ def _parse_csv(path: Path, label_column: int | str | None,
         data_rows = rows[1:]
         first_line = 2
     else:
-        label_idx = label_column % width if label_column is not None else None
+        label_idx = None
+        if label_column is not None:
+            if not -width <= label_column < width:
+                raise CsvFormatError(
+                    f"{path}: label column index {label_column} is out of "
+                    f"range for {width} columns")
+            label_idx = label_column % width
         data_rows = rows
         first_line = 1
         feature_cells = [c for i, c in enumerate(rows[0]) if i != label_idx]

@@ -3,10 +3,11 @@
 Per seed: shuffle with numpy's seeded PCG64 generator (``default_rng``),
 split into stratified folds, learn one metric per (fold, class) pair on the
 training fold with +-1 one-vs-all labels, score both folds' test samples,
-and record error rates.  The whole report is a pure function of (dataset,
-config, seed list): re-running with the same inputs reproduces it bit for
-bit.  Wall-clock timings are kept out of the canonical serialization for
-that reason.
+and record error rates.  ``one_vs_all_scores`` does the per-class
+scoring; ``graphmetric classify`` calls it too, with one given metric.
+The whole report is a pure function of (dataset, config, seed list):
+re-running with the same inputs reproduces it bit for bit.  Wall-clock
+timings are kept out of the canonical serialization for that reason.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .classify import graph_classify, knn_vote_scores, one_vs_all_predict
+from .core import GraphMetric
 from .data import Dataset, standardize
 from .objective import ObjectiveContext
 from .optimizer import OptimizerConfig, learn_metric
@@ -115,6 +118,38 @@ def stratified_folds(labels: np.ndarray, n_folds: int,
     return out
 
 
+def one_vs_all_scores(x_train: np.ndarray, y_train: np.ndarray,
+                      x_test: np.ndarray, num_classes: int,
+                      metric_for: Callable[[np.ndarray], GraphMetric],
+                      classifiers: Sequence[str], k: int
+                      ) -> dict[str, np.ndarray]:
+    """Per-class scores of the test rows under each named classifier.
+
+    Class c is scored against the rest with training labels z = +1 on
+    class c and -1 elsewhere, under the metric ``metric_for(z)``.  Returns
+    one (n_test, num_classes) array per classifier ("knn" votes among the
+    k nearest training rows, "graph" propagates z over the training and
+    test rows together); ``one_vs_all_predict`` turns it into labels.
+    Classes are scored in order, so a learning ``metric_for`` learns in
+    class order.
+    """
+    n_train = x_train.shape[0]
+    stacked = np.vstack([x_train, x_test])
+    scores = {name: np.zeros((x_test.shape[0], num_classes))
+              for name in classifiers}
+    for cls in range(num_classes):
+        z = np.where(y_train == cls, 1.0, -1.0)
+        metric = metric_for(z)
+        if "knn" in scores:
+            scores["knn"][:, cls] = knn_vote_scores(x_train, z, x_test,
+                                                    metric, k)
+        if "graph" in scores:
+            known = dict(enumerate(z.tolist()))
+            scores["graph"][:, cls] = graph_classify(stacked, known,
+                                                     metric)[n_train:]
+    return scores
+
+
 def _evaluate_seed(dataset: Dataset, cfg: OptimizerConfig, seed: int,
                    folds: int, classifiers: tuple[str, ...], k: int,
                    scale_features: bool) -> list[RunRecord]:
@@ -129,28 +164,13 @@ def _evaluate_seed(dataset: Dataset, cfg: OptimizerConfig, seed: int,
         x_test = dataset.features[test_idx]
         if scale_features:
             x_train, x_test, _ = standardize(x_train, x_test)
-        y_train = dataset.labels[train_idx]
         y_test = dataset.labels[test_idx]
-
-        knn_scores = np.zeros((test_idx.size, dataset.num_classes))
-        graph_scores = np.zeros_like(knn_scores)
-        stacked = np.vstack([x_train, x_test])
-        for cls in range(dataset.num_classes):
-            z = np.where(y_train == cls, 1.0, -1.0)
-            ctx = ObjectiveContext(features=x_train, labels=z)
-            metric = learn_metric(ctx, cfg).metric
-            if "knn" in classifiers:
-                knn_scores[:, cls] = knn_vote_scores(x_train, z, x_test,
-                                                     metric, k)
-            if "graph" in classifiers:
-                known = {i: float(z[i]) for i in range(train_idx.size)}
-                scores = graph_classify(stacked, known, metric)
-                graph_scores[:, cls] = scores[train_idx.size:]
-        for name, scores in (("knn", knn_scores), ("graph", graph_scores)):
-            if name not in classifiers:
-                continue
-            pred = one_vs_all_predict(scores)
-            error = float(np.mean(pred != y_test))
+        scores = one_vs_all_scores(
+            x_train, dataset.labels[train_idx], x_test, dataset.num_classes,
+            lambda z: learn_metric(ObjectiveContext(x_train, z), cfg).metric,
+            classifiers, k)
+        for name, class_scores in scores.items():
+            error = float(np.mean(one_vs_all_predict(class_scores) != y_test))
             records.append(RunRecord(seed=seed, fold=fold_id, classifier=name,
                                      error=error, n_test=int(test_idx.size)))
     return records
@@ -198,15 +218,14 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     cfg = (cfg or OptimizerConfig()).resolve(dataset.num_features)
     start = time.perf_counter()
 
+    evaluate = partial(_evaluate_seed, dataset, cfg, folds=folds,
+                       classifiers=classifiers, k=k,
+                       scale_features=scale_features)
     if n_jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(seeds))) as pool:
-            chunks = pool.map(_seed_worker,
-                              [(dataset, cfg, s, folds, classifiers, k,
-                                scale_features) for s in seeds])
-            per_seed = list(chunks)
+            per_seed = list(pool.map(evaluate, seeds))
     else:
-        per_seed = [_evaluate_seed(dataset, cfg, s, folds, classifiers, k,
-                                   scale_features) for s in seeds]
+        per_seed = list(map(evaluate, seeds))
 
     records = tuple(sorted((r for chunk in per_seed for r in chunk),
                            key=lambda r: (r.seed, r.fold, r.classifier)))
@@ -219,7 +238,3 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
                             config=config_echo, records=records,
                             mean_error=mean_error,
                             runtime_seconds=time.perf_counter() - start)
-
-
-def _seed_worker(args) -> list[RunRecord]:
-    return _evaluate_seed(*args)

@@ -5,12 +5,11 @@ import logging
 import numpy as np
 import pytest
 
-from graphmetric.classify import (build_labeled_graph, graph_classify,
-                                  knn_classify, knn_vote_scores,
+from graphmetric.classify import (graph_classify, knn_vote_scores,
                                   one_vs_all_predict)
 from graphmetric.core import SymmetricMatrix, validate_graph_metric
-from graphmetric.data import Dataset
-from helpers import euclidean_knn_label, random_graph_metric
+from graphmetric.experiment import one_vs_all_scores
+from helpers import euclidean_knn_label, mahalanobis, random_graph_metric
 
 IDENTITY_3 = validate_graph_metric(SymmetricMatrix(
     [[1.0, -1e-6, 0.0], [-1e-6, 1.0, -1e-6], [0.0, -1e-6, 1.0]]))
@@ -18,10 +17,13 @@ IDENTITY_2 = validate_graph_metric(SymmetricMatrix(
     [[1.0, -1e-6], [-1e-6, 1.0]]))
 
 
-def _dataset(features, labels):
+def _knn_predict(feats, labels, points, metric, k):
+    """One-vs-all kNN labels of ``points``: the path the CLI takes."""
     labels = np.asarray(labels)
-    return Dataset(name="toy", features=np.asarray(features, dtype=float),
-                   labels=labels, num_classes=int(labels.max()) + 1)
+    scores = one_vs_all_scores(np.asarray(feats, dtype=float), labels,
+                               np.atleast_2d(points), int(labels.max()) + 1,
+                               lambda z: metric, ("knn",), k)
+    return one_vs_all_predict(scores["knn"]).tolist()
 
 
 class TestKnn:
@@ -29,9 +31,8 @@ class TestKnn:
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(10, 2))
         labels = rng.integers(0, 3, size=10)
-        train = _dataset(feats, labels)
-        for i in range(10):
-            assert knn_classify(train, feats[i], IDENTITY_2, 1) == labels[i]
+        assert _knn_predict(feats, labels, feats, IDENTITY_2, 1) == \
+            labels.tolist()
 
     def test_near_identity_matches_euclidean_oracle(self):
         rng = np.random.default_rng(1)
@@ -39,11 +40,10 @@ class TestKnn:
             n = int(rng.integers(5, 30))
             feats = rng.normal(size=(n, 2))
             labels = rng.integers(0, 3, size=n)
-            train = _dataset(feats, np.maximum(labels, 0))
             point = rng.normal(size=2)
             k = int(rng.integers(1, n + 1))
-            assert knn_classify(train, point, IDENTITY_2, k) == \
-                euclidean_knn_label(feats, train.labels, point, k)
+            assert _knn_predict(feats, labels, point, IDENTITY_2, k) == \
+                [euclidean_knn_label(feats, labels, point, k)]
 
     def test_metric_scaling_invariance(self):
         rng = np.random.default_rng(2)
@@ -51,32 +51,28 @@ class TestKnn:
         scaled = validate_graph_metric(SymmetricMatrix(7.0 * g.matrix.entries))
         feats = rng.normal(size=(20, 3))
         labels = rng.integers(0, 2, size=20)
-        train = _dataset(feats, labels)
-        for _ in range(20):
-            point = rng.normal(size=3)
-            assert knn_classify(train, point, g, 5) == \
-                knn_classify(train, point, scaled, 5)
+        points = rng.normal(size=(20, 3))
+        assert _knn_predict(feats, labels, points, g, 5) == \
+            _knn_predict(feats, labels, points, scaled, 5)
 
     def test_distance_tie_breaks_to_lower_index(self):
         # two training points equidistant from the query; k=1 must pick
         # the earlier one
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0], [5.0, -5.0]])
         labels = np.array([1, 0, 0, 1])
-        train = _dataset(feats, labels)
-        assert knn_classify(train, np.zeros(2), IDENTITY_2, 1) == 1
+        assert _knn_predict(feats, labels, np.zeros(2), IDENTITY_2, 1) == [1]
 
     def test_vote_tie_breaks_to_smaller_label(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         labels = np.array([1, 1, 2, 2])
-        train = _dataset(feats, labels)
-        assert knn_classify(train, np.zeros(2), IDENTITY_2, 4) == 1
+        assert _knn_predict(feats, labels, np.zeros(2), IDENTITY_2, 4) == [1]
 
     def test_k_validation(self):
-        train = _dataset(np.zeros((3, 2)), np.array([0, 1, 1]))
-        with pytest.raises(ValueError):
-            knn_classify(train, np.zeros(2), IDENTITY_2, 0)
-        with pytest.raises(ValueError):
-            knn_classify(train, np.zeros(2), IDENTITY_2, 4)
+        labels = np.array([0, 1, 1])
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"k={k} must be in 1..3"):
+                _knn_predict(np.zeros((3, 2)), labels, np.zeros(2),
+                             IDENTITY_2, k)
 
     def test_vote_scores_k_validation(self):
         feats, z = np.zeros((3, 3)), np.array([1.0, -1.0, 1.0])
@@ -142,24 +138,38 @@ class TestGraphClassify:
             assert np.all(scores <= hi + 1e-9)
 
     def test_quadratic_optimality(self):
+        # the scores minimize z^T L z with the known labels clamped, for the
+        # Laplacian L = D - W of the weights exp(-d_M) on distinct pairs
         rng = np.random.default_rng(6)
         for _ in range(15):
             n = int(rng.integers(4, 10))
             feats = rng.normal(size=(n, 3))
             g = random_graph_metric(rng, 3)
+            w = np.array([[0.0 if i == j else
+                           np.exp(-mahalanobis(feats[i], feats[j], g.matrix))
+                           for j in range(n)] for i in range(n)])
+            assert np.all(w >= 0.0) and np.all(w <= 1.0)
+            assert np.allclose(w, w.T)
+            laplacian = np.diag(w.sum(axis=1)) - w
+            assert np.max(np.abs(laplacian.sum(axis=1))) <= 1e-10
             known = {0: 1.0, 1: -1.0}
-            graph = build_labeled_graph(feats, g, known)
             scores = graph_classify(feats, known, g)
-            base = scores @ graph.laplacian @ scores
+            base = scores @ laplacian @ scores
             for i in range(2, n):
                 for delta in (1e-3, -1e-3):
                     z = scores.copy()
                     z[i] += delta
-                    assert z @ graph.laplacian @ z >= base - 1e-12
+                    assert z @ laplacian @ z >= base - 1e-12
 
     def test_needs_a_label(self):
         with pytest.raises(ValueError):
             graph_classify(np.zeros((3, 3)), {}, IDENTITY_3)
+
+    def test_known_index_out_of_range(self):
+        for index in (3, 5, -1):
+            with pytest.raises(IndexError, match=f"index {index} out of "
+                               f"range for N=3"):
+                graph_classify(np.zeros((3, 3)), {index: 1.0}, IDENTITY_3)
 
     def test_singular_block_regularized_with_warning(self, caplog):
         # one unlabeled node infinitely far away: its row of W underflows
@@ -169,23 +179,6 @@ class TestGraphClassify:
             scores = graph_classify(feats, {0: 1.0}, IDENTITY_2)
         assert np.all(np.isfinite(scores))
         assert any("singular" in rec.message for rec in caplog.records)
-
-
-class TestLabeledGraph:
-    def test_invariants(self):
-        rng = np.random.default_rng(7)
-        feats = rng.normal(size=(8, 3))
-        g = random_graph_metric(rng, 3)
-        graph = build_labeled_graph(feats, g, {0: 1.0})
-        w = graph.weights
-        assert np.all(np.diag(w) == 0.0)
-        assert np.all(w >= 0.0) and np.all(w <= 1.0)
-        assert np.allclose(w, w.T)
-        assert np.max(np.abs(graph.laplacian.sum(axis=1))) <= 1e-10
-
-    def test_known_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            build_labeled_graph(np.zeros((3, 3)), IDENTITY_3, {5: 1.0})
 
 
 class TestOneVsAll:

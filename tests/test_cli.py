@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from graphmetric.cli import _CONFIG_TYPES, main
+from graphmetric.data import load_csv
 from graphmetric.metric_io import load_metric
 from graphmetric.optimizer import OptimizerConfig
-from helpers import two_cluster_dataset
+from helpers import euclidean_knn_label, two_cluster_dataset
 
 
 @pytest.fixture()
@@ -50,6 +51,33 @@ def test_classify_knn_roundtrip(cluster_csv, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     ds_labels = [0] * 10 + [1] * 10
     assert payload["predictions"] == ds_labels
+
+
+def test_classify_knn_matches_the_oracle(cluster_csv, tmp_path, capsys):
+    # with M = L L^T, the metric distance is the Euclidean one after x -> xL
+    metric_path = tmp_path / "metric.json"
+    main(["learn", "--dataset", str(cluster_csv), "--label-col", "label",
+          "--out", str(metric_path)])
+    metric, _ = load_metric(metric_path)
+    train = load_csv(cluster_csv, "label")
+    points = np.random.default_rng(1).uniform(
+        train.features.min(axis=0), train.features.max(axis=0), size=(40, 2))
+    test_path = tmp_path / "points.csv"
+    test_path.write_text("".join(f"{float(a)!r},{float(b)!r}\n"
+                                 for a, b in points))
+    scale = np.linalg.cholesky(metric.matrix.entries)
+    # k = 20 takes every training row: a 10-10 vote tie goes to class 0
+    for k in (1, 4, 9, 20):
+        capsys.readouterr()
+        rc = main(["classify", "--metric", str(metric_path),
+                   "--train", str(cluster_csv), "--label-col", "label",
+                   "--test", str(test_path), "--test-label-col", "none",
+                   "--classifier", "knn", "--k", str(k)])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["predictions"] == [
+            euclidean_knn_label(train.features @ scale, train.labels,
+                                point @ scale, k) for point in points]
 
 
 def test_classify_graph(cluster_csv, tmp_path, capsys):
@@ -176,6 +204,10 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
     (_LEARN, "f0,label\n1.5,a\nabc,b\n", "bad:3: non-numeric feature cell"),
     (_LEARN, "f0,f1,label\n1,2,a\n3,b\n", "bad:3: expected 3 cells, found 2"),
     (_LEARN, "f0,f1,class\n1,2,a\n3,4,b\n", "no column named 'label'"),
+    ("learn --dataset {csv} --label-col 3", None,
+     "label column index 3 is out of range for 3 columns"),
+    ("learn --dataset {bad} --label-col 4", "1,2,3,4\n5,6,7,8\n9,1,2,3\n",
+     "bad: label column index 4 is out of range for 4 columns"),
     ("learn --dataset {csv} --label-col label --positive-class 2",
      None, "--positive-class 2 out of range for 2 classes"),
     (_KNN_EXPERIMENT + " --k 0", None, "k=0 must be in 1..10"),
@@ -206,7 +238,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
         "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
         "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
-        "csv-label-col", "positive-class", "experiment-k-zero",
+        "csv-label-col", "csv-label-index", "csv-label-index-numeric",
+        "positive-class", "experiment-k-zero",
         "experiment-k-above-fold", "experiment-folds-zero",
         "experiment-folds-one", "experiment-folds-negative",
         "experiment-folds-above-class", "classify-k-zero",

@@ -62,6 +62,18 @@ class TestLoadCsv:
         ds = load_csv(path, label_column=1)
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    def test_label_column_index_bounds(self, tmp_path):
+        # an index of width or more, or below -width, names no column;
+        # it used to wrap (4 -> column 0) and load one class per row
+        path = _write(tmp_path, "1,2,3,4\n5,6,7,8\n9,1,2,3\n")
+        for col in (4, 9, -5):
+            with pytest.raises(CsvFormatError, match=rf"label column index "
+                               rf"{col} is out of range for 4 columns"):
+                load_csv(path, label_column=col)
+        assert load_csv(path, label_column=-4).features[:, 0].tolist() == \
+            [2.0, 6.0, 1.0]
+        assert load_csv(path, label_column=3).num_classes == 3
+
     def test_first_appearance_encoding(self, tmp_path):
         path = _write(tmp_path, "1,Z\n2,A\n3,Z\n4,M\n")
         ds = load_csv(path, label_column=-1)

@@ -1,4 +1,5 @@
-"""Every name a package module imports or keeps private is used in it."""
+"""Every name a package module imports or keeps private is used in it,
+and the package exports exactly what its ``__init__.py`` imports."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphmetric"
+INIT = PACKAGE / "__init__.py"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -74,6 +76,41 @@ def test_detects_unused_private_names():
               "def run():\n    _local = 4\n    return _helper()\n")
     assert unused_private_names(source) == [
         "line 7: _Gone", "line 2: _UNUSED", "line 5: _dead"]
+
+
+def export_mismatches(source: str) -> list[str]:
+    """Differences between ``__all__`` and the names ``source`` imports.
+
+    ``__all__`` must list every imported name plus ``__version__``, and
+    nothing else, so a deleted or renamed import cannot linger as a stale
+    export.
+    """
+    tree = ast.parse(source)
+    imported = {"__version__"}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return ([f"stale export: {name}" for name in sorted(exported - imported)]
+            + [f"not exported: {name}"
+               for name in sorted(imported - exported)])
+
+
+def test_detects_export_mismatches():
+    source = ("from __future__ import annotations\n"
+              "from .a import kept, dropped\nfrom .b import extra as alias\n"
+              "__version__ = '1'\n"
+              "__all__ = ['kept', 'gone', '__version__']\n")
+    assert export_mismatches(source) == [
+        "stale export: gone", "not exported: alias", "not exported: dropped"]
+
+
+def test_all_matches_init_imports():
+    assert export_mismatches(INIT.read_text()) == []
 
 
 def test_package_has_modules():
