@@ -26,6 +26,15 @@ def _knn_predict(feats, labels, points, metric, k):
     return one_vs_all_predict(scores["knn"]).tolist()
 
 
+def _similarity_graph(feats, metric):
+    """Weights exp(-d_M) on distinct pairs and their Laplacian D - W."""
+    n = len(feats)
+    w = np.array([[0.0 if i == j else
+                   np.exp(-mahalanobis(feats[i], feats[j], metric.matrix))
+                   for j in range(n)] for i in range(n)])
+    return w, np.diag(w.sum(axis=1)) - w
+
+
 class TestKnn:
     def test_exact_training_point_k1(self):
         rng = np.random.default_rng(0)
@@ -145,13 +154,7 @@ class TestGraphClassify:
             n = int(rng.integers(4, 10))
             feats = rng.normal(size=(n, 3))
             g = random_graph_metric(rng, 3)
-            w = np.array([[0.0 if i == j else
-                           np.exp(-mahalanobis(feats[i], feats[j], g.matrix))
-                           for j in range(n)] for i in range(n)])
-            assert np.all(w >= 0.0) and np.all(w <= 1.0)
-            assert np.allclose(w, w.T)
-            laplacian = np.diag(w.sum(axis=1)) - w
-            assert np.max(np.abs(laplacian.sum(axis=1))) <= 1e-10
+            _, laplacian = _similarity_graph(feats, g)
             known = {0: 1.0, 1: -1.0}
             scores = graph_classify(feats, known, g)
             base = scores @ laplacian @ scores
@@ -179,6 +182,25 @@ class TestGraphClassify:
             scores = graph_classify(feats, {0: 1.0}, IDENTITY_2)
         assert np.all(np.isfinite(scores))
         assert any("singular" in rec.message for rec in caplog.records)
+
+
+class TestLabeledGraph:
+    def test_invariants(self):
+        # the graph graph_classify propagates over: zero diagonal, weights
+        # in [0, 1], symmetric, Laplacian rows summing to zero; the scores
+        # are harmonic on it, so (L z)_u = 0 at every unlabeled node u
+        rng = np.random.default_rng(7)
+        feats = rng.normal(size=(8, 3))
+        g = random_graph_metric(rng, 3)
+        w, laplacian = _similarity_graph(feats, g)
+        assert np.all(np.diag(w) == 0.0)
+        assert np.all(w >= 0.0) and np.all(w <= 1.0)
+        assert np.allclose(w, w.T)
+        assert np.max(np.abs(laplacian.sum(axis=1))) <= 1e-10
+        scores = graph_classify(feats, {0: 1.0, 3: -1.0}, g)
+        residual = laplacian @ scores
+        unlabeled = [i for i in range(8) if i not in (0, 3)]
+        assert np.max(np.abs(residual[unlabeled])) <= 1e-10
 
 
 class TestOneVsAll:
