@@ -7,16 +7,18 @@ Each classifier scores one class against the rest from +-1 training labels;
 The graph classifier is transductive: it builds a dense similarity graph
 over labeled and unlabeled samples together (edge weights exp(-distance)
 under the learned metric), clamps the known labels, and minimizes z^T L z
-exactly by solving the unlabeled block of the Laplacian system.
+exactly by solving the unlabeled block of the Laplacian system with
+``numpy.linalg.solve`` (LU), after ``numpy.linalg.cholesky`` has tested
+the block for positive definiteness.  One solve serves a block of label
+columns, one per class scored under the same metric.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import GraphMetric, pairwise_mahalanobis
 
@@ -25,21 +27,25 @@ log = logging.getLogger(__name__)
 _SINGULAR_REG = 1e-10
 
 
-def graph_classify(all_features: np.ndarray, known_labels: Mapping[int, float],
+def graph_classify(all_features: np.ndarray,
+                   known_labels: Mapping[int, float | Sequence[float]],
                    metric: GraphMetric) -> np.ndarray:
-    """Propagate +-1 labels over the metric graph; returns length-N scores.
+    """Propagate +-1 labels over the metric graph; returns the scores.
 
     The graph joins every pair of samples with weight exp(-mahalanobis
     distance) under ``metric`` and has the combinatorial Laplacian
     L = D - W.  Solves L_UU z_U = -L_UL z_L exactly (known entries pass
-    through).  A singular unlabeled block (disconnected unlabeled
-    component) gets a 1e-10 diagonal regularization and a logged warning.
+    through), with one refinement step.  A known label is a number, which
+    gives length-N scores, or a length-C row of labels, which gives (N, C)
+    scores from one solve.  An unlabeled block that fails the Cholesky
+    test (a disconnected unlabeled component makes it singular) gets a
+    1e-10 diagonal regularization and a logged warning.
     """
     if len(known_labels) == 0:
         raise ValueError("need at least one known label")
     f = np.asarray(all_features, dtype=float)
     n = f.shape[0]
-    known = {int(i): float(v) for i, v in known_labels.items()}
+    known = {int(i): v for i, v in known_labels.items()}
     for i in known:
         if not 0 <= i < n:
             raise IndexError(f"known-label index {i} out of range for N={n}")
@@ -47,27 +53,26 @@ def graph_classify(all_features: np.ndarray, known_labels: Mapping[int, float],
     w = np.exp(-d)  # underflows to exactly 0 for far pairs
     np.fill_diagonal(w, 0.0)
     laplacian = np.diag(np.sum(w, axis=1)) - w
-    scores = np.zeros(n)
     labeled = np.array(sorted(known), dtype=int)
-    scores[labeled] = [known[int(i)] for i in labeled]
+    values = np.array([known[i] for i in labeled.tolist()], dtype=float)
+    scores = np.zeros((n, *values.shape[1:]))
+    scores[labeled] = values
     mask = np.ones(n, dtype=bool)
     mask[labeled] = False
     unlabeled = np.nonzero(mask)[0]
     if unlabeled.size == 0:
         return scores
     l_uu = laplacian[np.ix_(unlabeled, unlabeled)]
-    l_ul = laplacian[np.ix_(unlabeled, labeled)]
-    rhs = -l_ul @ scores[labeled]
+    rhs = -laplacian[np.ix_(unlabeled, labeled)] @ values
     try:
-        factor = cho_factor(l_uu)
+        np.linalg.cholesky(l_uu)
     except np.linalg.LinAlgError:
         log.warning("singular unlabeled block (disconnected component); "
                     "adding %g diagonal regularization", _SINGULAR_REG)
         l_uu = l_uu + _SINGULAR_REG * np.eye(unlabeled.size)
-        factor = cho_factor(l_uu)
-    z = cho_solve(factor, rhs)
+    z = np.linalg.solve(l_uu, rhs)
     # one refinement step keeps the solution tight on weakly connected graphs
-    z += cho_solve(factor, rhs - l_uu @ z)
+    z += np.linalg.solve(l_uu, rhs - l_uu @ z)
     scores[unlabeled] = z
     return scores
 
@@ -77,14 +82,17 @@ def knn_vote_scores(train_features: np.ndarray, train_z: np.ndarray,
                     k: int) -> np.ndarray:
     """Mean +-1 training label among each test row's k nearest neighbors.
 
-    Distance ties break toward the lower training index (stable sort).
-    Over the classes of one metric, the highest mean is the majority
-    class, so ``one_vs_all_predict`` of these scores is a majority vote
-    whose ties go to the smallest class.
+    ``train_z`` holds one label per training row, or a row of C labels,
+    which gives (n_test, C) scores from one neighbor search.  Distance ties
+    break toward the lower training index (stable sort).  Over the classes
+    of one metric, the highest mean is the majority class, so
+    ``one_vs_all_predict`` of these scores is a majority vote whose ties go
+    to the smallest class.
     """
     train_z = np.asarray(train_z, dtype=float)
-    if not 1 <= k <= train_z.size:
-        raise ValueError(f"k={k} must be in 1..{train_z.size}")
+    n_train = train_z.shape[0]
+    if not 1 <= k <= n_train:
+        raise ValueError(f"k={k} must be in 1..{n_train}")
     d = pairwise_mahalanobis(test_features, train_features, metric.matrix)
     neighbors = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.mean(train_z[neighbors], axis=1)

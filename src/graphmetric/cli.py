@@ -246,7 +246,7 @@ def _cmd_classify(parser: argparse.ArgumentParser,
         parser.error(f"--k {args.k} must be in 1..{train.num_samples} "
                      f"(training samples)")
     scores = one_vs_all_scores(train.features, train.labels, test_features,
-                               train.num_classes, lambda z: metric,
+                               train.num_classes, metric,
                                (args.classifier,), args.k)
     preds = one_vs_all_predict(scores[args.classifier]).tolist()
     if args.format == "table":

@@ -4,7 +4,8 @@ Per seed: shuffle with numpy's seeded PCG64 generator (``default_rng``),
 split into stratified folds, learn one metric per (fold, class) pair on the
 training fold with +-1 one-vs-all labels, score both folds' test samples,
 and record error rates.  ``one_vs_all_scores`` does the per-class
-scoring; ``graphmetric classify`` calls it too, with one given metric.
+scoring; ``graphmetric classify`` calls it too, with one given metric for
+all classes.
 The whole report is a pure function of (dataset, config, seed list):
 re-running with the same inputs reproduces it bit for bit.  Wall-clock
 timings are kept out of the canonical serialization for that reason.
@@ -120,33 +121,39 @@ def stratified_folds(labels: np.ndarray, n_folds: int,
 
 def one_vs_all_scores(x_train: np.ndarray, y_train: np.ndarray,
                       x_test: np.ndarray, num_classes: int,
-                      metric_for: Callable[[np.ndarray], GraphMetric],
+                      metric: GraphMetric
+                      | Callable[[np.ndarray], GraphMetric],
                       classifiers: Sequence[str], k: int
                       ) -> dict[str, np.ndarray]:
     """Per-class scores of the test rows under each named classifier.
 
     Class c is scored against the rest with training labels z = +1 on
-    class c and -1 elsewhere, under the metric ``metric_for(z)``.  Returns
-    one (n_test, num_classes) array per classifier ("knn" votes among the
-    k nearest training rows, "graph" propagates z over the training and
-    test rows together); ``one_vs_all_predict`` turns it into labels.
-    Classes are scored in order, so a learning ``metric_for`` learns in
-    class order.
+    class c and -1 elsewhere.  ``metric`` is the one metric of every
+    class, which scores all classes in one pass per classifier, or a
+    function ``metric(z)`` giving class c's metric, which scores the
+    classes in order, so a learning function learns in class order.
+    Returns one (n_test, num_classes) array per classifier ("knn" votes
+    among the k nearest training rows, "graph" propagates z over the
+    training and test rows together); ``one_vs_all_predict`` turns it into
+    labels.
     """
     n_train = x_train.shape[0]
     stacked = np.vstack([x_train, x_test])
+    z = np.where(y_train[:, None] == np.arange(num_classes), 1.0, -1.0)
+    if isinstance(metric, GraphMetric):
+        passes = [(slice(None), metric)]
+    else:
+        passes = ((cls, metric(z[:, cls])) for cls in range(num_classes))
     scores = {name: np.zeros((x_test.shape[0], num_classes))
               for name in classifiers}
-    for cls in range(num_classes):
-        z = np.where(y_train == cls, 1.0, -1.0)
-        metric = metric_for(z)
+    for cols, m in passes:
         if "knn" in scores:
-            scores["knn"][:, cls] = knn_vote_scores(x_train, z, x_test,
-                                                    metric, k)
+            scores["knn"][:, cols] = knn_vote_scores(x_train, z[:, cols],
+                                                     x_test, m, k)
         if "graph" in scores:
-            known = dict(enumerate(z.tolist()))
-            scores["graph"][:, cls] = graph_classify(stacked, known,
-                                                     metric)[n_train:]
+            known = dict(enumerate(z[:, cols]))
+            scores["graph"][:, cols] = graph_classify(stacked, known,
+                                                      m)[n_train:]
     return scores
 
 

@@ -499,10 +499,12 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     k = matrix.dim
     if not 0 <= col < k:
         raise IndexError(f"column {col} out of range for dim {k}")
-    rows = [r for r in range(k) if r != col]
+    rows = np.arange(k - 1)
+    rows[col:] += 1  # every row but col
     a = matrix.entries
     s = state.scalars.values
-    x0 = a[rows, col]
+    a_rows, s_rows = a[rows], s[rows]
+    x0 = a_rows[:, col]
 
     zeta_local = int(np.argmax(np.abs(x0)))
     tree = state.protected_edges or max_spanning_tree(matrix, cfg.epsilon) or ()
@@ -510,17 +512,18 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
 
     # row r's budget for |m_r,col|, by direct summation (no cancellation):
     # u_r = s_col * ((a_rr - rho)/s_r - sum_{j not in {r, col}} |a_rj|/s_j)
-    ratio_rows = np.abs(a[rows]) / s[None, :]  # |a_rj| / s_j
-    other_sum = (ratio_rows.sum(axis=1) - ratio_rows[np.arange(k - 1), rows]
+    diag = (np.arange(k - 1), rows)  # entry (r, r) of each row r of a_rows
+    ratio_rows = np.abs(a_rows) / s  # |a_rj| / s_j
+    other_sum = (ratio_rows.sum(axis=1) - ratio_rows[diag]
                  - ratio_rows[:, col])
-    upper_mag = s[col] * ((a[rows, rows] - cfg.rho) / s[rows] - other_sum)
+    upper_mag = s[col] * ((a_rows[diag] - cfg.rho) / s_rows - other_sum)
     coupling_budget = (a[col, col] - cfg.rho) / s[col]
     lower = -np.maximum(upper_mag, 0.0)
     upper = np.zeros(k - 1)
     upper[[zeta_local, *tree_local]] = -cfg.epsilon
 
-    coupling_coeffs = 1.0 / s[rows]
-    x = np.clip(x0, lower, upper)
+    coupling_coeffs = 1.0 / s_rows
+    x = np.minimum(np.maximum(x0, lower), upper)
     if (np.any(lower > upper) or coupling_budget < 0
             or float(coupling_coeffs @ np.maximum(-x, 0.0))
             > coupling_budget * (1.0 + 1e-9) + 1e-15):

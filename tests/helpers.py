@@ -7,8 +7,10 @@ differences, plain formulas) so the tests never trust the code paths
 they check.  ``ReferenceGLRObjective``, ``reference_diagonal_lp``,
 ``reference_knapsack_lp``, ``reference_basis`` and ``reference_lobpcg``
 are the production kernels' plain formulas without their caches and
-shortcuts: a learn through them must give the same bits.  ``count_eigensolves`` is the one
-spy: it records solver calls.
+shortcuts: a learn through them must give the same bits.
+``reference_graph_scores`` solves the graph classifier's system by
+scipy's Cholesky routines.  ``count_eigensolves`` is the one spy: it
+records solver calls.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from graphmetric import eigen
 from graphmetric.core import (DimensionMismatchError, GraphMetric,
@@ -563,6 +566,43 @@ def euclidean_knn_label(train_x: np.ndarray, train_y: np.ndarray,
         votes[int(train_y[idx])] = votes.get(int(train_y[idx]), 0) + 1
     top = max(votes.values())
     return min(lbl for lbl, cnt in votes.items() if cnt == top)
+
+
+def similarity_graph(feats, metric: GraphMetric
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Weights exp(-d_M) on distinct pairs and their Laplacian D - W."""
+    n = len(feats)
+    w = np.array([[0.0 if i == j else
+                   np.exp(-mahalanobis(feats[i], feats[j], metric.matrix))
+                   for j in range(n)] for i in range(n)])
+    return w, np.diag(w.sum(axis=1)) - w
+
+
+def reference_graph_scores(feats, known: dict, metric: GraphMetric
+                           ) -> np.ndarray:
+    """Harmonic label scores by a Cholesky solve (``cho_factor``).
+
+    Solves L_UU z_U = -L_UL z_L on ``similarity_graph``'s Laplacian with
+    one refinement step; when L_UU has no Cholesky factor it adds 1e-10
+    to the diagonal.  Known labels are numbers, or rows of C labels for
+    (N, C) scores.
+    """
+    _, laplacian = similarity_graph(feats, metric)
+    labeled = sorted(known)
+    unlabeled = [i for i in range(len(feats)) if i not in known]
+    values = np.array([known[i] for i in labeled], dtype=float)
+    scores = np.zeros((len(feats), *values.shape[1:]))
+    scores[labeled] = values
+    l_uu = laplacian[np.ix_(unlabeled, unlabeled)]
+    rhs = -laplacian[np.ix_(unlabeled, labeled)] @ values
+    try:
+        factor = cho_factor(l_uu)
+    except np.linalg.LinAlgError:
+        l_uu = l_uu + 1e-10 * np.eye(len(unlabeled))
+        factor = cho_factor(l_uu)
+    z = cho_solve(factor, rhs)
+    scores[unlabeled] = z + cho_solve(factor, rhs - l_uu @ z)
+    return scores
 
 
 def count_eigensolves(monkeypatch) -> list[str]:

@@ -9,7 +9,8 @@ from graphmetric.classify import (graph_classify, knn_vote_scores,
                                   one_vs_all_predict)
 from graphmetric.core import SymmetricMatrix, validate_graph_metric
 from graphmetric.experiment import one_vs_all_scores
-from helpers import euclidean_knn_label, mahalanobis, random_graph_metric
+from helpers import (euclidean_knn_label, random_graph_metric,
+                     reference_graph_scores, similarity_graph)
 
 IDENTITY_3 = validate_graph_metric(SymmetricMatrix(
     [[1.0, -1e-6, 0.0], [-1e-6, 1.0, -1e-6], [0.0, -1e-6, 1.0]]))
@@ -22,17 +23,13 @@ def _knn_predict(feats, labels, points, metric, k):
     labels = np.asarray(labels)
     scores = one_vs_all_scores(np.asarray(feats, dtype=float), labels,
                                np.atleast_2d(points), int(labels.max()) + 1,
-                               lambda z: metric, ("knn",), k)
+                               metric, ("knn",), k)
     return one_vs_all_predict(scores["knn"]).tolist()
 
 
-def _similarity_graph(feats, metric):
-    """Weights exp(-d_M) on distinct pairs and their Laplacian D - W."""
-    n = len(feats)
-    w = np.array([[0.0 if i == j else
-                   np.exp(-mahalanobis(feats[i], feats[j], metric.matrix))
-                   for j in range(n)] for i in range(n)])
-    return w, np.diag(w.sum(axis=1)) - w
+def _assert_relative(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 class TestKnn:
@@ -154,7 +151,7 @@ class TestGraphClassify:
             n = int(rng.integers(4, 10))
             feats = rng.normal(size=(n, 3))
             g = random_graph_metric(rng, 3)
-            _, laplacian = _similarity_graph(feats, g)
+            _, laplacian = similarity_graph(feats, g)
             known = {0: 1.0, 1: -1.0}
             scores = graph_classify(feats, known, g)
             base = scores @ laplacian @ scores
@@ -183,6 +180,54 @@ class TestGraphClassify:
         assert np.all(np.isfinite(scores))
         assert any("singular" in rec.message for rec in caplog.records)
 
+    def test_matches_cholesky_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(4, 25))
+            feats = rng.normal(size=(n, 3))
+            g = random_graph_metric(rng, 3)
+            known = {int(i): float(rng.choice([-1.0, 1.0]))
+                     for i in rng.choice(n, size=int(rng.integers(1, n)),
+                                         replace=False)}
+            _assert_relative(graph_classify(feats, known, g),
+                             reference_graph_scores(feats, known, g))
+
+    def test_label_block_matches_cholesky_reference(self):
+        # C label columns solved at once give (N, C) scores, each column
+        # the scores of that column's labels alone
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            n = int(rng.integers(6, 25))
+            feats = rng.normal(size=(n, 3))
+            g = random_graph_metric(rng, 3)
+            classes = rng.integers(0, 3, size=n)
+            z = np.where(classes[:, None] == np.arange(3), 1.0, -1.0)
+            known = {int(i): z[i] for i in
+                     rng.choice(n, size=int(rng.integers(1, n)),
+                                replace=False)}
+            scores = graph_classify(feats, known, g)
+            _assert_relative(scores, reference_graph_scores(feats, known, g))
+            for c in range(3):
+                column = {i: float(v[c]) for i, v in known.items()}
+                _assert_relative(scores[:, c],
+                                 graph_classify(feats, column, g))
+
+    def test_singular_block_matches_cholesky_reference(self, caplog):
+        # a far unlabeled node makes L_UU singular: both solvers add the
+        # 1e-10 regularization, and the far node scores 0
+        rng = np.random.default_rng(10)
+        feats = np.vstack([rng.normal(size=(6, 3)), [[1e4, 1e4, 1e4]]])
+        g = random_graph_metric(rng, 3)
+        for known in ({0: 1.0, 3: -1.0},
+                      {0: np.array([1.0, -1.0]), 3: np.array([-1.0, 1.0])}):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING,
+                                 logger="graphmetric.classify"):
+                scores = graph_classify(feats, known, g)
+            assert any("singular" in rec.message for rec in caplog.records)
+            assert np.all(scores[6] == 0.0)
+            _assert_relative(scores, reference_graph_scores(feats, known, g))
+
 
 class TestLabeledGraph:
     def test_invariants(self):
@@ -192,7 +237,7 @@ class TestLabeledGraph:
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(8, 3))
         g = random_graph_metric(rng, 3)
-        w, laplacian = _similarity_graph(feats, g)
+        w, laplacian = similarity_graph(feats, g)
         assert np.all(np.diag(w) == 0.0)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         assert np.allclose(w, w.T)
@@ -211,3 +256,17 @@ class TestOneVsAll:
     def test_tie_goes_to_lowest_class(self):
         scores = np.array([[0.5, 0.5, 0.1]])
         assert one_vs_all_predict(scores).tolist() == [0]
+
+    def test_shared_metric_scores_every_class_at_once(self):
+        # one metric for all classes gives the scores of asking for it
+        # class by class
+        rng = np.random.default_rng(11)
+        g = random_graph_metric(rng, 3)
+        x_train, x_test = rng.normal(size=(15, 3)), rng.normal(size=(7, 3))
+        y_train = rng.integers(0, 3, size=15)
+        shared = one_vs_all_scores(x_train, y_train, x_test, 3, g,
+                                   ("knn", "graph"), 5)
+        per_class = one_vs_all_scores(x_train, y_train, x_test, 3,
+                                      lambda z: g, ("knn", "graph"), 5)
+        assert np.array_equal(shared["knn"], per_class["knn"])
+        _assert_relative(shared["graph"], per_class["graph"])

@@ -1,7 +1,11 @@
 """Every name a package module imports or keeps private is used in it,
-and the package exports exactly what its ``__init__.py`` imports."""
+the package exports exactly what its ``__init__.py`` imports, and
+importing it loads nothing beyond the standard library and numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,41 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+# run in a fresh interpreter: prints the top-level modules that the
+# statement on stdin loads, except the standard library, numpy, the
+# package and __main__'s aliases (multiprocessing adds __mp_main__)
+_PROBE = """
+import sys
+before = set(sys.modules)
+exec(sys.stdin.read())
+main = sys.modules["__main__"]
+allowed = set(sys.stdlib_module_names) | {"numpy", "graphmetric"}
+print(" ".join(sorted({name.partition(".")[0]
+                       for name, module in sys.modules.items()
+                       if name not in before and module is not main}
+                      - allowed)))
+"""
+
+
+def foreign_modules(statement: str) -> list[str]:
+    """Top-level non-stdlib modules other than numpy that ``statement``
+    loads in a fresh interpreter with this checkout's package on the path.
+    Modules the interpreter loaded before the statement ran do not count.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", _PROBE], input=statement,
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return out.split()
+
+
+def test_detects_foreign_modules():
+    found = foreign_modules("import json, graphmetric.core, scipy.linalg")
+    assert "scipy" in found
+    assert not {"json", "numpy", "graphmetric"} & set(found)
+
+
+def test_package_runs_on_numpy_alone():
+    assert foreign_modules("import graphmetric, graphmetric.cli") == []
