@@ -10,7 +10,7 @@ alternately by Frank-Wolfe iterations whose subproblems are small LPs.
 
 from .classify import graph_classify, knn_vote_scores, one_vs_all_predict
 from .core import (Certificate, GershgorinScalars, GraphMetric,
-                   GraphMetricRejection, SymmetricMatrix, alignment_scalars,
+                   GraphMetricRejection, SymmetricMatrix,
                    pairwise_mahalanobis, scaled_left_ends,
                    validate_graph_metric)
 from .data import Dataset, Scaler, load_csv, load_feature_matrix, standardize
@@ -34,13 +34,12 @@ __all__ = [
     "GraphMetricRejection", "LearnResult", "LobpcgNonConvergence",
     "LPSolution", "ObjectiveContext", "OptimizerConfig", "OptimizerState",
     "PairDistances", "RunRecord", "Scaler", "SymmetricMatrix",
-    "alignment_scalars", "diagonal_step", "glr_grad_diag",
-    "glr_grad_offdiag_col", "glr_value", "graph_classify", "init_metric",
-    "knn_vote_scores", "learn_metric", "load_csv", "load_feature_matrix",
-    "load_metric", "offdiag_step", "one_vs_all_predict", "pair_distances",
-    "pairwise_mahalanobis", "run_experiment", "save_metric",
-    "scaled_left_ends", "smallest_eigenpair_dense",
-    "smallest_eigenpair_lobpcg", "solve_box_knapsack_lp",
-    "solve_diagonal_lp", "standardize", "update_scalars",
-    "validate_graph_metric", "__version__",
+    "diagonal_step", "glr_grad_diag", "glr_grad_offdiag_col", "glr_value",
+    "graph_classify", "init_metric", "knn_vote_scores", "learn_metric",
+    "load_csv", "load_feature_matrix", "load_metric", "offdiag_step",
+    "one_vs_all_predict", "pair_distances", "pairwise_mahalanobis",
+    "run_experiment", "save_metric", "scaled_left_ends",
+    "smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
+    "solve_box_knapsack_lp", "solve_diagonal_lp", "standardize",
+    "update_scalars", "validate_graph_metric", "__version__",
 ]

@@ -4,20 +4,27 @@ A *graph metric matrix* is a positive definite generalized graph Laplacian:
 strictly positive diagonal, non-positive off-diagonals, and a connected
 off-diagonal sparsity graph.  The set of such matrices is the search space
 of the metric learner; this module provides the matrix substrate, the one
-membership check (``validate_graph_metric``), and the disc-alignment
-scalars that turn the PD cone constraint into linear constraints.
+membership check (``validate_graph_metric``), and the Gershgorin disc
+arithmetic under per-row scalars that turns the PD cone constraint into
+linear constraints.
+
+``SymmetricMatrix`` stores exactly symmetric entries.  The optimizer only
+ever builds exactly symmetric inputs, which are copied as they are; the
+upper-triangle mirror runs only for inputs that are symmetric to 1e-9.
 
 Connectivity has one rule and one routine: the graph is connected when
 Prim's maximum spanning tree (``max_spanning_tree``) exists over the edges
-with |m_ij| > CONNECTIVITY_EPS.  The optimizer keeps its protected edges
-with the same routine over edges >= epsilon > CONNECTIVITY_EPS, so any
-tree it finds also proves connectivity.
+with |m_ij| > CONNECTIVITY_EPS.  Prim runs over the list of edges at or
+above its floor, with a heap of the edges leaving the tree.  The optimizer
+keeps its protected edges with the same routine over edges >= epsilon >
+CONNECTIVITY_EPS, so any tree it finds also proves connectivity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -50,9 +57,12 @@ class GraphMetricRejection(ValueError):
 class SymmetricMatrix:
     """Dense K x K real symmetric matrix.
 
-    Symmetry is exact by construction: the constructor mirrors the upper
-    triangle onto the lower, so ``entries[i, j]`` and ``entries[j, i]`` are
-    the same float.  Entries must be finite.  The entry array is read-only.
+    Symmetry is exact by construction: ``entries[i, j]`` and
+    ``entries[j, i]`` are the same float.  An input that is exactly
+    symmetric is copied as ``a + 0.0``; any other input within 1e-9
+    (relative) of symmetric has its upper triangle mirrored onto the lower.
+    Both give the same bits, every zero as +0.0.  Entries must be finite.
+    The entry array is read-only.
     """
 
     entries: np.ndarray
@@ -65,11 +75,15 @@ class SymmetricMatrix:
             raise ValueError("dimension must be >= 1")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-        if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
-            raise ValueError("input matrix is not symmetric")
-        upper = np.triu(a, 1)
-        exact = np.diag(np.diag(a)) + upper + upper.T
+        if (a == a.T).all():
+            # the same bits as the mirror below, at about a quarter of its cost
+            exact = a + 0.0
+        else:
+            scale = max(1.0, float(np.max(np.abs(a))))
+            if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
+                raise ValueError("input matrix is not symmetric")
+            upper = np.triu(a, 1)
+            exact = np.diag(np.diag(a)) + upper + upper.T
         exact.setflags(write=False)
         object.__setattr__(self, "entries", exact)
 
@@ -98,16 +112,20 @@ class SymmetricMatrix:
         """New matrix with column ``col``'s off-diagonal entries replaced.
 
         ``values`` has length K-1 and lists rows 0..K-1 skipping ``col``.
-        The symmetric row entries are updated in lockstep.
+        The symmetric row entries are updated in lockstep.  Raises
+        IndexError unless 0 <= col < K.
         """
+        k = self.dim
+        if not 0 <= col < k:
+            raise IndexError(f"column {col} out of range for dim {k}")
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.dim - 1,):
+        if values.shape != (k - 1,):
             raise DimensionMismatchError(
-                f"expected {self.dim - 1} column values, got {values.shape}")
-        rows = [r for r in range(self.dim) if r != col]
+                f"expected {k - 1} column values, got {values.shape}")
         a = self.entries.copy()
-        a[rows, col] = values
-        a[col, rows] = values
+        above, below = values[:col], values[col:]
+        a[:col, col] = a[col, :col] = above
+        a[col + 1:, col] = a[col, col + 1:] = below
         return SymmetricMatrix(a)
 
 
@@ -154,7 +172,7 @@ class GershgorinScalars:
         v = np.asarray(self.values, dtype=float).copy()
         if v.ndim != 1:
             raise ValueError("scalars must be a 1-D vector")
-        if not np.all(v > 0):
+        if not (v > 0).all():
             raise ValueError("all Gershgorin scalars must be strictly positive")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -184,39 +202,48 @@ def scaled_left_ends(m: SymmetricMatrix, s: GershgorinScalars) -> np.ndarray:
     return np.diag(m.entries) - scaled_radii(m, s)
 
 
+# Every positive double is at or above this: a zero is never an edge.
+_SMALLEST_POSITIVE = math.ulp(0.0)
+
+
 def max_spanning_tree(m: SymmetricMatrix, floor: float
                       ) -> tuple[tuple[int, int], ...] | None:
     """Maximum-weight spanning tree over edges with |m_ij| >= floor (Prim).
 
-    O(K^2) with a key array.  Ties go to the lowest tree node, then the
-    lowest new node.  Returns the sorted edge tuple, or None when those
-    edges do not span the graph.
+    Lists only the edges at or above the floor (zeros are never edges) and
+    keeps those leaving the tree in a heap ordered by (weight descending,
+    tree node, new node): ties go to the lowest tree node, then the lowest
+    new node.  Returns the sorted edge tuple, or None when those edges do
+    not span the graph.
     """
     k = m.dim
     w = np.abs(m.entries)
-    w[w < floor] = 0.0
-    rows = w.tolist()
-    # key[j]: heaviest edge from the tree to node j, reached from parent[j]
-    key = list(rows[0])
-    parent = [0] * k
-    outside = list(range(1, k))
+    w.ravel()[::k + 1] = 0.0
+    idx = np.flatnonzero(w >= max(floor, _SMALLEST_POSITIVE))
+    rows, cols = np.divmod(idx, k)
+    # entries[starts[i]:starts[i + 1]]: node i's edges (-|m_ij|, i, j), j
+    # ascending (idx is row-major)
+    entries = list(zip((-w.ravel()[idx]).tolist(), rows.tolist(),
+                       cols.tolist()))
+    starts = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    in_tree = [False] * k
+    in_tree[0] = True
+    heap = entries[:starts[1]]
+    heapify(heap)
     edges: list[tuple[int, int]] = []
-    while outside:
-        node, weight, via = -1, 0.0, k
-        for j in outside:
-            kj = key[j]
-            if kj > weight or (kj == weight and parent[j] < via):
-                node, weight, via = j, kj, parent[j]
-        if weight <= 0.0:
-            return None
-        outside.remove(node)
-        edges.append((min(via, node), max(via, node)))
-        row = rows[node]
-        for j in outside:
-            wj = row[j]
-            if wj > key[j] or (wj == key[j] and node < parent[j]):
-                key[j] = wj
-                parent[j] = node
+    while heap:
+        _, via, node = heappop(heap)
+        if in_tree[node]:
+            continue
+        in_tree[node] = True
+        edges.append((via, node) if via < node else (node, via))
+        if len(edges) == k - 1:
+            break
+        for entry in entries[starts[node]:starts[node + 1]]:
+            if not in_tree[entry[2]]:
+                heappush(heap, entry)
+    if len(edges) < k - 1:
+        return None
     return tuple(sorted(edges))
 
 
@@ -269,19 +296,6 @@ def validate_graph_metric(m: SymmetricMatrix) -> GraphMetric:
             ["first eigenvector has non-positive entries (certification failed)"])
     return GraphMetric(matrix=m, certificate=Certificate(lambda_min=pair.value,
                                                          eigvec=vec))
-
-
-def alignment_scalars(g: GraphMetric) -> GershgorinScalars:
-    """Scalars s_k = 1 / v_k from the certified first eigenvector.
-
-    Under these scalars all disc left-ends of S M S^-1 coincide at
-    lambda_min, making the Gershgorin lower bound tight.
-    """
-    v = g.certificate.eigvec
-    if np.any(v <= 0):
-        raise ValueError(
-            "certificate eigenvector has non-positive entries; invalid certificate")
-    return GershgorinScalars(values=1.0 / v)
 
 
 def pairwise_mahalanobis(features_a: np.ndarray, features_b: np.ndarray,

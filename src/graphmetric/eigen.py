@@ -55,7 +55,8 @@ class LobpcgNonConvergence(EigensolverError):
 
 def _sign_normalize(v: np.ndarray) -> np.ndarray:
     """Flip sign so the first entry with non-negligible magnitude is positive."""
-    nz = np.nonzero(np.abs(v) > 1e-14 * max(1.0, float(np.max(np.abs(v)))))[0]
+    mag = np.abs(v)
+    nz = np.nonzero(mag > 1e-14 * max(1.0, float(mag.max())))[0]
     if nz.size and v[nz[0]] < 0:
         return -v
     return v
@@ -79,8 +80,8 @@ def clamp_positive(v: np.ndarray) -> np.ndarray | None:
     """
     if not np.isfinite(v).all():
         return None
-    vmax = float(np.max(v))
-    if vmax <= 0 or float(np.min(v)) <= -NEGATIVE_GRACE:
+    vmax = float(v.max())
+    if vmax <= 0 or float(v.min()) <= -NEGATIVE_GRACE:
         return None
     w = np.maximum(v, _POSITIVE_FLOOR * vmax)
     return w / np.linalg.norm(w)
@@ -122,9 +123,11 @@ def _orthonormal_basis(columns: list[np.ndarray]) -> np.ndarray:
     Near-dependent columns are dropped; the result always contains at least
     the first column's direction.
     """
+    # the kept columns fill a C-ordered basis, as np.column_stack would
+    v = np.empty((columns[0].shape[0], len(columns)))
     kept: list[np.ndarray] = []
     for col in columns:
-        w = col.astype(float, copy=True)
+        w = col.copy()
         for q in kept:
             w -= (q @ w) * q
         # LOBPCG's norms are math.sqrt(w @ w): for a contiguous w that is
@@ -133,8 +136,11 @@ def _orthonormal_basis(columns: list[np.ndarray]) -> np.ndarray:
         norm = math.sqrt(w @ w)
         if norm <= 1e-12 * max(1.0, math.sqrt(col @ col)):
             continue
-        kept.append(w / norm)
-    v = np.column_stack(kept)
+        w /= norm
+        v[:, len(kept)] = w
+        kept.append(w)
+    if len(kept) < len(columns):
+        v = np.ascontiguousarray(v[:, :len(kept)])
     gram = v.T @ v
     if _gram_well_conditioned(gram):
         return v
@@ -200,7 +206,7 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     # unchanged, and ||Tr|| >= ||r|| keeps the preconditioned residual above
     # _orthonormal_basis's absolute drop threshold whenever r itself is.
     diag = np.diag(a)
-    precond = float(np.max(diag)) / diag if bool(np.all(diag > 0)) else None
+    precond = float(diag.max()) / diag if bool((diag > 0).all()) else None
     ax = a @ x
     lam = float(x @ ax)
     r = ax - lam * x

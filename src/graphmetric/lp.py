@@ -83,11 +83,9 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
     n = g.shape[0]
     if not (lo.shape == up.shape == a.shape == (n,)):
         raise LPError("knapsack LP vectors must share one length")
-    coef, los, ups = a.tolist(), lo.tolist(), up.tolist()
-    if not all(c > 0 for c in coef):
+    if not (a > 0).all():
         raise LPError("knapsack coefficients must be strictly positive")
-    if (any(lo_r > up_r + FEASIBILITY_TOL for lo_r, up_r in zip(los, ups))
-            or any(up_r > FEASIBILITY_TOL for up_r in ups)):
+    if (lo > up + FEASIBILITY_TOL).any() or (up > FEASIBILITY_TOL).any():
         return LPSolution(point=None, objective_value=np.nan,
                           status=INFEASIBLE)
     x = np.minimum(up, 0.0)
@@ -100,11 +98,11 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
         # the greedy on Python floats does the IEEE operations of numpy
         # scalars without their overhead; sorted is stable, so tied gains
         # stay in index order
-        gs = g.tolist()
+        gs, coef = g.tolist(), a.tolist()
         order = sorted((r for r in range(n) if gs[r] > 0),
                        key=lambda r: -(gs[r] / coef[r]))
         if order:
-            xs = x.tolist()
+            xs, los = x.tolist(), lo.tolist()
             for r in order:
                 step = min(xs[r] - los[r], remaining / coef[r])
                 xs[r] -= step

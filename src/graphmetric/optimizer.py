@@ -27,8 +27,7 @@ import numpy as np
 from . import eigen, lp
 from .core import (CONNECTIVITY_EPS, Certificate, GershgorinScalars,
                    GraphMetric, SymmetricMatrix, is_connected,
-                   max_spanning_tree, scaled_left_ends, scaled_radii,
-                   validate_graph_metric)
+                   max_spanning_tree, scaled_radii, validate_graph_metric)
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 
 log = logging.getLogger(__name__)
@@ -274,12 +273,17 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     without it None.
     """
     v = metric.certificate.eigvec
-    vmax = float(np.max(v))
+    vmax = float(v.max())
+    # scaled_left_ends' arithmetic, with |M| and diag(M) taken once
+    a = metric.matrix.entries
+    off = np.abs(a)
+    off.ravel()[::a.shape[0] + 1] = 0.0
+    centres = a.diagonal()
     for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
-        scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
-        left = scaled_left_ends(metric.matrix, scalars)
-        if float(np.min(left)) >= rho - _FEAS_SLACK:
-            return scalars
+        sv = 1.0 / np.maximum(v, eta * vmax)
+        left = centres - (off * (sv[:, None] / sv[None, :])).sum(axis=1)
+        if float(left.min()) >= rho - _FEAS_SLACK:
+            return GershgorinScalars(sv)
     if not floored:
         return None
     lam = metric.certificate.lambda_min
@@ -416,10 +420,11 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
             f"{cfg.trace_cap:.6g} by {deficit:.3e}; check rho / trace_cap")
     if deficit > lp.FEASIBILITY_TOL * max(1.0, cfg.trace_cap):
         # tiny overshoot comes from floored-scalar bound erosion at the
-        # lambda_min = rho floor, not from misconfiguration
-        log.warning("diagonal step skipped: scaled lower bounds overshoot "
-                    "the trace cap by %.3e (incumbent at the rho floor)",
-                    deficit)
+        # lambda_min = rho floor, not from misconfiguration; the skip keeps
+        # the metric object, and learn_metric's summary counts it
+        log.debug("diagonal step skipped: scaled lower bounds overshoot "
+                  "the trace cap by %.3e (incumbent at the rho floor)",
+                  deficit)
         return replace(state,
                        objective_trace=state.objective_trace + (q,),
                        fw_gap=0.0)
@@ -473,10 +478,10 @@ def _tree_survives(tree: tuple[tuple[int, int], ...], tree_local: list[int],
     moved = before != after
     if not tree or moved[tree_local].any():
         return False
-    if np.any(np.abs(after[moved]) > np.abs(before[moved])):
+    if (np.abs(after[moved]) > np.abs(before[moved])).any():
         return False
     i, j = np.array(tree).T
-    return bool(np.all(np.abs(current.entries[i, j]) >= floor))
+    return bool((np.abs(current.entries[i, j]) >= floor).all())
 
 
 def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
@@ -506,7 +511,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     a_rows, s_rows = a[rows], s[rows]
     x0 = a_rows[:, col]
 
-    zeta_local = int(np.argmax(np.abs(x0)))
+    zeta_local = int(np.abs(x0).argmax())
     tree = state.protected_edges or max_spanning_tree(matrix, cfg.epsilon) or ()
     tree_local = _column_tree_edges(tree, col)
 
@@ -524,7 +529,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
 
     coupling_coeffs = 1.0 / s_rows
     x = np.minimum(np.maximum(x0, lower), upper)
-    if (np.any(lower > upper) or coupling_budget < 0
+    if ((lower > upper).any() or coupling_budget < 0
             or float(coupling_coeffs @ np.maximum(-x, 0.0))
             > coupling_budget * (1.0 + 1e-9) + 1e-15):
         log.debug("off-diagonal step on column %d skipped: the epsilon "
@@ -533,7 +538,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
         return state
     point = start = obj.at(matrix)
     q = q0 = obj.value(start)
-    if np.any(x != x0):
+    if (x != x0).any():
         point = obj.ray(start, x - x0, col)(1.0)
         q = obj.value(point)
 
@@ -551,7 +556,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                   "keeping the incumbent", col)
         return replace(state,
                        objective_trace=state.objective_trace + (q0,))
-    if not np.any(x != x0):
+    if not (x != x0).any():
         return replace(state, metric=_unchanged(state.metric),
                        objective_trace=state.objective_trace + (q,))
     current = matrix.with_offdiag_column(col, x)
@@ -584,9 +589,9 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     the objective Q by at most obj_rel_tol * max(1, |Q|), so the tolerance
     is relative once |Q| >= 1 and absolute below, or at outer_max_iters.
     The observer sees "init", then "diagonal", one "offdiag" per column
-    and "outer" in each outer iteration.  Logs one warning per run for
-    skipped or stalled column steps, and one when the run stops at
-    outer_max_iters unconverged.
+    and "outer" in each outer iteration.  Logs one warning per run that
+    counts skipped diagonal steps and skipped or stalled column steps, and
+    one when the run stops at outer_max_iters unconverged.
     """
     cfg = (cfg or OptimizerConfig()).resolve(ctx.num_features)
     obj = GLRObjective(ctx)
@@ -596,11 +601,14 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
 
     converged = False
     outer = 0
-    skipped = stalled = 0
+    diag_skipped = skipped = stalled = 0
     for outer in range(1, cfg.outer_max_iters + 1):
         q_start = state.objective_trace[-1]
+        before = state
         state = diagonal_step(state, ctx, cfg, objective=obj)
         notify("diagonal", state)
+        # a diagonal step that ran hands on a new metric object
+        diag_skipped += state.metric is before.metric
         for col in range(ctx.num_features):
             before = state
             state = offdiag_step(state, ctx, cfg, col, objective=obj)
@@ -621,11 +629,15 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
         if change <= cfg.obj_rel_tol * max(1.0, abs(q_start)):
             converged = True
             break
+    events = []
+    if diag_skipped:
+        events.append(f"{diag_skipped} of {outer} diagonal steps skipped "
+                      f"(scaled lower bounds over the trace cap)")
     if skipped or stalled:
-        log.warning("%d of %d off-diagonal column steps skipped and %d "
-                    "made no progress",
-                    skipped, outer * ctx.num_features,
-                    stalled)
+        events.append(f"{skipped} of {outer * ctx.num_features} off-diagonal "
+                      f"column steps skipped and {stalled} made no progress")
+    if events:
+        log.warning("%s", "; ".join(events))
     if not converged:
         log.warning("stopped unconverged at outer_max_iters=%d: last outer "
                     "change over max(1, |Q|) is %.3e, above obj_rel_tol "

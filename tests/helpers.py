@@ -8,6 +8,10 @@ they check.  ``ReferenceGLRObjective``, ``reference_diagonal_lp``,
 ``reference_knapsack_lp``, ``reference_basis`` and ``reference_lobpcg``
 are the production kernels' plain formulas without their caches and
 shortcuts: a learn through them must give the same bits.
+``key_array_spanning_tree``, ``mirrored_symmetric_init`` and
+``reference_conditioned_scalars`` are the earlier forms of Prim's tree,
+``SymmetricMatrix`` construction and the optimizer's scalar ladder.
+``alignment_scalars`` is the paper's bare disc-alignment rule s = 1/v.
 ``reference_graph_scores`` solves the graph classifier's system by
 scipy's Cholesky routines.  ``count_eigensolves`` is the one spy: it
 records solver calls.
@@ -21,12 +25,14 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from graphmetric import eigen
-from graphmetric.core import (DimensionMismatchError, GraphMetric,
-                              SymmetricMatrix, validate_graph_metric)
+from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
+                              GraphMetric, SymmetricMatrix, scaled_left_ends,
+                              validate_graph_metric)
 from graphmetric.data import Dataset
 from graphmetric.lp import INFEASIBLE, OPTIMAL, LPError, LPSolution
 from graphmetric.objective import ObjectiveContext, glr_value
-from graphmetric.optimizer import _ARMIJO_C, _MIN_STEP
+from graphmetric.optimizer import (_ARMIJO_C, _FEAS_SLACK, _MIN_STEP,
+                                   _SCALAR_FLOOR, CertificationError)
 
 
 def random_graph_metric(rng: np.random.Generator, dim: int,
@@ -524,6 +530,93 @@ def max_spanning_tree(matrix, floor: float):
         in_tree[j] = True
         edges.append((min(i, j), max(i, j)))
     return tuple(sorted(edges))
+
+
+def key_array_spanning_tree(matrix, floor: float):
+    """Maximum-weight spanning tree over edges with |m_ij| >= floor.
+
+    Prim in O(K^2) over all K^2 entries with a key array: key[j] is the
+    heaviest edge from the tree to node j, reached from parent[j].  Ties go
+    to the lowest tree node, then the lowest new node.  Returns the sorted
+    edge tuple, or None when those edges do not span the graph.
+    """
+    k = matrix.dim
+    w = np.abs(matrix.entries)
+    w[w < floor] = 0.0
+    rows = w.tolist()
+    key = list(rows[0])
+    parent = [0] * k
+    outside = list(range(1, k))
+    edges = []
+    while outside:
+        node, weight, via = -1, 0.0, k
+        for j in outside:
+            kj = key[j]
+            if kj > weight or (kj == weight and parent[j] < via):
+                node, weight, via = j, kj, parent[j]
+        if weight <= 0.0:
+            return None
+        outside.remove(node)
+        edges.append((min(via, node), max(via, node)))
+        row = rows[node]
+        for j in outside:
+            wj = row[j]
+            if wj > key[j] or (wj == key[j] and node < parent[j]):
+                key[j] = wj
+                parent[j] = node
+    return tuple(sorted(edges))
+
+
+def mirrored_symmetric_init(self) -> None:
+    """``SymmetricMatrix.__post_init__`` that mirrors every input's upper
+    triangle onto the lower, after the finiteness and 1e-9 (relative)
+    symmetry checks."""
+    a = np.asarray(self.entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("dimension must be >= 1")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
+        raise ValueError("input matrix is not symmetric")
+    upper = np.triu(a, 1)
+    exact = np.diag(np.diag(a)) + upper + upper.T
+    exact.setflags(write=False)
+    object.__setattr__(self, "entries", exact)
+
+
+def reference_conditioned_scalars(metric: GraphMetric, rho: float,
+                                  floored: bool = True):
+    """``optimizer._conditioned_scalars`` with a fresh ``GershgorinScalars``
+    and ``scaled_left_ends`` for every rung of the eta ladder."""
+    v = metric.certificate.eigvec
+    vmax = float(np.max(v))
+    for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
+        scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
+        left = scaled_left_ends(metric.matrix, scalars)
+        if float(np.min(left)) >= rho - _FEAS_SLACK:
+            return scalars
+    if not floored:
+        return None
+    if metric.certificate.lambda_min < rho - _FEAS_SLACK:
+        raise CertificationError("incumbent left the feasible region")
+    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax))
+
+
+def alignment_scalars(g: GraphMetric) -> GershgorinScalars:
+    """The paper's disc alignment: s_k = 1 / v_k from the certified first
+    eigenvector.
+
+    Under these scalars all disc left-ends of S M S^-1 coincide at
+    lambda_min, making the Gershgorin lower bound tight.
+    """
+    v = g.certificate.eigvec
+    if np.any(v <= 0):
+        raise ValueError(
+            "certificate eigenvector has non-positive entries; invalid certificate")
+    return GershgorinScalars(values=1.0 / v)
 
 
 def column_tree_edges_by_scan(tree, col: int, dim: int) -> set[int]:

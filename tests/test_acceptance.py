@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphmetric.core import (SymmetricMatrix, alignment_scalars,
-                              scaled_left_ends, validate_graph_metric)
+from graphmetric.core import (SymmetricMatrix, scaled_left_ends,
+                              validate_graph_metric)
 from graphmetric.data import load_csv, standardize
 from graphmetric.eigen import (DEFAULT_MAX_ITERS, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg, LobpcgNonConvergence)
@@ -25,7 +25,7 @@ from graphmetric.objective import (ObjectiveContext, glr_grad_diag,
                                    glr_grad_offdiag_col)
 from graphmetric.optimizer import (OptimizerConfig, _EIG_TOL, diagonal_step,
                                    learn_metric, update_scalars)
-from helpers import (fd_grad_diag, fd_grad_offdiag_col,
+from helpers import (alignment_scalars, fd_grad_diag, fd_grad_offdiag_col,
                      gaussian_blobs_dataset, gershgorin_left_ends,
                      grid_search_diag, random_graph_metric,
                      random_objective_instance, random_spd)

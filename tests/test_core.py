@@ -1,6 +1,7 @@
 """Tests for the matrix types, validation, and Gershgorin machinery."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from scipy.sparse.csgraph import connected_components
 
 from graphmetric.core import (CONNECTIVITY_EPS, DimensionMismatchError,
                               GershgorinScalars, GraphMetricRejection,
-                              SymmetricMatrix, alignment_scalars, is_connected,
+                              SymmetricMatrix, is_connected,
                               pairwise_mahalanobis, scaled_left_ends,
                               validate_graph_metric)
 from graphmetric.eigen import smallest_eigenpair_dense
-from helpers import (count_eigensolves, gershgorin_left_ends, mahalanobis,
-                     random_graph_metric, shifted_path_laplacian)
+from helpers import (alignment_scalars, count_eigensolves,
+                     gershgorin_left_ends, mahalanobis,
+                     mirrored_symmetric_init, random_graph_metric,
+                     shifted_path_laplacian)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -61,6 +64,66 @@ class TestSymmetricMatrix:
         assert m.entries[0, 1] == m.entries[1, 0] == -0.5
         assert m.entries[2, 1] == m.entries[1, 2] == -0.25
         assert m.entries[1, 1] == 5.0
+
+    @staticmethod
+    def _mirrored(a):
+        """The entries the triu mirror gives ``a``."""
+        box = SimpleNamespace(entries=a)
+        mirrored_symmetric_init(box)
+        return box.entries
+
+    def test_exact_input_gets_the_mirrors_bits(self):
+        # zeros of either sign, on and off the diagonal, come out +0.0
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3, 13, 48):
+            below = np.tril(np.ones((k, k), dtype=bool), -1)
+            for _ in range(20):
+                u = rng.choice([0.0, -0.0, 1.5, -2.0, 1e-300, -7.25],
+                               size=(k, k)) * rng.uniform(0.5, 2.0, (k, k))
+                a = np.where(below, u.T, u)
+                # zeros may differ in sign across the diagonal
+                flip = (a == 0.0) & (rng.random((k, k)) < 0.5)
+                a = np.where(flip, -a, a)
+                assert np.array_equal(a, a.T)
+                got = SymmetricMatrix(a).entries
+                assert got.tobytes() == self._mirrored(a).tobytes()
+                assert not np.signbit(got[got == 0.0]).any()
+
+    def test_near_symmetric_input_is_mirrored(self):
+        a = EX_MATRIX.entries.copy()
+        a[2, 0] = np.nextafter(a[2, 0], 0.0)
+        a[1, 1] = -0.0 * a[1, 1]
+        m = SymmetricMatrix(a)
+        assert m.entries.tobytes() == self._mirrored(a).tobytes()
+        assert m.entries[2, 0] == m.entries[0, 2] == -1.0
+
+    def test_asymmetry_above_tolerance_rejected(self):
+        # scale max(1, max|a|) = 5: asymmetry 5e-9 is the edge
+        a = EX_MATRIX.entries.copy()
+        a[0, 1] += 4e-9
+        assert SymmetricMatrix(a).entries[1, 0] == a[0, 1]
+        a[0, 1] += 2e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix(a)
+
+    @pytest.mark.parametrize("col", [-1, 3, 4])
+    def test_with_offdiag_column_out_of_range(self, col):
+        # slices alone would write col -1 as col K-1 and col K as nothing
+        with pytest.raises(IndexError, match="out of range"):
+            EX_MATRIX.with_offdiag_column(col, np.array([-0.5, -0.25]))
+
+    def test_with_offdiag_column_matches_index_lists(self):
+        rng = np.random.default_rng(9)
+        k = 6
+        base = SymmetricMatrix(random_graph_metric(rng, k).matrix.entries)
+        for col in range(k):
+            values = -rng.uniform(0.0, 1.0, k - 1)
+            rows = [r for r in range(k) if r != col]
+            a = base.entries.copy()
+            a[rows, col] = values
+            a[col, rows] = values
+            got = base.with_offdiag_column(col, values).entries
+            assert got.tobytes() == a.tobytes()
 
 
 class TestValidation:

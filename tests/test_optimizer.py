@@ -9,11 +9,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from graphmetric.core import (SymmetricMatrix, is_connected, scaled_left_ends,
-                              scaled_radii, validate_graph_metric)
+from graphmetric.core import (GershgorinScalars, SymmetricMatrix,
+                              is_connected, scaled_left_ends, scaled_radii,
+                              validate_graph_metric)
 from graphmetric.core import max_spanning_tree as prim_tree
 from graphmetric.data import load_csv, standardize
-from graphmetric import eigen, lp, objective
+from graphmetric import core, eigen, lp, objective
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.experiment import stratified_folds
 from graphmetric.objective import GLRObjective, ObjectiveContext
@@ -26,7 +27,9 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
 from helpers import (MatrixObjective, ReferenceGLRObjective,
                      armijo_backtracking, column_tree_edges_by_scan,
                      count_eigensolves, diag_objective_fn, golden_section,
-                     grid_search_diag, max_spanning_tree, random_graph_metric,
+                     grid_search_diag, key_array_spanning_tree,
+                     max_spanning_tree, mirrored_symmetric_init,
+                     random_graph_metric, reference_conditioned_scalars,
                      reference_diagonal_lp, reference_knapsack_lp,
                      reference_lobpcg, shifted_path_laplacian,
                      two_cluster_dataset)
@@ -38,7 +41,6 @@ EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
 
 def _state_for(matrix: SymmetricMatrix) -> OptimizerState:
     """Optimizer state around an arbitrary graph metric with stale scalars."""
-    from graphmetric.core import GershgorinScalars
     g = validate_graph_metric(matrix)
     return OptimizerState(metric=g, scalars=GershgorinScalars(np.ones(g.dim)),
                           objective_trace=(0.0,))
@@ -444,6 +446,31 @@ class TestMaxSpanningTree:
                 assert prim_tree(matrix, floor) == expected
                 nones += expected is None
         assert nones > 0 or k == 48
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 13, 48])
+    def test_edge_list_matches_key_array_prim(self, k):
+        # magnitudes 0 (either sign), eps and a few tied levels; floors at
+        # eps, exactly at a level, and at the connectivity floor; then the
+        # same entries split into two blocks, which no tree spans
+        rng = np.random.default_rng(200 + k)
+        eps = 1e-3
+        for _ in range(60 if k < 48 else 20):
+            levels = np.concatenate([[0.0, -0.0, eps],
+                                     rng.uniform(eps, 1.0, 3)])
+            a = np.triu(-rng.choice(levels, size=(k, k)), 1)
+            a = a + a.T
+            np.fill_diagonal(a, float(k))
+            half = k // 2
+            split = a.copy()
+            split[:half, half:] = split[half:, :half] = -0.0
+            for entries in (a, split):
+                matrix = SymmetricMatrix(entries)
+                for floor in (eps, float(rng.choice(levels[2:])), 1e-12):
+                    expected = key_array_spanning_tree(matrix, floor)
+                    assert prim_tree(matrix, floor) == expected
+                    assert max_spanning_tree(matrix, floor) == expected
+                    if entries is split and k > 1:
+                        assert expected is None
 
 
 class TestColumnTreeEdges:
@@ -904,14 +931,19 @@ class TestWarmStartedLineSearch:
 class TestReferenceKernels:
     """A learn through the production kernels gives the same bits as one
     through their plain formulas (tests/helpers.py): pair terms computed
-    afresh, a fresh column block per call, the numpy-scalar LP greedy and
-    LOBPCG with np.linalg.norm and an eigvalsh basis test."""
+    afresh, a fresh column block per call, the numpy-scalar LP greedy,
+    LOBPCG with np.linalg.norm and an eigvalsh basis test, the key-array
+    Prim, the triu mirror for every matrix and a fresh scaled_left_ends
+    for every rung of the scalar ladder."""
 
     CASES = {
         "iris K=4": lambda: (_cv_fold_ctx(), OptimizerConfig()),
         "wine K=13": lambda: (_cv_fold_ctx("wine"), OptimizerConfig()),
         # K > 16: warm LOBPCG certifies first
         "blobs K=20": lambda: (_blob_ctx(0, k=20),
+                               OptimizerConfig(trace_cap=2.0)),
+        # the benchmark's dimension, where Prim and the ladder run often
+        "blobs K=48": lambda: (_blob_ctx(0, k=48),
                                OptimizerConfig(trace_cap=2.0)),
     }
 
@@ -930,6 +962,13 @@ class TestReferenceKernels:
             patch.setattr(lp, "solve_diagonal_lp", reference_diagonal_lp)
             patch.setattr(lp, "solve_box_knapsack_lp", reference_knapsack_lp)
             patch.setattr(eigen, "smallest_eigenpair_lobpcg", reference_lobpcg)
+            patch.setattr(core, "max_spanning_tree", key_array_spanning_tree)
+            patch.setattr(optimizer, "max_spanning_tree",
+                          key_array_spanning_tree)
+            patch.setattr(SymmetricMatrix, "__post_init__",
+                          mirrored_symmetric_init)
+            patch.setattr(optimizer, "_conditioned_scalars",
+                          reference_conditioned_scalars)
             slow, slow_solves = self._learn(patch, ctx, cfg)
         assert fast.metric.matrix.entries.tobytes() == \
             slow.metric.matrix.entries.tobytes()
@@ -942,8 +981,104 @@ class TestReferenceKernels:
             assert "smallest_eigenpair_lobpcg" in fast_solves
 
 
+class TestTracerContract:
+    """The per-call invariants that bench/tracer.py counts by: one LP
+    vertex per Frank-Wolfe gradient, and one SymmetricMatrix construction
+    for M^0 and for each iterate that changes the matrix."""
+
+    def test_one_call_per_event_in_a_k48_learn(self, monkeypatch):
+        counts = dict.fromkeys(("glr_grad_diag", "glr_grad_offdiag_col",
+                                "solve_diagonal_lp", "solve_box_knapsack_lp",
+                                "__post_init__"), 0)
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(objective, "glr_grad_diag")
+        count(objective, "glr_grad_offdiag_col")
+        count(lp, "solve_diagonal_lp")
+        count(lp, "solve_box_knapsack_lp")
+        count(SymmetricMatrix, "__post_init__")
+        changed = 0
+        last = None
+
+        def observe(event, state):
+            nonlocal changed, last
+            if last is not None:
+                changed += not np.array_equal(state.metric.matrix.entries,
+                                              last.metric.matrix.entries)
+            last = state
+
+        learn_metric(_blob_ctx(0, k=48), OptimizerConfig(trace_cap=2.0),
+                     observer=observe)
+        assert min(counts.values()) > 0
+        assert counts["solve_box_knapsack_lp"] == \
+            counts["glr_grad_offdiag_col"]
+        assert counts["solve_diagonal_lp"] == counts["glr_grad_diag"]
+        assert counts["__post_init__"] == 1 + changed
+
+
+def _overshooting_state():
+    """M^0 at K = 3 with scalars (1, t, 1) whose scaled diagonal lower
+    bounds overshoot the trace cap by 1e-4: inside the band where a
+    diagonal step skips instead of raising."""
+    ctx = _random_ctx(np.random.default_rng(3), 12, 3)
+    cfg = OptimizerConfig().resolve(3)
+    # the bounds sum to 2 eps (t + 1/t) + 3 rho
+    half = (cfg.trace_cap + 1e-4 - 3 * cfg.rho) / (4 * cfg.epsilon)
+    t = half + math.sqrt(half * half - 1.0)
+    state = initial_state(ctx, cfg)
+    scalars = GershgorinScalars(np.array([1.0, t, 1.0]))
+    return ctx, cfg, replace(state, scalars=scalars)
+
+
 class TestLogging:
     LOGGER = "graphmetric.optimizer"
+
+    def test_diagonal_skip_logs_at_debug(self, caplog):
+        ctx, cfg, state = _overshooting_state()
+        lb = scaled_radii(state.metric.matrix, state.scalars) + cfg.rho
+        assert float(np.sum(lb)) - cfg.trace_cap == pytest.approx(1e-4)
+        with caplog.at_level(logging.DEBUG, logger=self.LOGGER):
+            after = diagonal_step(state, ctx, cfg)
+        assert after.metric is state.metric
+        assert after.objective_trace == state.objective_trace * 2
+        assert [(r.levelno, r.getMessage()[:23]) for r in caplog.records] \
+            == [(logging.DEBUG, "diagonal step skipped: ")]
+
+    def test_diagonal_skips_summarized_in_one_warning(self, monkeypatch,
+                                                      caplog):
+        ctx, cfg, state = _overshooting_state()
+        monkeypatch.setattr(optimizer, "initial_state",
+                            lambda *args, **kwargs: state)
+        events = []
+
+        def observe(event, st):
+            if event in ("diagonal", "offdiag"):
+                before = events[-1][1] if events else state
+                events.append((event, st,
+                               "skipped" if st is before
+                               else "kept" if st.metric is before.metric
+                               else "ran"))
+
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            result = learn_metric(ctx, cfg, observer=observe)
+        assert result.converged
+        diagonal = [o for e, _, o in events if e == "diagonal"]
+        column = [o for e, _, o in events if e == "offdiag"]
+        # a skipped diagonal step keeps the metric object
+        assert diagonal.count("kept") >= 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{diagonal.count('kept')} of {len(diagonal)} diagonal steps "
+            f"skipped (scaled lower bounds over the trace cap); "
+            f"{column.count('skipped')} of {len(column)} off-diagonal "
+            f"column steps skipped and {column.count('kept')} made no "
+            f"progress"]
 
     def test_column_events_summarized_in_one_warning(self, caplog):
         # rho at 0.8 of trace_cap/K presses lambda_min onto the rho floor,
