@@ -205,7 +205,7 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     # Jacobi preconditioner scaled by max(diag).  The scale leaves the span
     # unchanged, and ||Tr|| >= ||r|| keeps the preconditioned residual above
     # _orthonormal_basis's absolute drop threshold whenever r itself is.
-    diag = np.diag(a)
+    diag = a.diagonal()
     precond = float(diag.max()) / diag if bool((diag > 0).all()) else None
     ax = a @ x
     lam = float(x @ ax)

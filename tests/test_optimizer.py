@@ -1048,8 +1048,9 @@ class TestLogging:
             after = diagonal_step(state, ctx, cfg)
         assert after.metric is state.metric
         assert after.objective_trace == state.objective_trace * 2
-        assert [(r.levelno, r.getMessage()[:23]) for r in caplog.records] \
-            == [(logging.DEBUG, "diagonal step skipped: ")]
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert caplog.records[0].getMessage().startswith(
+            "diagonal step skipped")
 
     def test_diagonal_skips_summarized_in_one_warning(self, monkeypatch,
                                                       caplog):
