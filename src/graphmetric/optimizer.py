@@ -3,15 +3,17 @@
 The loop alternates a diagonal Frank-Wolfe pass whose LP subproblem has a
 closed-form vertex and per-column block-coordinate Frank-Wolfe passes over
 the off-diagonals with an irreducibility floor.  A step that changes the
-matrix certifies the new iterate by its smallest eigenpair (lambda_min, v)
-and, in the same step, re-aligns all Gershgorin disc left-ends at
-lambda_min via s_k = 1 / v_k, so the linear PD surrogate constraints of the
-next step are tight around the incumbent.  Every iterate stays a certified
-graph metric with scalars aligned to its own certificate.  Column steps
-keep the graph connected by pinning the edges of Prim's maximum spanning
-tree (``core.max_spanning_tree``) at magnitude >= epsilon; the config
-holds epsilon above core.CONNECTIVITY_EPS, so that tree also proves
-connectivity under ``core.is_connected``'s rule.
+matrix certifies the new iterate by its smallest eigenpair (lambda_min, v):
+one dense solve up to K = 16, above that warm Rayleigh-quotient iteration
+with a Cholesky inertia check, warm LOBPCG and a dense backstop in turn
+(``_certify_matrix``).  In the same step it re-aligns all Gershgorin disc
+left-ends at lambda_min via s_k = 1 / v_k, so the linear PD surrogate
+constraints of the next step are tight around the incumbent.  Every
+iterate stays a certified graph metric with scalars aligned to its own
+certificate.  Column steps keep the graph connected by pinning the edges of
+Prim's maximum spanning tree (``core.max_spanning_tree``) at magnitude >=
+epsilon; the config holds epsilon above core.CONNECTIVITY_EPS, so that tree
+also proves connectivity under ``core.is_connected``'s rule.
 """
 
 from __future__ import annotations
@@ -209,22 +211,29 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
 
     A pair certifies when its value is positive and its vector clamps
     positive.  Up to _DENSE_MAX_DIM one dense solve comes first and warm
-    LOBPCG is the backstop; above it warm LOBPCG comes first and one dense
-    solve is the backstop.  The backstop covers LOBPCG non-convergence, an
-    eigenvector whose sub-precision entries come out too negative to
-    clamp, and a LOBPCG pair whose scalars cannot be verified.  A dense
-    pair, or the last solver's, ends the search, with floored scalars if
-    need be (``_conditioned_scalars``).
+    LOBPCG is the backstop.  Above it the route is RQI, then warm LOBPCG,
+    then one dense solve: ``eigen.smallest_eigenpair_rqi`` returns a warm
+    start already within _EIG_TOL as LOBPCG's iteration 0 would, issues
+    a Rayleigh-quotient pair only when every entry of v is > SCALAR_FLOOR *
+    max(v) and a Cholesky factor of M - (lambda - delta) I proves it the
+    smallest, and hands any other case to warm LOBPCG.  The dense backstop
+    covers LOBPCG non-convergence, an eigenvector whose sub-precision
+    entries come out too negative to clamp, and a warm pair whose scalars
+    cannot be verified.  A dense pair, or the last solver's, ends the
+    search, with floored scalars if need be (``_conditioned_scalars``).
     """
     def lobpcg() -> eigen.EigenPair:
         return eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
                                                tol=_EIG_TOL)
 
+    def rqi() -> eigen.EigenPair:
+        return eigen.smallest_eigenpair_rqi(matrix, warm, tol=_EIG_TOL)
+
     def dense() -> eigen.EigenPair:
         return eigen.smallest_eigenpair_dense(matrix)
 
     order = ((dense, lobpcg) if matrix.dim <= _DENSE_MAX_DIM
-             else (lobpcg, dense))
+             else (rqi, dense))
     unverified = None
     for solve in order:
         try:
@@ -251,11 +260,6 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
     return unverified, _conditioned_scalars(unverified, rho)
 
 
-# Eigenvector entries below this fraction of the largest entry cannot carry
-# alignment at 1e-9 margins in double precision; the scalars floor them.
-_SCALAR_FLOOR = 1e-6
-
-
 def _conditioned_scalars(metric: GraphMetric, rho: float,
                          floored: bool = True) -> GershgorinScalars | None:
     """Alignment scalars with a floor on tiny eigenvector entries.
@@ -268,7 +272,7 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     under which the incumbent verifiably keeps every scaled disc left-end
     >= rho - 1e-9.  When none does, the entries sit below double
     precision's reach and the left-ends are too noisy to verify a margin
-    that may still hold: then with ``floored`` the eta = _SCALAR_FLOOR
+    that may still hold: then with ``floored`` the eta = SCALAR_FLOOR
     choice is returned once lambda_min >= rho - 1e-9 is checked, and
     without it None.
     """
@@ -279,7 +283,7 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     off = np.abs(a)
     off.ravel()[::a.shape[0] + 1] = 0.0
     centres = a.diagonal()
-    for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
+    for eta in (eigen.SCALAR_FLOOR, 1e-9, 0.0):
         sv = 1.0 / np.maximum(v, eta * vmax)
         left = centres - (off * (sv[:, None] / sv[None, :])).sum(axis=1)
         if float(left.min()) >= rho - _FEAS_SLACK:
@@ -293,8 +297,9 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
             f"{lam:.6e} < rho {rho:.6e}")
     log.debug("scaled left-ends unverifiable at rho margins "
               "(eigenvector entries below relative %.0e); using "
-              "floored scalars, lambda_min %.6e >= rho", _SCALAR_FLOOR, lam)
-    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax))
+              "floored scalars, lambda_min %.6e >= rho", eigen.SCALAR_FLOOR,
+              lam)
+    return GershgorinScalars(1.0 / np.maximum(v, eigen.SCALAR_FLOOR * vmax))
 
 
 def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:

@@ -1,5 +1,6 @@
-"""Tests for the dense and LOBPCG smallest-eigenpair solvers."""
+"""Tests for the dense, LOBPCG and RQI smallest-eigenpair solvers."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from graphmetric import eigen
 from graphmetric.core import DimensionMismatchError, SymmetricMatrix
-from graphmetric.eigen import (NEGATIVE_GRACE, LobpcgNonConvergence,
-                               clamp_positive, smallest_eigenpair_dense,
-                               smallest_eigenpair_lobpcg)
-from helpers import (random_graph_metric, random_spd, reference_basis,
-                     reference_lobpcg)
+from graphmetric.eigen import (NEGATIVE_GRACE, SCALAR_FLOOR,
+                               LobpcgNonConvergence, clamp_positive,
+                               smallest_eigenpair_dense,
+                               smallest_eigenpair_lobpcg,
+                               smallest_eigenpair_rqi)
+from helpers import (count_eigensolves, random_graph_metric, random_spd,
+                     reference_basis, reference_lobpcg)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -224,3 +227,144 @@ class TestLobpcgKernels:
             assert got.vector.tobytes() == want.vector.tobytes()
             assert (got.value, got.residual, got.iterations) == \
                 (want.value, want.residual, want.iterations)
+
+
+def _localized_metric() -> SymmetricMatrix:
+    """K = 20 graph metric whose Perron vector has v_0 ~ 2e-9 max(v).
+
+    Node 0 hangs on node 1 by a 1e-7 edge and has a diagonal of 50, far
+    above the rest of the spectrum.
+    """
+    a = random_graph_metric(np.random.default_rng(5), 20).matrix.entries.copy()
+    a[0, 1:] = a[1:, 0] = 0.0
+    a[0, 1] = a[1, 0] = -1e-7
+    a[0, 0] = 50.0
+    return SymmetricMatrix(a)
+
+
+class TestRqi:
+    """Warm Rayleigh-quotient iteration with a Cholesky inertia check."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Lists of the solves (the LOBPCG fallback among them) and of the
+        inertia checks (sigma, proved) that the RQI solver makes."""
+        solves = count_eigensolves(monkeypatch)
+        checks = []
+        real = eigen._spectrum_above
+
+        def spy(a, sigma):
+            proved = real(a, sigma)
+            checks.append((sigma, proved))
+            return proved
+        monkeypatch.setattr(eigen, "_spectrum_above", spy)
+        return solves, checks
+
+    @pytest.mark.parametrize("case", ["spread", "localized"])
+    def test_converged_warm_start_is_lobpcg_iteration_zero(self, monkeypatch,
+                                                           case):
+        # a localized warm start within tol exits here too: the first test
+        # comes before the floor test
+        m = (random_graph_metric(np.random.default_rng(1), 40).matrix
+             if case == "spread" else _localized_metric())
+        warm = smallest_eigenpair_dense(m).vector
+        want = smallest_eigenpair_lobpcg(m, warm_start=warm, tol=1e-11)
+        assert want.iterations == 0
+        solves, checks = self._spy(monkeypatch)
+        got = eigen.smallest_eigenpair_rqi(m, warm, tol=1e-11)
+        assert solves == ["smallest_eigenpair_rqi"] and checks == []
+        assert got.vector.tobytes() == want.vector.tobytes()
+        assert (got.value, got.residual, got.iterations) == \
+            (want.value, want.residual, 0)
+
+    def test_issued_pairs_match_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        solves, checks = self._spy(monkeypatch)
+        issued = 0
+        for _ in range(60):
+            m = random_graph_metric(rng, int(rng.integers(17, 65))).matrix
+            vals, vecs = np.linalg.eigh(m.entries)
+            spread = 10.0 ** rng.uniform(-4, -0.5)
+            warm = (np.abs(vecs[:, 0])
+                    * (1 + spread * rng.uniform(-1, 1, m.dim)))
+            solves.clear()
+            pair = smallest_eigenpair_rqi(m, warm, tol=1e-11)
+            if solves:
+                continue  # LOBPCG's pair, not RQI's
+            issued += 1
+            assert pair.iterations > 0 and checks[-1][1]
+            assert abs(pair.value - vals[0]) <= 1e-10 * m.trace()
+            assert abs(float(pair.vector @ vecs[:, 0])) >= 1.0 - 1e-8
+        assert issued >= 50
+
+    def test_second_eigenpair_fails_the_inertia_check(self, monkeypatch):
+        # not a graph metric: the eigenvector of lambda_2 = 2 is positive,
+        # so the floor test passes and only the inertia check can object
+        rng = np.random.default_rng(2)
+        k = 20
+        q, _ = np.linalg.qr(np.column_stack(
+            [rng.uniform(0.5, 1.5, k), rng.normal(size=(k, k - 1))]))
+        q[:, [0, 1]] = q[:, [1, 0]]
+        m = SymmetricMatrix(
+            (q * np.r_[1.0, 2.0, np.linspace(3.0, 10.0, k - 2)]) @ q.T)
+        v2 = np.abs(q[:, 1])
+        assert v2.min() > SCALAR_FLOOR * v2.max()
+        solves, checks = self._spy(monkeypatch)
+        pair = smallest_eigenpair_rqi(m, v2 + 1e-4 * rng.random(k),
+                                      tol=1e-11)
+        # RQI reached lambda_2, the check refused it, LOBPCG found lambda_1
+        assert len(checks) == 1
+        sigma, proved = checks[0]
+        assert sigma == pytest.approx(2.0, abs=1e-8) and not proved
+        assert solves == ["smallest_eigenpair_lobpcg"]
+        assert pair.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_unresolved_perron_vector_falls_back(self, monkeypatch):
+        m = _localized_metric()
+        exact = smallest_eigenpair_dense(m)
+        assert exact.vector[0] <= SCALAR_FLOOR * exact.vector.max()
+        # a resolved warm start: RQI converges to the Perron vector, whose
+        # v_0 fails the floor test before any inertia check
+        warm = exact.vector.copy()
+        warm[0] = 1e-3 * warm.max()
+        solves, checks = self._spy(monkeypatch)
+        pair = smallest_eigenpair_rqi(m, warm, tol=1e-11)
+        assert solves == ["smallest_eigenpair_lobpcg"] and checks == []
+        assert pair.value == pytest.approx(exact.value, abs=1e-10)
+        # without the floor the same start issues RQI's own pair
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen, "SCALAR_FLOOR", 0.0)
+            solves.clear()
+            issued = smallest_eigenpair_rqi(m, warm, tol=1e-11)
+        assert solves == [] and issued.iterations > 0
+        assert issued.value == pytest.approx(exact.value, abs=1e-10)
+
+    def test_unresolved_warm_start_goes_straight_to_lobpcg(self, monkeypatch):
+        m = _localized_metric()
+        exact = smallest_eigenpair_dense(m).vector
+        warm = exact + 1e-4 * np.r_[0.0, np.ones(m.dim - 1)]
+        assert warm[0] <= SCALAR_FLOOR * warm.max()
+        solves, checks = self._spy(monkeypatch)
+        steps = []
+        monkeypatch.setattr(eigen, "_rqi_pair",
+                            lambda *args: steps.append(args))
+        pair = smallest_eigenpair_rqi(m, warm, tol=1e-11)
+        assert steps == [] and checks == []
+        assert solves == ["smallest_eigenpair_lobpcg"]
+        assert pair.value == pytest.approx(
+            smallest_eigenpair_dense(m).value, abs=1e-10)
+
+    @pytest.mark.parametrize("warm", [
+        np.ones(2), np.zeros(3), np.array([1.0, np.nan, 1.0]),
+        np.array([1.0, np.inf, 1.0])],
+        ids=["wrong-shape", "zero", "nan", "inf"])
+    def test_bad_warm_start_fails_as_in_lobpcg(self, warm):
+        with pytest.raises(Exception) as want:
+            smallest_eigenpair_lobpcg(EX_MATRIX, warm_start=warm)
+        with pytest.raises(type(want.value),
+                           match=f"^{re.escape(str(want.value))}$"):
+            smallest_eigenpair_rqi(EX_MATRIX, warm)
+
+    def test_bad_tol_rejected(self):
+        with pytest.raises(ValueError):
+            smallest_eigenpair_rqi(EX_MATRIX, np.ones(3), tol=0.0)

@@ -570,10 +570,11 @@ class TestCertifyMatrix:
 
     @pytest.mark.parametrize("k", [17, 48])
     def test_large_k_starts_with_warm_lobpcg(self, monkeypatch, k):
+        # the warm route starts with RQI, whose fallback is warm LOBPCG
         g, warm = self._iterate(k)
         solves = count_eigensolves(monkeypatch)
         metric, _ = optimizer._certify_matrix(g.matrix, warm, 0.0)
-        assert solves[0] == "smallest_eigenpair_lobpcg"
+        assert solves[0] == "smallest_eigenpair_rqi"
         assert metric.certificate.lambda_min == pytest.approx(
             g.certificate.lambda_min, rel=1e-8)
 
@@ -601,6 +602,15 @@ class TestCertifyMatrix:
         assert metric.certificate.lambda_min == pytest.approx(
             g.certificate.lambda_min, rel=1e-8)
 
+    @staticmethod
+    def _rejecting_rqi(monkeypatch):
+        """Make the RQI solver hand over to warm LOBPCG at once, as it does
+        when it rejects its pair."""
+        def rejecting(matrix, warm_start, tol=eigen.DEFAULT_TOL):
+            return eigen.smallest_eigenpair_lobpcg(
+                matrix, warm_start=warm_start, tol=tol)
+        monkeypatch.setattr(eigen, "smallest_eigenpair_rqi", rejecting)
+
     @pytest.mark.parametrize("k", [4, 48])
     def test_both_solvers_failing_raises(self, monkeypatch, k):
         def no_convergence(matrix, warm_start=None, **kwargs):
@@ -608,12 +618,16 @@ class TestCertifyMatrix:
             raise eigen.LobpcgNonConvergence(pair, 1)
         g, warm = self._iterate(k)
         self._negative_dense(monkeypatch)
+        self._rejecting_rqi(monkeypatch)
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
         solves = count_eigensolves(monkeypatch)
         with pytest.raises(optimizer.CertificationError):
             optimizer._certify_matrix(g.matrix, warm, 0.0)
-        order = ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
-        assert solves == (order if k <= 16 else order[::-1])
+        assert solves == (
+            ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
+            if k <= 16 else ["smallest_eigenpair_rqi",
+                             "smallest_eigenpair_lobpcg",
+                             "smallest_eigenpair_dense"])
 
     @pytest.mark.parametrize("k", [4, 48])
     @pytest.mark.parametrize("field", ["value", "vector"])
@@ -626,7 +640,8 @@ class TestCertifyMatrix:
                 return replace(pair, **{field: nan})
             return solve
         g, warm = self._iterate(k)
-        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
+                     "smallest_eigenpair_rqi"):
             monkeypatch.setattr(eigen, name, nan_pair(getattr(eigen, name)))
         with pytest.raises(optimizer.CertificationError):
             optimizer._certify_matrix(g.matrix, warm, 0.0)
@@ -675,9 +690,11 @@ class TestCertifyMatrix:
     def test_unverified_lobpcg_pair_gives_way_to_dense(self, monkeypatch):
         g, warm = self._iterate(48)
         self._unverifiable(monkeypatch, "smallest_eigenpair_lobpcg")
+        self._rejecting_rqi(monkeypatch)
         solves = count_eigensolves(monkeypatch)
         metric, scalars = optimizer._certify_matrix(g.matrix, warm, 0.0)
-        assert solves == ["smallest_eigenpair_lobpcg",
+        assert solves == ["smallest_eigenpair_rqi",
+                          "smallest_eigenpair_lobpcg",
                           "smallest_eigenpair_dense"]
         dense = smallest_eigenpair_dense(g.matrix)
         assert metric.certificate.lambda_min == dense.value
@@ -689,19 +706,20 @@ class TestCertifyMatrix:
     @pytest.mark.parametrize("k", [4, 48])
     def test_unverified_dense_pair_is_not_solved_again(self, monkeypatch, k):
         g, warm = self._iterate(k)
-        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
+                     "smallest_eigenpair_rqi"):
             self._unverifiable(monkeypatch, name)
         solves = count_eigensolves(monkeypatch)
         metric, scalars = optimizer._certify_matrix(g.matrix, warm, 0.0)
         assert solves == (["smallest_eigenpair_dense"] if k <= 16 else
-                          ["smallest_eigenpair_lobpcg",
+                          ["smallest_eigenpair_rqi",
                            "smallest_eigenpair_dense"])
         assert metric.certificate.lambda_min == smallest_eigenpair_dense(
             g.matrix).value
         assert optimizer._conditioned_scalars(metric, 0.0,
                                               floored=False) is None
         v = metric.certificate.eigvec
-        floored = np.maximum(v, optimizer._SCALAR_FLOOR * np.max(v))
+        floored = np.maximum(v, eigen.SCALAR_FLOOR * np.max(v))
         assert np.array_equal(scalars.values, 1.0 / floored)
 
     @pytest.mark.parametrize("excess, raises", [(0.9e-9, False),
@@ -709,7 +727,8 @@ class TestCertifyMatrix:
     def test_floored_scalars_need_lambda_min_at_rho(self, monkeypatch,
                                                     excess, raises):
         g, warm = self._iterate(48)
-        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
+                     "smallest_eigenpair_rqi"):
             self._unverifiable(monkeypatch, name)
         rho = g.certificate.lambda_min + excess
         if raises:
@@ -720,11 +739,37 @@ class TestCertifyMatrix:
             metric, _ = optimizer._certify_matrix(g.matrix, warm, rho)
             assert metric.certificate.lambda_min >= rho - 1e-9
 
+    def test_rqi_pairs_agree_with_eigvalsh_in_a_k48_learn(self,
+                                                          monkeypatch):
+        # the benchmark's highdim recipe: blob seed 1, class 0 against the
+        # rest, trace cap 2
+        ctx = _blob_ctx(1, k=48, per_class=10)
+        solves = count_eigensolves(monkeypatch)
+        counted = eigen.smallest_eigenpair_rqi
+        issued = []
+
+        def rqi(matrix, warm_start, tol=eigen.DEFAULT_TOL):
+            before = len(solves)
+            pair = counted(matrix, warm_start, tol=tol)
+            # only the RQI entry itself: no LOBPCG fallback ran
+            if len(solves) == before + 1 and pair.iterations > 0:
+                issued.append((matrix, pair))
+            return pair
+        monkeypatch.setattr(eigen, "smallest_eigenpair_rqi", rqi)
+        learn_metric(ctx, OptimizerConfig(trace_cap=2.0))
+        assert len(issued) >= 50
+        for matrix, pair in issued:
+            vals, vecs = np.linalg.eigh(matrix.entries)
+            assert abs(pair.value - vals[0]) <= 1e-10 * matrix.trace()
+            assert abs(float(pair.vector @ vecs[:, 0])) >= 1.0 - 1e-8
+
     def test_dense_backstop_certifies_any_size(self, monkeypatch):
         def no_convergence(matrix, warm_start=None, **kwargs):
             pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
             raise eigen.LobpcgNonConvergence(pair, 1)
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
+        # the constant warm start is exact here: RQI would return it at once
+        self._rejecting_rqi(monkeypatch)
         matrix = shifted_path_laplacian(600, 0.1)
         metric, _ = optimizer._certify_matrix(matrix, np.ones(600), 0.0)
         assert metric.matrix is matrix
@@ -939,7 +984,7 @@ class TestReferenceKernels:
     CASES = {
         "iris K=4": lambda: (_cv_fold_ctx(), OptimizerConfig()),
         "wine K=13": lambda: (_cv_fold_ctx("wine"), OptimizerConfig()),
-        # K > 16: warm LOBPCG certifies first
+        # K > 16: warm RQI certifies first, warm LOBPCG when it cannot
         "blobs K=20": lambda: (_blob_ctx(0, k=20),
                                OptimizerConfig(trace_cap=2.0)),
         # the benchmark's dimension, where Prim and the ladder run often
