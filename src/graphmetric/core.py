@@ -131,10 +131,19 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Positive-definiteness witness: the smallest eigenpair."""
+    """Positive-definiteness witness.
+
+    With ``eigenpair`` (the default) it holds the smallest eigenpair.  A
+    disc certificate (``eigenpair`` False) proves positive definiteness by
+    Gershgorin's theorem on S M S^-1 instead: ``lambda_min`` is then the
+    smallest scaled disc left-end, a lower bound on the true lambda_min,
+    and ``eigvec`` the last computed eigenvector of an earlier matrix, kept
+    only as a warm start for the next eigensolve.
+    """
 
     lambda_min: float
     eigvec: np.ndarray  # unit norm, strictly positive entries
+    eigenpair: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.eigvec, dtype=float).copy()
@@ -147,7 +156,8 @@ class GraphMetric:
     """A SymmetricMatrix certified to be a graph metric matrix.
 
     Construct via :func:`validate_graph_metric`; the certificate holds the
-    smallest eigenpair at certification time.
+    smallest eigenpair at certification time, or a disc bound for the
+    optimizer's intermediate iterates (see :class:`Certificate`).
     """
 
     matrix: SymmetricMatrix

@@ -1,13 +1,14 @@
-"""Smallest-eigenpair solvers: exact dense, warm LOBPCG and warm RQI.
+"""Smallest-eigenpair solvers: exact dense and warm-startable LOBPCG.
 
-The optimizer refreshes the first eigenpair of the metric after every block
-update that changes it.  Up to K = 16 one dense solve is cheapest, with
-warm LOBPCG as the backstop.  Above that, warm Rayleigh-quotient iteration
-from the previous eigenvector comes first.  It issues its own pair only when
-the pair is well resolved and a Cholesky factor proves it the smallest, and
-otherwise hands over to Jacobi-preconditioned LOBPCG from the same warm
-start.  A dense backstop replaces a pair whose alignment scalars cannot be
-verified.  The only other solve, validation, is dense.
+Up to K = 16 the optimizer refreshes the first eigenpair of the metric
+after every block update that changes it, by one dense solve with warm
+LOBPCG as the backstop.  Above that a column step's iterate is certified by
+its own scaled Gershgorin discs, and the eigenpair is refreshed after
+diagonal steps, once per sweep and after the column steps the discs cannot
+certify: Jacobi-preconditioned LOBPCG with the previous eigenvector as
+initial guess comes first, with a dense backstop that also replaces a
+LOBPCG pair whose alignment scalars cannot be verified.  The only other
+solve, validation, is dense.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ _REORTH_COND = 1e8
 class EigenPair:
     """Smallest eigenpair with its residual norm ||Mv - lambda v||_2.
 
-    ``iterations`` counts the steps an iterative solver took: Rayleigh-Ritz
-    steps for LOBPCG, Rayleigh-quotient steps for RQI (0 for the dense path
-    and for warm starts that are already converged).
+    ``iterations`` counts Rayleigh-Ritz steps taken by the iterative solver
+    (0 for the dense path and for warm starts that are already converged).
     """
 
     value: float
@@ -64,11 +64,6 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
         return -v
     return v
 
-
-# Eigenvector entries below this fraction of the largest entry cannot carry
-# alignment at 1e-9 margins in double precision: the optimizer's scalars
-# floor them, and smallest_eigenpair_rqi issues no pair that has one.
-SCALAR_FLOOR = 1e-6
 
 # Entries of a computed Perron eigenvector below this are treated as genuine
 # negativity (certification failure) rather than round-off.
@@ -173,29 +168,6 @@ def _eigenpair(value: float, x: np.ndarray, residual: float,
                      residual=residual, iterations=iterations)
 
 
-def _start(a: np.ndarray, warm_start: np.ndarray | None
-           ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Unit start vector x, Ax, its Rayleigh quotient and residual Ax - lam x.
-
-    The warm start is normalized; without one, x is the constant vector.
-    """
-    k = a.shape[0]
-    if warm_start is not None:
-        x0 = np.asarray(warm_start, dtype=float)
-        if x0.shape != (k,):
-            raise DimensionMismatchError(
-                f"warm start shape {x0.shape} vs dim {k}")
-        norm = np.linalg.norm(x0)
-        if norm == 0 or not np.isfinite(norm):
-            raise ValueError("warm start must have nonzero finite norm")
-        x = x0 / norm
-    else:
-        x = np.full(k, 1.0 / np.sqrt(k))
-    ax = a @ x
-    lam = float(x @ ax)
-    return x, ax, lam, ax - lam * x
-
-
 def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
                               warm_start: np.ndarray | None = None,
                               tol: float = DEFAULT_TOL,
@@ -208,8 +180,8 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     when every diagonal entry is positive, as it always is for graph
     metrics; otherwise T = I.  Convergence is judged on the true residual
     ||Mx - lambda x||.  With a warm start near the true eigenvector the
-    loop exits almost immediately, which is what the optimizer's
-    certification after each block step exploits.
+    loop exits almost immediately, which is what the optimizer's warm
+    re-certification exploits.
 
     Raises :class:`LobpcgNonConvergence` (carrying the best pair so far)
     when the residual has not reached ``tol`` within ``max_iters``.
@@ -219,13 +191,28 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     a = m.entries
-    x, ax, lam, r = _start(a, warm_start)
+    k = m.dim
+
+    if warm_start is not None:
+        x0 = np.asarray(warm_start, dtype=float)
+        if x0.shape != (k,):
+            raise DimensionMismatchError(
+                f"warm start shape {x0.shape} vs dim {k}")
+        norm = np.linalg.norm(x0)
+        if norm == 0 or not np.isfinite(norm):
+            raise ValueError("warm start must have nonzero finite norm")
+        x = x0 / norm
+    else:
+        x = np.full(k, 1.0 / np.sqrt(k))
 
     # Jacobi preconditioner scaled by max(diag).  The scale leaves the span
     # unchanged, and ||Tr|| >= ||r|| keeps the preconditioned residual above
     # _orthonormal_basis's absolute drop threshold whenever r itself is.
     diag = a.diagonal()
     precond = float(diag.max()) / diag if bool((diag > 0).all()) else None
+    ax = a @ x
+    lam = float(x @ ax)
+    r = ax - lam * x
     p: np.ndarray | None = None
     # (residual, value, vector, iterations) of the best iterate so far
     best = (math.sqrt(r @ r), lam, x, 0)
@@ -261,96 +248,3 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
 
     res_norm, lam, x, it = best
     raise LobpcgNonConvergence(_eigenpair(lam, x, res_norm, it), max_iters)
-
-
-# Rayleigh-quotient steps smallest_eigenpair_rqi takes before LOBPCG.
-_RQI_MAX_STEPS = 4
-
-
-def _shifted(a: np.ndarray, sigma: float) -> np.ndarray:
-    """A - sigma I as a new array."""
-    s = a.copy()
-    s.ravel()[::s.shape[0] + 1] -= sigma
-    return s
-
-
-def _spectrum_above(a: np.ndarray, sigma: float) -> bool:
-    """Whether every eigenvalue of A exceeds sigma.
-
-    A Cholesky factor of A - sigma I exists exactly when that matrix is
-    positive definite; by Sylvester's law of inertia this proves it.
-    """
-    try:
-        np.linalg.cholesky(_shifted(a, sigma))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _rqi_pair(a: np.ndarray, x: np.ndarray, lam: float,
-              tol: float) -> EigenPair | None:
-    """Rayleigh-quotient iteration from unit x with quotient lam.
-
-    Takes up to _RQI_MAX_STEPS steps x <- (A - lam I)^-1 x, lam <- x'Ax.
-    Returns the first pair whose residual is within ``tol`` when it passes
-    the acceptance tests of ``smallest_eigenpair_rqi``'s step 4, else None.
-    """
-    for steps in range(1, _RQI_MAX_STEPS + 1):
-        try:
-            y = np.linalg.solve(_shifted(a, lam), x)
-        except np.linalg.LinAlgError:
-            return None  # lam is an eigenvalue to working precision
-        norm = math.sqrt(y @ y)
-        if not math.isfinite(norm):
-            return None
-        x = y / norm
-        ax = a @ x
-        lam = float(x @ ax)
-        r = ax - lam * x
-        res_norm = math.sqrt(r @ r)
-        if res_norm <= tol:
-            break
-    else:
-        return None
-    v = _sign_normalize(x)
-    if not float(v.min()) > SCALAR_FLOOR * float(v.max()):
-        return None
-    delta = 1e-9 * abs(lam) + 1e-13 * float(np.abs(a).sum(axis=1).max())
-    if not _spectrum_above(a, lam - delta):
-        return None
-    return EigenPair(value=lam, vector=v, residual=res_norm, iterations=steps)
-
-
-def smallest_eigenpair_rqi(m: SymmetricMatrix, warm_start: np.ndarray | None,
-                           tol: float = DEFAULT_TOL) -> EigenPair:
-    """Smallest eigenpair by warm Rayleigh-quotient iteration, else LOBPCG.
-
-    1. A warm start whose residual is already within ``tol`` comes back as
-       its own pair, by the arithmetic of LOBPCG's iteration 0 (the same
-       bits).
-    2. A warm start with an entry <= SCALAR_FLOOR * max goes to LOBPCG.
-    3. Otherwise up to _RQI_MAX_STEPS Rayleigh-quotient steps run.  Near an
-       eigenpair they converge cubically, though not necessarily to the
-       smallest one (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
-    4. Their pair is returned only when its residual is within ``tol``,
-       every entry of v is > SCALAR_FLOOR * max(v), so the alignment
-       scalars 1/v rest on no entry below double precision's reach, and a
-       Cholesky factor of M - (lam - delta) I exists, delta = 1e-9 |lam| +
-       1e-13 ||M||_inf: by Sylvester's law of inertia no eigenvalue lies
-       below lam - delta, so lam is lambda_min to that margin.
-    Any other outcome hands over to ``smallest_eigenpair_lobpcg`` from the
-    same warm start; its errors (non-convergence, a bad warm start) pass
-    through.  ``iterations`` counts the Rayleigh-quotient steps.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = m.entries
-    x, ax, lam, r = _start(a, warm_start)
-    res_norm = math.sqrt(r @ r)
-    if res_norm <= tol:
-        return _eigenpair(lam, x, res_norm, 0)
-    if float(x.min()) > SCALAR_FLOOR * float(x.max()):
-        pair = _rqi_pair(a, x, lam, tol)
-        if pair is not None:
-            return pair
-    return smallest_eigenpair_lobpcg(m, warm_start=warm_start, tol=tol)

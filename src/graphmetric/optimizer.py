@@ -2,18 +2,22 @@
 
 The loop alternates a diagonal Frank-Wolfe pass whose LP subproblem has a
 closed-form vertex and per-column block-coordinate Frank-Wolfe passes over
-the off-diagonals with an irreducibility floor.  A step that changes the
-matrix certifies the new iterate by its smallest eigenpair (lambda_min, v):
-one dense solve up to K = 16, above that warm Rayleigh-quotient iteration
-with a Cholesky inertia check, warm LOBPCG and a dense backstop in turn
-(``_certify_matrix``).  In the same step it re-aligns all Gershgorin disc
-left-ends at lambda_min via s_k = 1 / v_k, so the linear PD surrogate
-constraints of the next step are tight around the incumbent.  Every
-iterate stays a certified graph metric with scalars aligned to its own
-certificate.  Column steps keep the graph connected by pinning the edges of
-Prim's maximum spanning tree (``core.max_spanning_tree``) at magnitude >=
-epsilon; the config holds epsilon above core.CONNECTIVITY_EPS, so that tree
-also proves connectivity under ``core.is_connected``'s rule.
+the off-diagonals with an irreducibility floor.  Up to K = 16, as in the
+paper, a step that changes the matrix certifies the new iterate by its
+smallest eigenpair (lambda_min, v) and in the same step re-aligns all
+Gershgorin disc left-ends at lambda_min via s_k = 1 / v_k, so the linear PD
+surrogate constraints of the next step are tight around the incumbent.
+Above K = 16 a column step's iterate lies in the scaled disc polytope of
+the current scalars, so its own disc left-ends prove lambda_min >= rho; the
+step keeps the scalars and solves no eigenproblem, and the learner
+re-certifies and re-aligns once per sweep (``learn_metric``).  Eigenpairs
+come from ``_certify_matrix``: one dense solve first up to K = 16, warm
+LOBPCG first above it.  Every iterate stays a certified graph metric whose
+scalars its certificate verifies.  Column steps keep the graph connected by
+pinning the edges of Prim's maximum spanning tree
+(``core.max_spanning_tree``) at magnitude >= epsilon; the config holds
+epsilon above core.CONNECTIVITY_EPS, so that tree also proves connectivity
+under ``core.is_connected``'s rule.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import numpy as np
 from . import eigen, lp
 from .core import (CONNECTIVITY_EPS, Certificate, GershgorinScalars,
                    GraphMetric, SymmetricMatrix, is_connected,
-                   max_spanning_tree, scaled_radii, validate_graph_metric)
+                   max_spanning_tree, scaled_left_ends, scaled_radii,
+                   validate_graph_metric)
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 
 log = logging.getLogger(__name__)
@@ -131,12 +136,15 @@ class OptimizerState:
     """One point of the optimization trajectory.
 
     ``metric.certificate`` holds the iterate's smallest eigenpair and
-    ``scalars`` are aligned with it at rho.  Every step that changes the
-    matrix certifies and aligns it afresh; a step that leaves it unchanged
-    keeps the certificate object and the scalars.  ``protected_edges`` is
-    the spanning tree of edges currently pinned at magnitude >= epsilon to
-    keep the graph irreducible: Prim's tree of the incumbent as of the last
-    column step that found one.
+    ``scalars`` are aligned with it at rho, or, for a column step above
+    _DENSE_MAX_DIM, a disc certificate: the step kept the scalars, under
+    which every scaled disc left-end of the new matrix is >= rho - 1e-9, and
+    the certificate's vector is the last computed eigenvector, a warm start
+    only.  Every other step that changes the matrix certifies and aligns it
+    afresh; a step that leaves it unchanged keeps the certificate object and
+    the scalars.  ``protected_edges`` is the spanning tree of edges
+    currently pinned at magnitude >= epsilon to keep the graph irreducible:
+    Prim's tree of the incumbent as of the last column step that found one.
     """
 
     metric: GraphMetric
@@ -196,12 +204,17 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
                           protected_edges=_path_edges(dim))
 
 
-# Largest K whose iterates are certified by a dense solve first.  Replayed
-# on the benchmark's certification inputs (2-core x86, numpy 2.4), one
-# LAPACK eigh took 34 and 61 us at K = 4 and 13 against 309 and 707 us for
-# warm LOBPCG.  Dense-first at every K lost on K = 48 Gaussian blobs: outer
-# iterations 114 -> 218, converged learns 14/15 -> 12/15, objective ratio
-# 0.3532 -> 0.4172 and about 30% fewer learns/s.
+# Largest K whose iterates are certified after every step, by a dense solve
+# first.  Measured on the benchmark workloads (2-core x86, numpy 2.4):
+# - Replayed on the certification inputs, one LAPACK eigh took 34 and 61 us
+#   at K = 4 and 13 against 309 and 707 us for warm LOBPCG.
+# - Above it, certifying column steps by their discs and re-aligning once
+#   per sweep took K = 48 Gaussian blobs from objective ratio 0.3532 to
+#   0.2267 at the same converged learns.  The same rule at K = 4 and 13
+#   makes iris and wine learns creep (outer iterations +55%, wine learns/s
+#   -35%), so those keep the paper's per-step alignment.
+# - Certifying K = 48 densely instead of by warm LOBPCG lost: converged
+#   learns 14/15 -> 13/15 and outer iterations 113 -> 158.
 _DENSE_MAX_DIM = 16
 
 
@@ -209,31 +222,26 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
                     rho: float) -> tuple[GraphMetric, GershgorinScalars]:
     """Fresh certificate for ``matrix`` and its scalars aligned at ``rho``.
 
+    Runs after every matrix-changing step up to _DENSE_MAX_DIM, and above
+    it once per sweep and after a column step whose discs do not certify.
     A pair certifies when its value is positive and its vector clamps
     positive.  Up to _DENSE_MAX_DIM one dense solve comes first and warm
-    LOBPCG is the backstop.  Above it the route is RQI, then warm LOBPCG,
-    then one dense solve: ``eigen.smallest_eigenpair_rqi`` returns a warm
-    start already within _EIG_TOL as LOBPCG's iteration 0 would, issues
-    a Rayleigh-quotient pair only when every entry of v is > SCALAR_FLOOR *
-    max(v) and a Cholesky factor of M - (lambda - delta) I proves it the
-    smallest, and hands any other case to warm LOBPCG.  The dense backstop
-    covers LOBPCG non-convergence, an eigenvector whose sub-precision
-    entries come out too negative to clamp, and a warm pair whose scalars
-    cannot be verified.  A dense pair, or the last solver's, ends the
-    search, with floored scalars if need be (``_conditioned_scalars``).
+    LOBPCG is the backstop; above it warm LOBPCG comes first and one dense
+    solve is the backstop.  The backstop covers LOBPCG non-convergence, an
+    eigenvector whose sub-precision entries come out too negative to
+    clamp, and a LOBPCG pair whose scalars cannot be verified.  A dense
+    pair, or the last solver's, ends the search, with floored scalars if
+    need be (``_conditioned_scalars``).
     """
     def lobpcg() -> eigen.EigenPair:
         return eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
                                                tol=_EIG_TOL)
 
-    def rqi() -> eigen.EigenPair:
-        return eigen.smallest_eigenpair_rqi(matrix, warm, tol=_EIG_TOL)
-
     def dense() -> eigen.EigenPair:
         return eigen.smallest_eigenpair_dense(matrix)
 
     order = ((dense, lobpcg) if matrix.dim <= _DENSE_MAX_DIM
-             else (rqi, dense))
+             else (lobpcg, dense))
     unverified = None
     for solve in order:
         try:
@@ -260,6 +268,11 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
     return unverified, _conditioned_scalars(unverified, rho)
 
 
+# Eigenvector entries below this fraction of the largest entry cannot carry
+# alignment at 1e-9 margins in double precision; the scalars floor them.
+_SCALAR_FLOOR = 1e-6
+
+
 def _conditioned_scalars(metric: GraphMetric, rho: float,
                          floored: bool = True) -> GershgorinScalars | None:
     """Alignment scalars with a floor on tiny eigenvector entries.
@@ -272,7 +285,7 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     under which the incumbent verifiably keeps every scaled disc left-end
     >= rho - 1e-9.  When none does, the entries sit below double
     precision's reach and the left-ends are too noisy to verify a margin
-    that may still hold: then with ``floored`` the eta = SCALAR_FLOOR
+    that may still hold: then with ``floored`` the eta = _SCALAR_FLOOR
     choice is returned once lambda_min >= rho - 1e-9 is checked, and
     without it None.
     """
@@ -283,7 +296,7 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     off = np.abs(a)
     off.ravel()[::a.shape[0] + 1] = 0.0
     centres = a.diagonal()
-    for eta in (eigen.SCALAR_FLOOR, 1e-9, 0.0):
+    for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
         sv = 1.0 / np.maximum(v, eta * vmax)
         left = centres - (off * (sv[:, None] / sv[None, :])).sum(axis=1)
         if float(left.min()) >= rho - _FEAS_SLACK:
@@ -297,9 +310,8 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
             f"{lam:.6e} < rho {rho:.6e}")
     log.debug("scaled left-ends unverifiable at rho margins "
               "(eigenvector entries below relative %.0e); using "
-              "floored scalars, lambda_min %.6e >= rho", eigen.SCALAR_FLOOR,
-              lam)
-    return GershgorinScalars(1.0 / np.maximum(v, eigen.SCALAR_FLOOR * vmax))
+              "floored scalars, lambda_min %.6e >= rho", _SCALAR_FLOOR, lam)
+    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax))
 
 
 def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
@@ -501,7 +513,10 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     The spanning-edge floors keep the whole graph connected across block
     updates; the per-column zeta floor alone only guards this column.
     Infeasible subproblems skip the column and leave the state unchanged.
-    A new column comes back certified and aligned (``_certify_matrix``).
+    Above _DENSE_MAX_DIM a new column whose scaled disc left-ends under the
+    unchanged scalars are all >= rho - _FEAS_SLACK comes back with a disc
+    certificate and those scalars; any other new column comes back
+    certified and aligned (``_certify_matrix``).
     """
     cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
@@ -577,8 +592,15 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
             raise CertificationError(
                 "off-diagonal step disconnected the graph despite edge floors")
         tree_after = state.protected_edges
-    metric, scalars = _certify_matrix(current, state.metric.certificate.eigvec,
-                                      cfg.rho)
+    warm = state.metric.certificate.eigvec
+    bound = (float(scaled_left_ends(current, state.scalars).min())
+             if k > _DENSE_MAX_DIM else -math.inf)
+    if bound >= cfg.rho - _FEAS_SLACK:
+        # Gershgorin's theorem on S M S^-1 proves lambda_min >= bound
+        metric, scalars = GraphMetric(matrix=current, certificate=Certificate(
+            lambda_min=bound, eigvec=warm, eigenpair=False)), state.scalars
+    else:
+        metric, scalars = _certify_matrix(current, warm, cfg.rho)
     return replace(state, metric=metric, scalars=scalars,
                    objective_trace=state.objective_trace + (q,),
                    protected_edges=tree_after)
@@ -589,10 +611,15 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     """Full alternating optimization: returns the certified metric and trace.
 
     Loop: diagonal Frank-Wolfe, then off-diagonal Frank-Wolfe on each
-    column in turn; each step that changes the matrix hands on the new
-    iterate certified and aligned.  Stops when an outer iteration changes
-    the objective Q by at most obj_rel_tol * max(1, |Q|), so the tolerance
-    is relative once |Q| >= 1 and absolute below, or at outer_max_iters.
+    column in turn.  Up to _DENSE_MAX_DIM each step that changes the matrix
+    hands on the new iterate certified and aligned.  Above it a column step
+    may hand on a disc certificate (``offdiag_step``); a sweep that ends on
+    one is then re-certified and re-aligned once by ``_certify_matrix``,
+    warm-started from the last computed eigenvector.  So every "outer"
+    state, log line and returned metric carries an eigenpair of its own
+    matrix.  Stops when an outer iteration changes the objective Q by at
+    most obj_rel_tol * max(1, |Q|), so the tolerance is relative once
+    |Q| >= 1 and absolute below, or at outer_max_iters.
     The observer sees "init", then "diagonal", one "offdiag" per column
     and "outer" in each outer iteration.  Logs one warning per run that
     counts skipped diagonal steps and skipped or stalled column steps, and
@@ -624,6 +651,11 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
                 skipped += 1
             elif state.metric is before.metric:
                 stalled += 1
+        cert = state.metric.certificate
+        if not cert.eigenpair:
+            metric, scalars = _certify_matrix(state.metric.matrix, cert.eigvec,
+                                              cfg.rho)
+            state = replace(state, metric=metric, scalars=scalars)
         notify("outer", state)
         q_end = state.objective_trace[-1]
         log.info("outer=%d objective=%.10e lambda_min=%.6e trace=%.6e "

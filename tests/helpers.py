@@ -31,9 +31,8 @@ from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
 from graphmetric.data import Dataset
 from graphmetric.lp import INFEASIBLE, OPTIMAL, LPError, LPSolution
 from graphmetric.objective import ObjectiveContext, glr_value
-from graphmetric.eigen import SCALAR_FLOOR
 from graphmetric.optimizer import (_ARMIJO_C, _FEAS_SLACK, _MIN_STEP,
-                                   CertificationError)
+                                   _SCALAR_FLOOR, CertificationError)
 
 
 def random_graph_metric(rng: np.random.Generator, dim: int,
@@ -594,7 +593,7 @@ def reference_conditioned_scalars(metric: GraphMetric, rho: float,
     and ``scaled_left_ends`` for every rung of the eta ladder."""
     v = metric.certificate.eigvec
     vmax = float(np.max(v))
-    for eta in (SCALAR_FLOOR, 1e-9, 0.0):
+    for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
         scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
         left = scaled_left_ends(metric.matrix, scalars)
         if float(np.min(left)) >= rho - _FEAS_SLACK:
@@ -603,7 +602,7 @@ def reference_conditioned_scalars(metric: GraphMetric, rho: float,
         return None
     if metric.certificate.lambda_min < rho - _FEAS_SLACK:
         raise CertificationError("incumbent left the feasible region")
-    return GershgorinScalars(1.0 / np.maximum(v, SCALAR_FLOOR * vmax))
+    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax))
 
 
 def alignment_scalars(g: GraphMetric) -> GershgorinScalars:
@@ -703,8 +702,7 @@ def count_eigensolves(monkeypatch) -> list[str]:
     """List that records each smallest-eigenpair solve by solver name.
 
     Patches the ``eigen`` module attributes, through which the package
-    calls all three solvers; the RQI solver's LOBPCG fallback goes through
-    them as well, so it shows as its own entry after the RQI one.
+    calls both solvers.
     """
     calls: list[str] = []
 
@@ -716,7 +714,6 @@ def count_eigensolves(monkeypatch) -> list[str]:
             return solver(*args, **kwargs)
         return wrapped
 
-    for name in ("smallest_eigenpair_rqi", "smallest_eigenpair_lobpcg",
-                 "smallest_eigenpair_dense"):
+    for name in ("smallest_eigenpair_lobpcg", "smallest_eigenpair_dense"):
         monkeypatch.setattr(eigen, name, counting(name))
     return calls

@@ -52,7 +52,8 @@ class _RunLog:
 
     def observer(self, event, state):
         # M^0 and each block step's result carry scalars aligned to their
-        # own certificate; "outer" repeats the last column step's state
+        # own certificate; at these K (<= 16) "outer" repeats the last
+        # column step's state
         if event != "outer":
             ends = scaled_left_ends(state.metric.matrix, state.scalars)
             self.margin_events.append(float(np.min(ends)))

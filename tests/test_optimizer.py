@@ -570,11 +570,10 @@ class TestCertifyMatrix:
 
     @pytest.mark.parametrize("k", [17, 48])
     def test_large_k_starts_with_warm_lobpcg(self, monkeypatch, k):
-        # the warm route starts with RQI, whose fallback is warm LOBPCG
         g, warm = self._iterate(k)
         solves = count_eigensolves(monkeypatch)
         metric, _ = optimizer._certify_matrix(g.matrix, warm, 0.0)
-        assert solves[0] == "smallest_eigenpair_rqi"
+        assert solves[0] == "smallest_eigenpair_lobpcg"
         assert metric.certificate.lambda_min == pytest.approx(
             g.certificate.lambda_min, rel=1e-8)
 
@@ -602,15 +601,6 @@ class TestCertifyMatrix:
         assert metric.certificate.lambda_min == pytest.approx(
             g.certificate.lambda_min, rel=1e-8)
 
-    @staticmethod
-    def _rejecting_rqi(monkeypatch):
-        """Make the RQI solver hand over to warm LOBPCG at once, as it does
-        when it rejects its pair."""
-        def rejecting(matrix, warm_start, tol=eigen.DEFAULT_TOL):
-            return eigen.smallest_eigenpair_lobpcg(
-                matrix, warm_start=warm_start, tol=tol)
-        monkeypatch.setattr(eigen, "smallest_eigenpair_rqi", rejecting)
-
     @pytest.mark.parametrize("k", [4, 48])
     def test_both_solvers_failing_raises(self, monkeypatch, k):
         def no_convergence(matrix, warm_start=None, **kwargs):
@@ -618,16 +608,12 @@ class TestCertifyMatrix:
             raise eigen.LobpcgNonConvergence(pair, 1)
         g, warm = self._iterate(k)
         self._negative_dense(monkeypatch)
-        self._rejecting_rqi(monkeypatch)
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
         solves = count_eigensolves(monkeypatch)
         with pytest.raises(optimizer.CertificationError):
             optimizer._certify_matrix(g.matrix, warm, 0.0)
-        assert solves == (
-            ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
-            if k <= 16 else ["smallest_eigenpair_rqi",
-                             "smallest_eigenpair_lobpcg",
-                             "smallest_eigenpair_dense"])
+        order = ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
+        assert solves == (order if k <= 16 else order[::-1])
 
     @pytest.mark.parametrize("k", [4, 48])
     @pytest.mark.parametrize("field", ["value", "vector"])
@@ -640,8 +626,7 @@ class TestCertifyMatrix:
                 return replace(pair, **{field: nan})
             return solve
         g, warm = self._iterate(k)
-        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
-                     "smallest_eigenpair_rqi"):
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
             monkeypatch.setattr(eigen, name, nan_pair(getattr(eigen, name)))
         with pytest.raises(optimizer.CertificationError):
             optimizer._certify_matrix(g.matrix, warm, 0.0)
@@ -690,11 +675,9 @@ class TestCertifyMatrix:
     def test_unverified_lobpcg_pair_gives_way_to_dense(self, monkeypatch):
         g, warm = self._iterate(48)
         self._unverifiable(monkeypatch, "smallest_eigenpair_lobpcg")
-        self._rejecting_rqi(monkeypatch)
         solves = count_eigensolves(monkeypatch)
         metric, scalars = optimizer._certify_matrix(g.matrix, warm, 0.0)
-        assert solves == ["smallest_eigenpair_rqi",
-                          "smallest_eigenpair_lobpcg",
+        assert solves == ["smallest_eigenpair_lobpcg",
                           "smallest_eigenpair_dense"]
         dense = smallest_eigenpair_dense(g.matrix)
         assert metric.certificate.lambda_min == dense.value
@@ -706,20 +689,19 @@ class TestCertifyMatrix:
     @pytest.mark.parametrize("k", [4, 48])
     def test_unverified_dense_pair_is_not_solved_again(self, monkeypatch, k):
         g, warm = self._iterate(k)
-        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
-                     "smallest_eigenpair_rqi"):
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
             self._unverifiable(monkeypatch, name)
         solves = count_eigensolves(monkeypatch)
         metric, scalars = optimizer._certify_matrix(g.matrix, warm, 0.0)
         assert solves == (["smallest_eigenpair_dense"] if k <= 16 else
-                          ["smallest_eigenpair_rqi",
+                          ["smallest_eigenpair_lobpcg",
                            "smallest_eigenpair_dense"])
         assert metric.certificate.lambda_min == smallest_eigenpair_dense(
             g.matrix).value
         assert optimizer._conditioned_scalars(metric, 0.0,
                                               floored=False) is None
         v = metric.certificate.eigvec
-        floored = np.maximum(v, eigen.SCALAR_FLOOR * np.max(v))
+        floored = np.maximum(v, optimizer._SCALAR_FLOOR * np.max(v))
         assert np.array_equal(scalars.values, 1.0 / floored)
 
     @pytest.mark.parametrize("excess, raises", [(0.9e-9, False),
@@ -727,8 +709,7 @@ class TestCertifyMatrix:
     def test_floored_scalars_need_lambda_min_at_rho(self, monkeypatch,
                                                     excess, raises):
         g, warm = self._iterate(48)
-        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
-                     "smallest_eigenpair_rqi"):
+        for name in ("smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"):
             self._unverifiable(monkeypatch, name)
         rho = g.certificate.lambda_min + excess
         if raises:
@@ -739,37 +720,11 @@ class TestCertifyMatrix:
             metric, _ = optimizer._certify_matrix(g.matrix, warm, rho)
             assert metric.certificate.lambda_min >= rho - 1e-9
 
-    def test_rqi_pairs_agree_with_eigvalsh_in_a_k48_learn(self,
-                                                          monkeypatch):
-        # the benchmark's highdim recipe: blob seed 1, class 0 against the
-        # rest, trace cap 2
-        ctx = _blob_ctx(1, k=48, per_class=10)
-        solves = count_eigensolves(monkeypatch)
-        counted = eigen.smallest_eigenpair_rqi
-        issued = []
-
-        def rqi(matrix, warm_start, tol=eigen.DEFAULT_TOL):
-            before = len(solves)
-            pair = counted(matrix, warm_start, tol=tol)
-            # only the RQI entry itself: no LOBPCG fallback ran
-            if len(solves) == before + 1 and pair.iterations > 0:
-                issued.append((matrix, pair))
-            return pair
-        monkeypatch.setattr(eigen, "smallest_eigenpair_rqi", rqi)
-        learn_metric(ctx, OptimizerConfig(trace_cap=2.0))
-        assert len(issued) >= 50
-        for matrix, pair in issued:
-            vals, vecs = np.linalg.eigh(matrix.entries)
-            assert abs(pair.value - vals[0]) <= 1e-10 * matrix.trace()
-            assert abs(float(pair.vector @ vecs[:, 0])) >= 1.0 - 1e-8
-
     def test_dense_backstop_certifies_any_size(self, monkeypatch):
         def no_convergence(matrix, warm_start=None, **kwargs):
             pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
             raise eigen.LobpcgNonConvergence(pair, 1)
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
-        # the constant warm start is exact here: RQI would return it at once
-        self._rejecting_rqi(monkeypatch)
         matrix = shifted_path_laplacian(600, 0.1)
         metric, _ = optimizer._certify_matrix(matrix, np.ones(600), 0.0)
         assert metric.matrix is matrix
@@ -984,7 +939,7 @@ class TestReferenceKernels:
     CASES = {
         "iris K=4": lambda: (_cv_fold_ctx(), OptimizerConfig()),
         "wine K=13": lambda: (_cv_fold_ctx("wine"), OptimizerConfig()),
-        # K > 16: warm RQI certifies first, warm LOBPCG when it cannot
+        # K > 16: disc-certified column steps, warm LOBPCG re-alignment
         "blobs K=20": lambda: (_blob_ctx(0, k=20),
                                OptimizerConfig(trace_cap=2.0)),
         # the benchmark's dimension, where Prim and the ladder run often
@@ -1178,7 +1133,8 @@ class TestLogging:
 
 
 class TestAlignedIterates:
-    """A step that changes the matrix certifies and aligns it in one go."""
+    """A step that changes the matrix certifies and aligns it in one go,
+    or, for a column step above K = 16, keeps scalars its discs verify."""
 
     @pytest.mark.parametrize("name", list(TestReferenceKernels.CASES))
     def test_observed_states_carry_their_own_scalars(self, name):
@@ -1187,14 +1143,18 @@ class TestAlignedIterates:
         seen = []
 
         def observe(event, state):
-            expected = optimizer._conditioned_scalars(state.metric, rho)
-            seen.append((event, np.array_equal(state.scalars.values,
-                                               expected.values)))
+            if state.metric.certificate.eigenpair:
+                expected = optimizer._conditioned_scalars(state.metric, rho)
+                ok = np.array_equal(state.scalars.values, expected.values)
+            else:
+                ok = event == "offdiag" and float(scaled_left_ends(
+                    state.metric.matrix, state.scalars).min()) >= rho - 1e-9
+            seen.append((event, ok))
 
         learn_metric(ctx, cfg, observer=observe)
         assert {event for event, _ in seen} == {"init", "diagonal",
                                                 "offdiag", "outer"}
-        assert all(aligned for _, aligned in seen)
+        assert all(ok for _, ok in seen)
 
     def test_unverified_iterate_is_solved_once(self, monkeypatch):
         # wine CV seed 2, fold 1, class 0: an iterate whose dense pair
@@ -1218,3 +1178,104 @@ class TestAlignedIterates:
         assert unverified > 0
         # M^0's validation, then one solve per step that changed the matrix
         assert solves == ["smallest_eigenpair_dense"] * (1 + changed)
+
+
+@functools.cache
+def _k48_learn_states():
+    """Observed states of a learn on the benchmark's highdim recipe: blob
+    seed 1, class 0 against the rest, trace cap 2."""
+    ctx = _blob_ctx(1, k=48, per_class=10)
+    cfg = OptimizerConfig(trace_cap=2.0)
+    states = []
+    learn_metric(ctx, cfg, observer=lambda event, st: states.append(
+        (event, st)))
+    return cfg.resolve(ctx.num_features).rho, states
+
+
+class TestDiscCertifiedSteps:
+    """Above K = 16 a column step is certified by its own scaled Gershgorin
+    discs when it can be, and the learner re-aligns once per sweep."""
+
+    def test_disc_certified_states_are_above_rho(self):
+        rho, states = _k48_learn_states()
+        discs = [st for _, st in states
+                 if not st.metric.certificate.eigenpair]
+        assert discs
+        for st in discs:
+            m = st.metric.matrix
+            bound = float(scaled_left_ends(m, st.scalars).min())
+            assert bound >= rho - 1e-9
+            assert st.metric.certificate.lambda_min == bound
+            assert float(np.linalg.eigvalsh(m.entries)[0]) >= rho - 1e-9
+
+    def test_eigenpair_certificates_agree_with_eigvalsh_in_a_k48_learn(self):
+        _, states = _k48_learn_states()
+        certs = {id(st.metric.certificate): st.metric for _, st in states
+                 if st.metric.certificate.eigenpair}
+        assert certs
+        for metric in certs.values():
+            m = metric.matrix
+            exact = float(np.linalg.eigvalsh(m.entries)[0])
+            assert abs(metric.certificate.lambda_min - exact) \
+                <= 1e-10 * m.trace()
+
+    def test_sweeps_end_on_an_eigenpair_of_their_own_matrix(self):
+        _, states = _k48_learn_states()
+        ends = [st.metric for event, st in states if event == "outer"]
+        assert len(ends) > 1
+        for metric in ends:
+            cert = metric.certificate
+            a = metric.matrix.entries
+            assert cert.eigenpair
+            assert np.linalg.norm(a @ cert.eigvec - cert.lambda_min
+                                  * cert.eigvec) <= 1e-9
+
+    def test_failed_disc_check_is_certified_by_an_eigensolve(self,
+                                                              monkeypatch):
+        # a K = 20 graph metric with all-ones scalars, under which some
+        # plain Gershgorin left-ends are negative: column 0's step moves
+        # the matrix but cannot mend the other rows' discs
+        rng = np.random.default_rng(1)
+        g = random_graph_metric(rng, 20)
+        ctx = ObjectiveContext(features=0.3 * rng.normal(size=(30, 20)),
+                               labels=rng.choice([-1.0, 1.0], size=30))
+        cfg = OptimizerConfig(trace_cap=g.matrix.trace()).resolve(20)
+        state = OptimizerState(metric=g,
+                               scalars=GershgorinScalars(np.ones(20)),
+                               objective_trace=(0.0,))
+        solves = count_eigensolves(monkeypatch)
+        new = offdiag_step(state, ctx, cfg, 0)
+        m = new.metric.matrix
+        assert not np.array_equal(m.entries, g.matrix.entries)
+        assert float(scaled_left_ends(m, state.scalars).min()) < cfg.rho - 1e-9
+        assert solves[0] == "smallest_eigenpair_lobpcg"
+        cert = new.metric.certificate
+        assert cert.eigenpair
+        assert cert.lambda_min == pytest.approx(
+            float(np.linalg.eigvalsh(m.entries)[0]), rel=1e-10)
+        expected = optimizer._conditioned_scalars(new.metric, cfg.rho)
+        assert np.array_equal(new.scalars.values, expected.values)
+        # the same step under aligned scalars passes the check and solves
+        # nothing
+        solves.clear()
+        aligned = update_scalars(state, rho=cfg.rho)
+        lazy = offdiag_step(aligned, ctx, cfg, 0)
+        assert solves == []
+        assert not np.array_equal(lazy.metric.matrix.entries,
+                                  g.matrix.entries)
+        assert not lazy.metric.certificate.eigenpair
+        assert lazy.scalars is aligned.scalars
+
+    @pytest.mark.parametrize("name", ["iris K=4", "wine K=13"])
+    def test_small_k_states_carry_their_own_eigenpair(self, name):
+        ctx, cfg = TestReferenceKernels.CASES[name]()
+        states = []
+        learn_metric(ctx, cfg, observer=lambda event, st: states.append(st))
+        for st in states:
+            cert = st.metric.certificate
+            a = st.metric.matrix.entries
+            assert cert.eigenpair
+            assert abs(cert.lambda_min - float(np.linalg.eigvalsh(a)[0])) \
+                <= 1e-10 * st.metric.matrix.trace()
+            assert np.linalg.norm(a @ cert.eigvec - cert.lambda_min
+                                  * cert.eigvec) <= 1e-9
