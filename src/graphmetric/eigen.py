@@ -1,14 +1,14 @@
 """Smallest-eigenpair solvers: exact dense and warm-startable LOBPCG.
 
 Up to K = 16 the optimizer refreshes the first eigenpair of the metric
-after every block update that changes it, by one dense solve with warm
-LOBPCG as the backstop.  Above that a column step's iterate is certified by
-its own scaled Gershgorin discs, and the eigenpair is refreshed after
-diagonal steps, once per sweep and after the column steps the discs cannot
-certify: Jacobi-preconditioned LOBPCG with the previous eigenvector as
-initial guess comes first, with a dense backstop that also replaces a
-LOBPCG pair whose alignment scalars cannot be verified.  The only other
-solve, validation, is dense.
+after every block update that changes it, by one dense solve.  Above that
+a column step's iterate is certified by its own scaled Gershgorin discs,
+and the eigenpair is refreshed after diagonal steps, once per sweep and
+after the column steps the discs cannot certify, by Jacobi-preconditioned
+LOBPCG warm-started from the previous eigenvector.  Its pair is kept only
+when the scalars it aligns verify every scaled disc left-end, since a
+Rayleigh quotient only bounds lambda_min from above; every other case is
+one dense solve, as is validation.
 """
 
 from __future__ import annotations

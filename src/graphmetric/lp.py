@@ -32,7 +32,6 @@ class LPError(RuntimeError):
 @dataclass(frozen=True)
 class LPSolution:
     point: np.ndarray | None
-    objective_value: float
     status: str
 
 
@@ -52,13 +51,13 @@ def solve_diagonal_lp(gradient: np.ndarray, lower_bounds: np.ndarray,
         raise LPError("lower bounds must be finite")
     slack = trace_cap - float(lb.sum())
     if slack < -FEASIBILITY_TOL * max(1.0, abs(trace_cap)):
-        return LPSolution(point=None, objective_value=np.nan, status=INFEASIBLE)
+        return LPSolution(point=None, status=INFEASIBLE)
     x = lb.copy()
     if slack > 0:
         best = int(g.argmin())
         if g[best] < 0:
             x[best] += slack
-    return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
+    return LPSolution(point=x, status=OPTIMAL)
 
 
 def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
@@ -86,13 +85,11 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
     if not (a > 0).all():
         raise LPError("knapsack coefficients must be strictly positive")
     if (lo > up + FEASIBILITY_TOL).any() or (up > FEASIBILITY_TOL).any():
-        return LPSolution(point=None, objective_value=np.nan,
-                          status=INFEASIBLE)
+        return LPSolution(point=None, status=INFEASIBLE)
     x = np.minimum(up, 0.0)
     spent = float(a @ (-x))
     if spent > budget + FEASIBILITY_TOL * max(1.0, abs(budget)):
-        return LPSolution(point=None, objective_value=np.nan,
-                          status=INFEASIBLE)
+        return LPSolution(point=None, status=INFEASIBLE)
     remaining = max(float(budget) - spent, 0.0)
     if remaining > 0.0:
         # the greedy on Python floats does the IEEE operations of numpy
@@ -110,4 +107,4 @@ def solve_box_knapsack_lp(gradient: np.ndarray, lower: np.ndarray,
                 if remaining <= 0.0:
                     break
             x = np.array(xs)
-    return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
+    return LPSolution(point=x, status=OPTIMAL)

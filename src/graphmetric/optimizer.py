@@ -11,9 +11,10 @@ Above K = 16 a column step's iterate lies in the scaled disc polytope of
 the current scalars, so its own disc left-ends prove lambda_min >= rho; the
 step keeps the scalars and solves no eigenproblem, and the learner
 re-certifies and re-aligns once per sweep (``learn_metric``).  Eigenpairs
-come from ``_certify_matrix``: one dense solve first up to K = 16, warm
-LOBPCG first above it.  Every iterate stays a certified graph metric whose
-scalars its certificate verifies.  Column steps keep the graph connected by
+come from ``_certify_matrix`` by one rule: above K = 16 a warm LOBPCG pair
+whose scalars verify every scaled disc left-end, else one dense solve.
+Every iterate stays a certified graph metric whose scalars its
+certificate verifies.  Column steps keep the graph connected by
 pinning the edges of Prim's maximum spanning tree
 (``core.max_spanning_tree``) at magnitude >= epsilon; the config holds
 epsilon above core.CONNECTIVITY_EPS, so that tree also proves connectivity
@@ -69,8 +70,8 @@ class OptimizerConfig:
     ``trace_cap``, ``rho`` and ``epsilon`` default to None and are resolved
     against the feature dimension K: trace_cap = K, rho = 1e-4 * C / K,
     epsilon = 1e-3 * C / K.  Building a config coerces numeric strings to
-    float and checks the invariants that hold at any K; ``resolve`` checks
-    the ones that depend on K.
+    float, rejects booleans and checks the invariants that hold at any K;
+    ``resolve`` checks the ones that depend on K.
     """
 
     trace_cap: float | None = None
@@ -86,6 +87,8 @@ class OptimizerConfig:
             if value is None and name != "obj_rel_tol":
                 continue  # resolved against K
             try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError  # float() would read True as 1.0
                 value = float(value)
             except (TypeError, ValueError):
                 raise ConfigError(
@@ -204,8 +207,10 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
                           protected_edges=_path_edges(dim))
 
 
-# Largest K whose iterates are certified after every step, by a dense solve
-# first.  Measured on the benchmark workloads (2-core x86, numpy 2.4):
+# Largest K whose iterates are certified after every step, each by one
+# dense solve; above it warm LOBPCG comes first and a pair whose scalars do
+# not verify goes to dense (``_certify_matrix``).  Measured on the
+# benchmark workloads (2-core x86, numpy 2.4):
 # - Replayed on the certification inputs, one LAPACK eigh took 34 and 61 us
 #   at K = 4 and 13 against 309 and 707 us for warm LOBPCG.
 # - Above it, certifying column steps by their discs and re-aligning once
@@ -213,9 +218,20 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
 #   0.2267 at the same converged learns.  The same rule at K = 4 and 13
 #   makes iris and wine learns creep (outer iterations +55%, wine learns/s
 #   -35%), so those keep the paper's per-step alignment.
-# - Certifying K = 48 densely instead of by warm LOBPCG lost: converged
-#   learns 14/15 -> 13/15 and outer iterations 113 -> 158.
+# - Certifying K = 48 densely instead of by warm LOBPCG first lost: over
+#   74 K = 48 blob learns, converged learns 66 -> 57 and outer iterations
+#   761 -> 1,197.
 _DENSE_MAX_DIM = 16
+
+
+def _certified(matrix: SymmetricMatrix,
+               pair: eigen.EigenPair) -> GraphMetric | None:
+    """``matrix`` certified by ``pair``, or None unless it certifies."""
+    v = eigen.clamp_positive(pair.vector)
+    if v is None or not pair.value > 0:
+        return None
+    return GraphMetric(matrix=matrix, certificate=Certificate(
+        lambda_min=pair.value, eigvec=v))
 
 
 def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
@@ -225,47 +241,34 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
     Runs after every matrix-changing step up to _DENSE_MAX_DIM, and above
     it once per sweep and after a column step whose discs do not certify.
     A pair certifies when its value is positive and its vector clamps
-    positive.  Up to _DENSE_MAX_DIM one dense solve comes first and warm
-    LOBPCG is the backstop; above it warm LOBPCG comes first and one dense
-    solve is the backstop.  The backstop covers LOBPCG non-convergence, an
-    eigenvector whose sub-precision entries come out too negative to
-    clamp, and a LOBPCG pair whose scalars cannot be verified.  A dense
-    pair, or the last solver's, ends the search, with floored scalars if
-    need be (``_conditioned_scalars``).
+    positive.  Above _DENSE_MAX_DIM warm LOBPCG is tried first, and its
+    pair is kept only when the scalars it aligns verify every scaled disc
+    left-end.  Every other case is certified by one dense solve, and only
+    that pair may carry floored scalars (``_conditioned_scalars``): its
+    lambda_min is exact, while a LOBPCG Rayleigh quotient only bounds
+    lambda_min from above.  A dense pair that does not certify raises
+    CertificationError.
     """
-    def lobpcg() -> eigen.EigenPair:
-        return eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
-                                               tol=_EIG_TOL)
-
-    def dense() -> eigen.EigenPair:
-        return eigen.smallest_eigenpair_dense(matrix)
-
-    order = ((dense, lobpcg) if matrix.dim <= _DENSE_MAX_DIM
-             else (lobpcg, dense))
-    unverified = None
-    for solve in order:
+    if matrix.dim > _DENSE_MAX_DIM:
         try:
-            pair = solve()
+            pair = eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
+                                                   tol=_EIG_TOL)
         except eigen.LobpcgNonConvergence:
             log.debug("LOBPCG did not converge")
-            continue
-        v = eigen.clamp_positive(pair.vector)
-        if v is None or not pair.value > 0:
-            continue
-        metric = GraphMetric(matrix=matrix, certificate=Certificate(
-            lambda_min=pair.value, eigvec=v))
-        scalars = _conditioned_scalars(metric, rho,
-                                       floored=solve in (dense, order[-1]))
-        if scalars is not None:
-            return metric, scalars
-        unverified = metric
-    if unverified is None:
+        else:
+            metric = _certified(matrix, pair)
+            scalars = (None if metric is None else
+                       _conditioned_scalars(metric, rho, floored=False))
+            if scalars is not None:
+                return metric, scalars
+    pair = eigen.smallest_eigenpair_dense(matrix)
+    metric = _certified(matrix, pair)
+    if metric is None:
         raise CertificationError(
             f"iterate is not certifiable (lambda_min={pair.value:.3e}, "
             f"min eigvec entry={float(np.min(pair.vector)):.3e}); the "
             f"iterate left the graph-metric set")
-    # warm LOBPCG's pair did not verify and the dense backstop failed
-    return unverified, _conditioned_scalars(unverified, rho)
+    return metric, _conditioned_scalars(metric, rho)
 
 
 # Eigenvector entries below this fraction of the largest entry cannot carry
@@ -283,24 +286,20 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     Gershgorin PD guarantee, lifting only relaxes tightness on coordinates
     that double precision cannot resolve anyway.  Returns the first choice
     under which the incumbent verifiably keeps every scaled disc left-end
-    >= rho - 1e-9.  When none does, the entries sit below double
-    precision's reach and the left-ends are too noisy to verify a margin
-    that may still hold: then with ``floored`` the eta = _SCALAR_FLOOR
-    choice is returned once lambda_min >= rho - 1e-9 is checked, and
-    without it None.
+    (``scaled_left_ends``) >= rho - 1e-9.  When none does, the entries sit
+    below double precision's reach and the left-ends are too noisy to
+    verify a margin that may still hold: then with ``floored`` the eta =
+    _SCALAR_FLOOR choice is returned once lambda_min >= rho - 1e-9 is
+    checked, and without it None.  So ``floored`` needs a lambda_min that
+    is not above the true one: never a LOBPCG Rayleigh quotient.
     """
     v = metric.certificate.eigvec
     vmax = float(v.max())
-    # scaled_left_ends' arithmetic, with |M| and diag(M) taken once
-    a = metric.matrix.entries
-    off = np.abs(a)
-    off.ravel()[::a.shape[0] + 1] = 0.0
-    centres = a.diagonal()
     for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
-        sv = 1.0 / np.maximum(v, eta * vmax)
-        left = centres - (off * (sv[:, None] / sv[None, :])).sum(axis=1)
+        scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
+        left = scaled_left_ends(metric.matrix, scalars)
         if float(left.min()) >= rho - _FEAS_SLACK:
-            return GershgorinScalars(sv)
+            return scalars
     if not floored:
         return None
     lam = metric.certificate.lambda_min

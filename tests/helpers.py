@@ -8,9 +8,8 @@ they check.  ``ReferenceGLRObjective``, ``reference_diagonal_lp``,
 ``reference_knapsack_lp``, ``reference_basis`` and ``reference_lobpcg``
 are the production kernels' plain formulas without their caches and
 shortcuts: a learn through them must give the same bits.
-``key_array_spanning_tree``, ``mirrored_symmetric_init`` and
-``reference_conditioned_scalars`` are the earlier forms of Prim's tree,
-``SymmetricMatrix`` construction and the optimizer's scalar ladder.
+``key_array_spanning_tree`` and ``mirrored_symmetric_init`` are the
+earlier forms of Prim's tree and ``SymmetricMatrix`` construction.
 ``alignment_scalars`` is the paper's bare disc-alignment rule s = 1/v.
 ``reference_graph_scores`` solves the graph classifier's system by
 scipy's Cholesky routines.  ``count_eigensolves`` is the one spy: it
@@ -26,13 +25,12 @@ from scipy.linalg import cho_factor, cho_solve
 
 from graphmetric import eigen
 from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
-                              GraphMetric, SymmetricMatrix, scaled_left_ends,
+                              GraphMetric, SymmetricMatrix,
                               validate_graph_metric)
 from graphmetric.data import Dataset
 from graphmetric.lp import INFEASIBLE, OPTIMAL, LPError, LPSolution
 from graphmetric.objective import ObjectiveContext, glr_value
-from graphmetric.optimizer import (_ARMIJO_C, _FEAS_SLACK, _MIN_STEP,
-                                   _SCALAR_FLOOR, CertificationError)
+from graphmetric.optimizer import _ARMIJO_C, _MIN_STEP
 
 
 def random_graph_metric(rng: np.random.Generator, dim: int,
@@ -375,12 +373,12 @@ def reference_diagonal_lp(g, lb, trace_cap, tol: float = 1e-9) -> LPSolution:
         raise LPError("lower bounds must be finite")
     slack = trace_cap - float(np.sum(lb))
     if slack < -tol * max(1.0, abs(trace_cap)):
-        return LPSolution(point=None, objective_value=np.nan, status=INFEASIBLE)
+        return LPSolution(point=None, status=INFEASIBLE)
     x = lb.copy()
     slack = max(slack, 0.0)
     if slack > 0 and float(np.min(g)) < 0:
         x[int(np.argmin(g))] += slack
-    return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
+    return LPSolution(point=x, status=OPTIMAL)
 
 
 def reference_knapsack_lp(g, lo, up, a, budget, tol: float = 1e-9
@@ -394,13 +392,11 @@ def reference_knapsack_lp(g, lo, up, a, budget, tol: float = 1e-9
     if not np.all(a > 0):
         raise LPError("knapsack coefficients must be strictly positive")
     if np.any(lo > up + tol) or np.any(up > tol):
-        return LPSolution(point=None, objective_value=np.nan,
-                          status=INFEASIBLE)
+        return LPSolution(point=None, status=INFEASIBLE)
     x = np.minimum(up, 0.0)
     spent = float(a @ (-x))
     if spent > budget + tol * max(1.0, abs(budget)):
-        return LPSolution(point=None, objective_value=np.nan,
-                          status=INFEASIBLE)
+        return LPSolution(point=None, status=INFEASIBLE)
     remaining = max(budget - spent, 0.0)
     pos = np.flatnonzero(g > 0)
     order = pos[np.lexsort((pos, -(g[pos] / a[pos])))]
@@ -410,7 +406,7 @@ def reference_knapsack_lp(g, lo, up, a, budget, tol: float = 1e-9
         step = min(x[r] - lo[r], remaining / a[r])
         x[r] -= step
         remaining -= step * a[r]
-    return LPSolution(point=x, objective_value=float(g @ x), status=OPTIMAL)
+    return LPSolution(point=x, status=OPTIMAL)
 
 
 def reference_basis(columns: list[np.ndarray]) -> np.ndarray:
@@ -585,24 +581,6 @@ def mirrored_symmetric_init(self) -> None:
     exact = np.diag(np.diag(a)) + upper + upper.T
     exact.setflags(write=False)
     object.__setattr__(self, "entries", exact)
-
-
-def reference_conditioned_scalars(metric: GraphMetric, rho: float,
-                                  floored: bool = True):
-    """``optimizer._conditioned_scalars`` with a fresh ``GershgorinScalars``
-    and ``scaled_left_ends`` for every rung of the eta ladder."""
-    v = metric.certificate.eigvec
-    vmax = float(np.max(v))
-    for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
-        scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
-        left = scaled_left_ends(metric.matrix, scalars)
-        if float(np.min(left)) >= rho - _FEAS_SLACK:
-            return scalars
-    if not floored:
-        return None
-    if metric.certificate.lambda_min < rho - _FEAS_SLACK:
-        raise CertificationError("incumbent left the feasible region")
-    return GershgorinScalars(1.0 / np.maximum(v, _SCALAR_FLOOR * vmax))
 
 
 def alignment_scalars(g: GraphMetric) -> GershgorinScalars:

@@ -44,14 +44,14 @@ def _knapsack_program(g, lo, up, a, budget):
     return g, -a[None, :], np.array([budget]), lo, up
 
 
-def _assert_same_bits(sol, ref):
+def _assert_same_bits(sol, ref, g):
     assert sol.status == ref.status
-    assert np.float64(sol.objective_value).tobytes() == \
-        np.float64(ref.objective_value).tobytes()
     if ref.point is None:
         assert sol.point is None
     else:
         assert sol.point.tobytes() == ref.point.tobytes()
+        assert np.float64(g @ sol.point).tobytes() == \
+            np.float64(g @ ref.point).tobytes()
 
 
 def _random_diagonal(rng, dim):
@@ -73,13 +73,13 @@ def _random_knapsack(rng, dim):
 
 class TestDiagonalLP:
     def test_slack_to_most_negative_gradient(self):
-        sol = solve_diagonal_lp(np.array([-1.0, -3.0, 2.0]),
-                                np.array([1.0, 1.0, 1.0]), 6.0)
+        g = np.array([-1.0, -3.0, 2.0])
+        sol = solve_diagonal_lp(g, np.array([1.0, 1.0, 1.0]), 6.0)
         assert sol.status == OPTIMAL
         assert sol.point.tolist() == [1.0, 4.0, 1.0]
         _, oracle = _highs(*_diagonal_program(
-            np.array([-1.0, -3.0, 2.0]), np.array([1.0, 1.0, 1.0]), 6.0))
-        assert sol.objective_value == pytest.approx(oracle, abs=1e-9)
+            g, np.array([1.0, 1.0, 1.0]), 6.0))
+        assert g @ sol.point == pytest.approx(oracle, abs=1e-9)
 
     def test_all_positive_gradient_stays_at_bounds(self):
         sol = solve_diagonal_lp(np.array([0.5, 1.0, 2.0]),
@@ -106,11 +106,11 @@ class TestDiagonalLP:
         for _ in range(500):
             g, lb, cap = _random_diagonal(rng, int(rng.integers(2, 9)))
             fast = solve_diagonal_lp(g, lb, cap)
-            _assert_same_bits(fast, reference_diagonal_lp(g, lb, cap))
+            _assert_same_bits(fast, reference_diagonal_lp(g, lb, cap), g)
             status, value = _highs(*_diagonal_program(g, lb, cap))
             assert fast.status == status
             if fast.status == OPTIMAL:
-                assert abs(fast.objective_value - value) <= 1e-9
+                assert abs(g @ fast.point - value) <= 1e-9
 
 
 class TestBoxKnapsackLP:
@@ -149,11 +149,11 @@ class TestBoxKnapsackLP:
                                                     int(rng.integers(2, 9)))
             fast = solve_box_knapsack_lp(g, lo, up, a, budget)
             _assert_same_bits(fast, reference_knapsack_lp(g, lo, up, a,
-                                                          budget))
+                                                          budget), g)
             status, value = _highs(*_knapsack_program(g, lo, up, a, budget))
             assert fast.status == status
             if fast.status == OPTIMAL:
-                assert abs(fast.objective_value - value) <= 1e-9
+                assert abs(g @ fast.point - value) <= 1e-9
                 x = fast.point
                 assert a @ (-x) <= budget + 1e-12
                 assert np.all(x >= lo - 1e-12) and np.all(x <= up + 1e-12)
@@ -176,7 +176,7 @@ class TestBoxKnapsackLP:
             assert np.array_equal(sol.point,
                                   knapsack_greedy_sorted(g, lo, up, a, budget))
             _assert_same_bits(sol, reference_knapsack_lp(g, lo, up, a,
-                                                         budget))
+                                                         budget), g)
             ratios = (g / a)[g > 0]
             tied += np.unique(ratios).size < ratios.size
         assert tied > 300
@@ -196,7 +196,7 @@ def test_closed_form_is_enumerated_optimal_vertex(solve, program, draw):
         status, best, _ = enumerate_lp_vertices(c, a_ub, b_ub, lo, hi)
         assert sol.status == status
         if status == OPTIMAL:
-            assert sol.objective_value == pytest.approx(best, abs=1e-9)
+            assert c @ sol.point == pytest.approx(best, abs=1e-9)
             assert count_active(a_ub, b_ub, lo, hi, sol.point) >= dim
 
 

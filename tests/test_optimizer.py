@@ -29,10 +29,9 @@ from helpers import (MatrixObjective, ReferenceGLRObjective,
                      count_eigensolves, diag_objective_fn, golden_section,
                      grid_search_diag, key_array_spanning_tree,
                      max_spanning_tree, mirrored_symmetric_init,
-                     random_graph_metric, reference_conditioned_scalars,
-                     reference_diagonal_lp, reference_knapsack_lp,
-                     reference_lobpcg, shifted_path_laplacian,
-                     two_cluster_dataset)
+                     random_graph_metric, reference_diagonal_lp,
+                     reference_knapsack_lp, reference_lobpcg,
+                     shifted_path_laplacian, two_cluster_dataset)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -92,6 +91,14 @@ class TestConfig:
     def test_non_numeric_values_raise_config_error(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
             OptimizerConfig(**{field: value}).resolve(4)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    @pytest.mark.parametrize("field", ["trace_cap", "rho", "epsilon",
+                                       "obj_rel_tol"])
+    def test_booleans_are_not_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            OptimizerConfig(**{field: value})
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-13])
     def test_epsilon_at_or_below_edge_floor_rejected(self, eps):
@@ -589,18 +596,6 @@ class TestCertifyMatrix:
             return replace(pair, vector=v)
         monkeypatch.setattr(eigen, "smallest_eigenpair_dense", negative)
 
-    def test_small_k_falls_back_to_warm_lobpcg(self, monkeypatch):
-        g, warm = self._iterate(4)
-        self._negative_dense(monkeypatch)
-        solves = count_eigensolves(monkeypatch)
-        metric, _ = optimizer._certify_matrix(g.matrix, warm, 0.0)
-        assert solves == ["smallest_eigenpair_dense",
-                          "smallest_eigenpair_lobpcg"]
-        assert metric.matrix is g.matrix
-        assert np.all(metric.certificate.eigvec > 0)
-        assert metric.certificate.lambda_min == pytest.approx(
-            g.certificate.lambda_min, rel=1e-8)
-
     @pytest.mark.parametrize("k", [4, 48])
     def test_both_solvers_failing_raises(self, monkeypatch, k):
         def no_convergence(matrix, warm_start=None, **kwargs):
@@ -612,8 +607,26 @@ class TestCertifyMatrix:
         solves = count_eigensolves(monkeypatch)
         with pytest.raises(optimizer.CertificationError):
             optimizer._certify_matrix(g.matrix, warm, 0.0)
-        order = ["smallest_eigenpair_dense", "smallest_eigenpair_lobpcg"]
-        assert solves == (order if k <= 16 else order[::-1])
+        assert solves == (["smallest_eigenpair_dense"] if k <= 16 else
+                          ["smallest_eigenpair_lobpcg",
+                           "smallest_eigenpair_dense"])
+
+    @pytest.mark.parametrize("k", [4, 48])
+    def test_rayleigh_quotient_above_rho_does_not_certify(self, monkeypatch,
+                                                          k):
+        """A LOBPCG value only bounds lambda_min from above, so it must not
+        stand behind floored scalars when the dense pair fails."""
+        g, warm = self._iterate(k)
+        lam = float(np.linalg.eigvalsh(g.matrix.entries)[0])
+
+        def overshoot(matrix, warm_start=None, **kwargs):
+            return eigen.EigenPair(value=lam + 1.0,
+                                   vector=np.full(k, k ** -0.5), residual=0.0)
+        self._negative_dense(monkeypatch)
+        monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", overshoot)
+        with pytest.raises(optimizer.CertificationError,
+                           match="not certifiable"):
+            optimizer._certify_matrix(g.matrix, warm, lam + 0.5)
 
     @pytest.mark.parametrize("k", [4, 48])
     @pytest.mark.parametrize("field", ["value", "vector"])
@@ -933,8 +946,7 @@ class TestReferenceKernels:
     through their plain formulas (tests/helpers.py): pair terms computed
     afresh, a fresh column block per call, the numpy-scalar LP greedy,
     LOBPCG with np.linalg.norm and an eigvalsh basis test, the key-array
-    Prim, the triu mirror for every matrix and a fresh scaled_left_ends
-    for every rung of the scalar ladder."""
+    Prim and the triu mirror for every matrix."""
 
     CASES = {
         "iris K=4": lambda: (_cv_fold_ctx(), OptimizerConfig()),
@@ -967,8 +979,6 @@ class TestReferenceKernels:
                           key_array_spanning_tree)
             patch.setattr(SymmetricMatrix, "__post_init__",
                           mirrored_symmetric_init)
-            patch.setattr(optimizer, "_conditioned_scalars",
-                          reference_conditioned_scalars)
             slow, slow_solves = self._learn(patch, ctx, cfg)
         assert fast.metric.matrix.entries.tobytes() == \
             slow.metric.matrix.entries.tobytes()
