@@ -4,9 +4,11 @@ A *graph metric matrix* is a positive definite generalized graph Laplacian:
 strictly positive diagonal, non-positive off-diagonals, and a connected
 off-diagonal sparsity graph.  The set of such matrices is the search space
 of the metric learner; this module provides the matrix substrate, the one
-membership check (``validate_graph_metric``), and the Gershgorin disc
-arithmetic under per-row scalars that turns the PD cone constraint into
-linear constraints.
+membership check (``validate_graph_metric``), the one rule for what a
+computed eigenpair certifies (``Certificate.from_pair``: it signs the
+vector by its largest-magnitude entry and lifts round-off to a positive
+floor), and the Gershgorin disc arithmetic under per-row scalars that
+turns the PD cone constraint into linear constraints.
 
 ``SymmetricMatrix`` stores exactly symmetric entries.  The optimizer only
 ever builds exactly symmetric inputs, which are copied as they are; the
@@ -129,16 +131,22 @@ class SymmetricMatrix:
         return SymmetricMatrix(a)
 
 
+# A signed Perron vector's entries above -NEGATIVE_GRACE are round-off and
+# are lifted to _POSITIVE_FLOOR * max; one at or below it certifies nothing.
+NEGATIVE_GRACE = 1e-12
+_POSITIVE_FLOOR = 1e-13
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Positive-definiteness witness.
 
-    With ``eigenpair`` (the default) it holds the smallest eigenpair.  A
-    disc certificate (``eigenpair`` False) proves positive definiteness by
-    Gershgorin's theorem on S M S^-1 instead: ``lambda_min`` is then the
-    smallest scaled disc left-end, a lower bound on the true lambda_min,
-    and ``eigvec`` the last computed eigenvector of an earlier matrix, kept
-    only as a warm start for the next eigensolve.
+    With ``eigenpair`` (the default) it holds the smallest eigenpair, built
+    by :meth:`from_pair`.  A disc certificate (``eigenpair`` False) proves
+    positive definiteness by Gershgorin's theorem on S M S^-1 instead:
+    ``lambda_min`` is then the smallest scaled disc left-end, a lower bound
+    on the true lambda_min, and ``eigvec`` the last computed eigenvector of
+    an earlier matrix, kept only as a warm start for the next eigensolve.
     """
 
     lambda_min: float
@@ -149,6 +157,37 @@ class Certificate:
         v = np.asarray(self.eigvec, dtype=float).copy()
         v.setflags(write=False)
         object.__setattr__(self, "eigvec", v)
+
+    @staticmethod
+    def signed(vector: np.ndarray) -> np.ndarray:
+        """``vector`` signed so that its largest-magnitude entry is positive.
+
+        A graph metric's first eigenvector is strictly positive up to sign
+        (Perron-Frobenius), but its entries far from the mass can be
+        round-off of either sign; the largest entry never is.
+        """
+        v = np.asarray(vector, dtype=float)
+        return -v if v[int(np.abs(v).argmax())] < 0 else v
+
+    @classmethod
+    def from_pair(cls, value: float, vector: np.ndarray
+                  ) -> "Certificate | None":
+        """The certificate a computed smallest eigenpair gives, or None.
+
+        None unless ``value`` > 0, every entry is finite and, once
+        ``signed``, every entry is above -NEGATIVE_GRACE.  The entries are
+        then lifted to at least 1e-13 * max and renormalized, which moves
+        the residual by about 1e-13 * ||M||.
+        """
+        v = np.asarray(vector, dtype=float)
+        if not value > 0 or not np.isfinite(v).all():
+            return None
+        v = cls.signed(v)
+        vmax = float(v.max())
+        if not vmax > 0 or float(v.min()) <= -NEGATIVE_GRACE:
+            return None
+        w = np.maximum(v, _POSITIVE_FLOOR * vmax)
+        return cls(lambda_min=value, eigvec=w / np.linalg.norm(w))
 
 
 @dataclass(frozen=True)
@@ -274,9 +313,9 @@ def validate_graph_metric(m: SymmetricMatrix) -> GraphMetric:
     violated condition: a non-positive diagonal entry, a positive
     off-diagonal entry, a disconnected graph (``is_connected``), and
     lambda_min at or below PD_TOL * trace / K from one dense solve at any
-    K.  On success the certificate carries the smallest eigenpair,
-    sign-normalized so all entries are positive (Perron-Frobenius
-    guarantees a strictly positive first eigenvector for graph metrics).
+    K.  On success the certificate is ``Certificate.from_pair`` of that
+    solve: the smallest eigenpair with a strictly positive vector, as
+    Perron-Frobenius guarantees for graph metrics.
     """
     from . import eigen  # local import: eigen depends on this module's types
 
@@ -299,13 +338,12 @@ def validate_graph_metric(m: SymmetricMatrix) -> GraphMetric:
                        f"{floor:.6g})")
     if reasons:
         raise GraphMetricRejection(reasons)
-    vec = eigen.clamp_positive(pair.vector)
-    if vec is None:
+    certificate = Certificate.from_pair(pair.value, pair.vector)
+    if certificate is None:
         # cannot happen for a true graph metric; indicates a broken solve
         raise GraphMetricRejection(
             ["first eigenvector has non-positive entries (certification failed)"])
-    return GraphMetric(matrix=m, certificate=Certificate(lambda_min=pair.value,
-                                                         eigvec=vec))
+    return GraphMetric(matrix=m, certificate=certificate)
 
 
 def pairwise_mahalanobis(features_a: np.ndarray, features_b: np.ndarray,

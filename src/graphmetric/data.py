@@ -65,6 +65,9 @@ def _parse_csv(path: Path, label_column: int | str | None,
     first row whose feature cells fail numeric parsing is skipped), or None
     for a file of features only.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise CsvFormatError(
+            f"{path}: delimiter must be one character, not {delimiter!r}")
     with path.open(newline="") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     if not rows:

@@ -1,14 +1,12 @@
 """Smallest-eigenpair solvers: exact dense and warm-startable LOBPCG.
 
-Up to K = 16 the optimizer refreshes the first eigenpair of the metric
-after every block update that changes it, by one dense solve.  Above that
-a column step's iterate is certified by its own scaled Gershgorin discs,
-and the eigenpair is refreshed after diagonal steps, once per sweep and
-after the column steps the discs cannot certify, by Jacobi-preconditioned
-LOBPCG warm-started from the previous eigenvector.  Its pair is kept only
-when the scalars it aligns verify every scaled disc left-end, since a
-Rayleigh quotient only bounds lambda_min from above; every other case is
-one dense solve, as is validation.
+This module holds the numerics only.  Both solvers return the vector as
+computed, with its sign unspecified, as ``numpy.linalg.eigh`` does; what a
+pair certifies, and with which sign, is decided by
+``core.Certificate.from_pair`` alone.  Which solver runs when is the
+optimizer's routing (``optimizer._certify_matrix``): one dense solve up to
+K = 16 and for validation, warm-started Jacobi-preconditioned LOBPCG first
+above it.
 """
 
 from __future__ import annotations
@@ -42,52 +40,8 @@ class EigenPair:
     iterations: int = 0
 
 
-class EigensolverError(RuntimeError):
-    pass
-
-
-class LobpcgNonConvergence(EigensolverError):
-    """Iteration budget exhausted; carries the best pair found so far."""
-
-    def __init__(self, best: EigenPair, max_iters: int):
-        self.best = best
-        super().__init__(
-            f"LOBPCG did not reach tolerance in {max_iters} iterations "
-            f"(best residual {best.residual:.3e})")
-
-
-def _sign_normalize(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the first entry with non-negligible magnitude is positive."""
-    mag = np.abs(v)
-    nz = np.nonzero(mag > 1e-14 * max(1.0, float(mag.max())))[0]
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
-
-
-# Entries of a computed Perron eigenvector below this are treated as genuine
-# negativity (certification failure) rather than round-off.
-NEGATIVE_GRACE = 1e-12
-_POSITIVE_FLOOR = 1e-13
-
-
-def clamp_positive(v: np.ndarray) -> np.ndarray | None:
-    """Positive representative of a floating-point Perron eigenvector.
-
-    A graph metric's first eigenvector is strictly positive, but entries can
-    fall below double precision and round to tiny negatives.  Entries above
-    -NEGATIVE_GRACE are lifted to a 1e-13-relative floor and the vector is
-    renormalized (the residual moves by ~1e-13 * ||M||, far inside the
-    certificate tolerance).  Returns None when some entry is genuinely
-    negative or not finite.
-    """
-    if not np.isfinite(v).all():
-        return None
-    vmax = float(v.max())
-    if vmax <= 0 or float(v.min()) <= -NEGATIVE_GRACE:
-        return None
-    w = np.maximum(v, _POSITIVE_FLOOR * vmax)
-    return w / np.linalg.norm(w)
+class LobpcgNonConvergence(RuntimeError):
+    """The residual did not reach tolerance within ``max_iters``."""
 
 
 def smallest_eigenpair_dense(m: SymmetricMatrix) -> EigenPair:
@@ -95,7 +49,7 @@ def smallest_eigenpair_dense(m: SymmetricMatrix) -> EigenPair:
     a = m.entries
     vals, vecs = np.linalg.eigh(a)
     lam = float(vals[0])
-    v = _sign_normalize(vecs[:, 0])
+    v = vecs[:, 0]
     v = v / np.linalg.norm(v)
     residual = float(np.linalg.norm(a @ v - lam * v))
     return EigenPair(value=lam, vector=v, residual=residual, iterations=0)
@@ -162,12 +116,6 @@ def _orthonormal_basis(columns: list[np.ndarray]) -> np.ndarray:
     return v
 
 
-def _eigenpair(value: float, x: np.ndarray, residual: float,
-               iterations: int) -> EigenPair:
-    return EigenPair(value=value, vector=_sign_normalize(x),
-                     residual=residual, iterations=iterations)
-
-
 def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
                               warm_start: np.ndarray | None = None,
                               tol: float = DEFAULT_TOL,
@@ -183,8 +131,8 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     loop exits almost immediately, which is what the optimizer's warm
     re-certification exploits.
 
-    Raises :class:`LobpcgNonConvergence` (carrying the best pair so far)
-    when the residual has not reached ``tol`` within ``max_iters``.
+    Raises :class:`LobpcgNonConvergence` when the residual has not reached
+    ``tol`` within ``max_iters``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -214,15 +162,12 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
     lam = float(x @ ax)
     r = ax - lam * x
     p: np.ndarray | None = None
-    # (residual, value, vector, iterations) of the best iterate so far
-    best = (math.sqrt(r @ r), lam, x, 0)
 
     for it in range(max_iters + 1):
         res_norm = math.sqrt(r @ r)
         if res_norm <= tol:
-            return _eigenpair(lam, x, res_norm, it)
-        if res_norm < best[0]:
-            best = (res_norm, lam, x, it)
+            return EigenPair(value=lam, vector=x, residual=res_norm,
+                             iterations=it)
         if it == max_iters:
             break
         w = r if precond is None else precond * r
@@ -246,5 +191,6 @@ def smallest_eigenpair_lobpcg(m: SymmetricMatrix,
         lam = float(x @ ax)
         r = ax - lam * x
 
-    res_norm, lam, x, it = best
-    raise LobpcgNonConvergence(_eigenpair(lam, x, res_norm, it), max_iters)
+    raise LobpcgNonConvergence(
+        f"LOBPCG did not reach tolerance {tol:.1e} in {max_iters} iterations "
+        f"(final residual {res_norm:.3e})")

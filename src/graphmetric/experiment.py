@@ -201,10 +201,15 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
         classifiers = (classifier_choice,)
     else:
         raise ProtocolError(f"unknown classifier {classifier_choice!r}")
-    requested, seeds = seeds, tuple(int(s) for s in seeds)
+    requested, seeds = seeds, tuple(seeds)
     if not seeds:
         raise ProtocolError(f"empty seed range {requested!r}: the protocol "
                             f"needs at least one CV seed")
+    for seed in seeds:
+        # int() would run 0.7 as seed 0 and True as seed 1
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ProtocolError(f"seeds must be integers, not {seed!r}")
+    seeds = tuple(int(s) for s in seeds)
     if n_jobs < 1:
         raise ProtocolError(f"n_jobs={n_jobs}: the protocol needs at least "
                             f"1 worker")

@@ -13,9 +13,10 @@ step keeps the scalars and solves no eigenproblem, and the learner
 re-certifies and re-aligns once per sweep (``learn_metric``).  Eigenpairs
 come from ``_certify_matrix`` by one rule: above K = 16 a warm LOBPCG pair
 whose scalars verify every scaled disc left-end, else one dense solve.
-Every iterate stays a certified graph metric whose scalars its
-certificate verifies.  Column steps keep the graph connected by
-pinning the edges of Prim's maximum spanning tree
+A pair becomes a certificate only through ``core.Certificate.from_pair``,
+which signs and clamps its vector.  Every iterate stays a certified graph
+metric whose scalars its certificate verifies.  Column steps keep the
+graph connected by pinning the edges of Prim's maximum spanning tree
 (``core.max_spanning_tree``) at magnitude >= epsilon; the config holds
 epsilon above core.CONNECTIVITY_EPS, so that tree also proves connectivity
 under ``core.is_connected``'s rule.
@@ -224,24 +225,14 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
 _DENSE_MAX_DIM = 16
 
 
-def _certified(matrix: SymmetricMatrix,
-               pair: eigen.EigenPair) -> GraphMetric | None:
-    """``matrix`` certified by ``pair``, or None unless it certifies."""
-    v = eigen.clamp_positive(pair.vector)
-    if v is None or not pair.value > 0:
-        return None
-    return GraphMetric(matrix=matrix, certificate=Certificate(
-        lambda_min=pair.value, eigvec=v))
-
-
 def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
                     rho: float) -> tuple[GraphMetric, GershgorinScalars]:
     """Fresh certificate for ``matrix`` and its scalars aligned at ``rho``.
 
     Runs after every matrix-changing step up to _DENSE_MAX_DIM, and above
     it once per sweep and after a column step whose discs do not certify.
-    A pair certifies when its value is positive and its vector clamps
-    positive.  Above _DENSE_MAX_DIM warm LOBPCG is tried first, and its
+    A pair certifies when ``Certificate.from_pair`` gives a certificate.
+    Above _DENSE_MAX_DIM warm LOBPCG is tried first, and its
     pair is kept only when the scalars it aligns verify every scaled disc
     left-end.  Every other case is certified by one dense solve, and only
     that pair may carry floored scalars (``_conditioned_scalars``): its
@@ -256,18 +247,21 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
         except eigen.LobpcgNonConvergence:
             log.debug("LOBPCG did not converge")
         else:
-            metric = _certified(matrix, pair)
-            scalars = (None if metric is None else
-                       _conditioned_scalars(metric, rho, floored=False))
-            if scalars is not None:
-                return metric, scalars
+            certificate = Certificate.from_pair(pair.value, pair.vector)
+            if certificate is not None:
+                metric = GraphMetric(matrix=matrix, certificate=certificate)
+                scalars = _conditioned_scalars(metric, rho, floored=False)
+                if scalars is not None:
+                    return metric, scalars
     pair = eigen.smallest_eigenpair_dense(matrix)
-    metric = _certified(matrix, pair)
-    if metric is None:
+    certificate = Certificate.from_pair(pair.value, pair.vector)
+    if certificate is None:
+        signed = Certificate.signed(pair.vector)
         raise CertificationError(
             f"iterate is not certifiable (lambda_min={pair.value:.3e}, "
-            f"min eigvec entry={float(np.min(pair.vector)):.3e}); the "
+            f"min eigvec entry={float(np.min(signed)):.3e}); the "
             f"iterate left the graph-metric set")
+    metric = GraphMetric(matrix=matrix, certificate=certificate)
     return metric, _conditioned_scalars(metric, rho)
 
 

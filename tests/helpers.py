@@ -452,13 +452,10 @@ def reference_lobpcg(m: SymmetricMatrix, warm_start=None, tol: float = 1e-9,
     lam = float(x @ ax)
     r = ax - lam * x
     p = None
-    best = (float(np.linalg.norm(r)), lam, x, 0)
     for it in range(max_iters + 1):
         res_norm = float(np.linalg.norm(r))
         if res_norm <= tol:
-            return eigen._eigenpair(lam, x, res_norm, it)
-        if res_norm < best[0]:
-            best = (res_norm, lam, x, it)
+            return eigen.EigenPair(lam, x, res_norm, it)
         if it == max_iters:
             break
         w = r if precond is None else precond * r
@@ -478,9 +475,8 @@ def reference_lobpcg(m: SymmetricMatrix, warm_start=None, tol: float = 1e-9,
         ax = a @ x
         lam = float(x @ ax)
         r = ax - lam * x
-    res_norm, lam, x, it = best
-    raise eigen.LobpcgNonConvergence(eigen._eigenpair(lam, x, res_norm, it),
-                                     max_iters)
+    raise eigen.LobpcgNonConvergence(
+        f"reference LOBPCG: final residual {res_norm:.3e}")
 
 
 def armijo_backtracking(phi0: float, slope: float, evaluate

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphmetric.core import (SymmetricMatrix, scaled_left_ends,
-                              validate_graph_metric)
+from graphmetric.core import (Certificate, SymmetricMatrix,
+                              scaled_left_ends, validate_graph_metric)
 from graphmetric.data import load_csv, standardize
 from graphmetric.eigen import (DEFAULT_MAX_ITERS, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg, LobpcgNonConvergence)
@@ -98,6 +98,11 @@ def alignment_batch():
         worst_spread = max(worst_spread,
                            spread / max(1.0, g.certificate.lambda_min))
         min_entry = min(min_entry, float(np.min(g.certificate.eigvec)))
+        # the certificate does not depend on the sign the solver returned
+        pair = smallest_eigenpair_dense(g.matrix)
+        assert (Certificate.from_pair(pair.value, pair.vector).eigvec.tobytes()
+                == Certificate.from_pair(pair.value, -pair.vector)
+                .eigvec.tobytes())
     return worst_spread, min_entry, time.perf_counter() - start
 
 

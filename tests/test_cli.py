@@ -235,6 +235,12 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
     (_EXPERIMENT + " --obj-rel-tol 0", None, "obj_rel_tol must be positive"),
     (_EXPERIMENT + " --jobs 0", None,
      "n_jobs=0: the protocol needs at least 1 worker"),
+    (_LEARN_CSV + " --delimiter=", None,
+     "delimiter must be one character, not ''"),
+    (_CLASSIFY + " --delimiter=;;", _METRIC,
+     "delimiter must be one character, not ';;'"),
+    (_EXPERIMENT + " --delimiter=;;", None,
+     "delimiter must be one character, not ';;'"),
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
         "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
         "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
@@ -247,7 +253,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
         "learn-epsilon", "learn-epsilon-edge-floor", "learn-obj-rel-tol-nan",
         "learn-config-rho",
         "experiment-fw-max-iters", "experiment-obj-rel-tol",
-        "experiment-jobs-zero"])
+        "experiment-jobs-zero", "learn-delimiter-empty",
+        "classify-delimiter", "experiment-delimiter"])
 def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
                                     message):
     bad = tmp_path / "bad"

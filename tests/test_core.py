@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from graphmetric.core import (CONNECTIVITY_EPS, DimensionMismatchError,
+from graphmetric.core import (CONNECTIVITY_EPS, Certificate,
+                              DimensionMismatchError,
                               GershgorinScalars, GraphMetricRejection,
                               SymmetricMatrix, is_connected,
                               pairwise_mahalanobis, scaled_left_ends,
@@ -124,6 +125,22 @@ class TestSymmetricMatrix:
             a[col, rows] = values
             got = base.with_offdiag_column(col, values).entries
             assert got.tobytes() == a.tobytes()
+
+
+class TestFromPair:
+    def test_signs_by_the_largest_entry(self):
+        # a localized Perron vector: its first entry is round-off of the
+        # wrong sign, its mass is negative
+        v = np.array([1.6e-14, -0.71, -0.50, -0.50])
+        v /= np.linalg.norm(v)
+        cert = Certificate.from_pair(3.34e-3, v)
+        assert cert is not None and cert.lambda_min == 3.34e-3
+        assert np.all(cert.eigvec > 0)
+        assert cert.eigvec[1:4] == pytest.approx(-v[1:4], abs=1e-13)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_nonpositive_value_rejected(self, value):
+        assert Certificate.from_pair(value, np.array([0.6, 0.8])) is None
 
 
 class TestValidation:

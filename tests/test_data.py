@@ -84,6 +84,14 @@ class TestLoadCsv:
         ds = load_csv(path, label_column=-1, delimiter=";")
         assert ds.num_samples == 2
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = _write(tmp_path, "1.0,2.0,A\n2.0,1.0,B\n")
+        with pytest.raises(CsvFormatError,
+                           match=f"delimiter must be one character, not "
+                                 f"{delimiter!r}"):
+            load_csv(path, label_column=-1, delimiter=delimiter)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = _write(tmp_path, "1.0,2.0,A\n1.0,B\n")
         with pytest.raises(CsvFormatError, match="expected 3 cells"):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from graphmetric.core import (GershgorinScalars, SymmetricMatrix,
+from graphmetric.core import (Certificate, GershgorinScalars, SymmetricMatrix,
                               is_connected, scaled_left_ends, scaled_radii,
                               validate_graph_metric)
 from graphmetric.core import max_spanning_tree as prim_tree
@@ -591,16 +591,15 @@ class TestCertifyMatrix:
 
         def negative(matrix):
             pair = real(matrix)
-            v = pair.vector.copy()
-            v[-1] = -eigen.NEGATIVE_GRACE
+            v = Certificate.signed(pair.vector).copy()
+            v[-1] = -core.NEGATIVE_GRACE
             return replace(pair, vector=v)
         monkeypatch.setattr(eigen, "smallest_eigenpair_dense", negative)
 
     @pytest.mark.parametrize("k", [4, 48])
     def test_both_solvers_failing_raises(self, monkeypatch, k):
         def no_convergence(matrix, warm_start=None, **kwargs):
-            pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
-            raise eigen.LobpcgNonConvergence(pair, 1)
+            raise eigen.LobpcgNonConvergence("budget spent")
         g, warm = self._iterate(k)
         self._negative_dense(monkeypatch)
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
@@ -680,7 +679,7 @@ class TestCertifyMatrix:
 
         def shrunk(matrix, *args, **kwargs):
             pair = real(matrix, *args, **kwargs)
-            v = pair.vector.copy()
+            v = Certificate.signed(pair.vector).copy()
             v[0] = 1e-13 * np.max(v)
             return replace(pair, vector=v)
         monkeypatch.setattr(eigen, name, shrunk)
@@ -695,7 +694,8 @@ class TestCertifyMatrix:
         dense = smallest_eigenpair_dense(g.matrix)
         assert metric.certificate.lambda_min == dense.value
         assert np.array_equal(metric.certificate.eigvec,
-                              eigen.clamp_positive(dense.vector))
+                              Certificate.from_pair(dense.value,
+                                                    dense.vector).eigvec)
         expected = optimizer._conditioned_scalars(metric, 0.0, floored=False)
         assert np.array_equal(scalars.values, expected.values)
 
@@ -735,8 +735,7 @@ class TestCertifyMatrix:
 
     def test_dense_backstop_certifies_any_size(self, monkeypatch):
         def no_convergence(matrix, warm_start=None, **kwargs):
-            pair = eigen.EigenPair(value=0.0, vector=warm_start, residual=1.0)
-            raise eigen.LobpcgNonConvergence(pair, 1)
+            raise eigen.LobpcgNonConvergence("budget spent")
         monkeypatch.setattr(eigen, "smallest_eigenpair_lobpcg", no_convergence)
         matrix = shifted_path_laplacian(600, 0.1)
         metric, _ = optimizer._certify_matrix(matrix, np.ones(600), 0.0)
@@ -1289,3 +1288,15 @@ class TestDiscCertifiedSteps:
                 <= 1e-10 * st.metric.matrix.trace()
             assert np.linalg.norm(a @ cert.eigvec - cert.lambda_min
                                   * cert.eigvec) <= 1e-9
+
+
+def test_localized_perron_vector_certifies():
+    """Blob seed 19, class 0 of the benchmark's highdim recipe: the first
+    diagonal step's Perron vector is localized, and its first entry above
+    1e-14 is round-off of the wrong sign.  Signing by the largest entry
+    certifies it; signing by the first non-negligible entry raised
+    CertificationError."""
+    result = learn_metric(_blob_ctx(19, k=48, per_class=10),
+                          OptimizerConfig(trace_cap=2.0))
+    assert result.converged
+    validate_graph_metric(result.metric.matrix)
