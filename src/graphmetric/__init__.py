@@ -19,12 +19,10 @@ from .eigen import (EigenPair, LobpcgNonConvergence, smallest_eigenpair_dense,
 from .experiment import ExperimentReport, RunRecord, run_experiment
 from .lp import LPSolution, solve_box_knapsack_lp, solve_diagonal_lp
 from .metric_io import load_metric, save_metric
-from .objective import (ConvexObjective, GLRObjective, ObjectiveContext,
-                        PairDistances, glr_grad_diag, glr_grad_offdiag_col,
-                        glr_value, pair_distances)
+from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 from .optimizer import (LearnResult, OptimizerConfig, OptimizerState,
-                        diagonal_step, init_metric, learn_metric,
-                        offdiag_step, update_scalars)
+                        diagonal_step, learn_metric, offdiag_step,
+                        update_scalars)
 
 __version__ = "0.1.0"
 
@@ -33,13 +31,12 @@ __all__ = [
     "ExperimentReport", "GLRObjective", "GershgorinScalars", "GraphMetric",
     "GraphMetricRejection", "LearnResult", "LobpcgNonConvergence",
     "LPSolution", "ObjectiveContext", "OptimizerConfig", "OptimizerState",
-    "PairDistances", "RunRecord", "Scaler", "SymmetricMatrix",
-    "diagonal_step", "glr_grad_diag", "glr_grad_offdiag_col", "glr_value",
-    "graph_classify", "init_metric", "knn_vote_scores", "learn_metric",
-    "load_csv", "load_feature_matrix", "load_metric", "offdiag_step",
-    "one_vs_all_predict", "pair_distances", "pairwise_mahalanobis",
-    "run_experiment", "save_metric", "scaled_left_ends",
-    "smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
-    "solve_box_knapsack_lp", "solve_diagonal_lp", "standardize",
-    "update_scalars", "validate_graph_metric", "__version__",
+    "RunRecord", "Scaler", "SymmetricMatrix", "diagonal_step",
+    "graph_classify", "knn_vote_scores", "learn_metric", "load_csv",
+    "load_feature_matrix", "load_metric", "offdiag_step",
+    "one_vs_all_predict", "pairwise_mahalanobis", "run_experiment",
+    "save_metric", "scaled_left_ends", "smallest_eigenpair_dense",
+    "smallest_eigenpair_lobpcg", "solve_box_knapsack_lp",
+    "solve_diagonal_lp", "standardize", "update_scalars",
+    "validate_graph_metric", "__version__",
 ]

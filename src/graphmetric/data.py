@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,33 +57,35 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _parse_csv(path: Path, label_column: int | str | None,
-               delimiter: str) -> tuple[np.ndarray, list[str]]:
-    """Shared CSV core: numeric feature matrix plus raw label strings.
+def _parse_csv(path: Path, label_column: int | str | None, delimiter: str,
+               *, labelled: bool = True) -> tuple[np.ndarray, list[str]]:
+    """Shared CSV core: finite feature matrix plus label strings.
 
     ``label_column`` may be a header name (the first row is then treated as
     a header), a column index in -width..width-1 (header auto-detected: a
     first row whose feature cells fail numeric parsing is skipped), or None
-    for a file of features only.
+    for a file of features only.  Blank, non-numeric and non-finite feature
+    cells are errors, and so are blank label cells unless not ``labelled``.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise CsvFormatError(
             f"{path}: delimiter must be one character, not {delimiter!r}")
     with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+        reader = csv.reader(fh, delimiter=delimiter)
+        # (line number, cells) of every non-blank record
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
-    width = len(rows[0])
+    header = rows[0][1]
+    width = len(header)
     if isinstance(label_column, str):
-        header = rows[0]
         try:
             label_idx = header.index(label_column)
         except ValueError:
             raise CsvFormatError(
                 f"{path}: no column named {label_column!r} in header {header}")
         data_rows = rows[1:]
-        first_line = 2
     else:
         label_idx = None
         if label_column is not None:
@@ -92,18 +95,15 @@ def _parse_csv(path: Path, label_column: int | str | None,
                     f"range for {width} columns")
             label_idx = label_column % width
         data_rows = rows
-        first_line = 1
-        feature_cells = [c for i, c in enumerate(rows[0]) if i != label_idx]
+        feature_cells = [c for i, c in enumerate(header) if i != label_idx]
         if any(not _is_number(c) for c in feature_cells):
             data_rows = rows[1:]
-            first_line = 2
     if not data_rows:
         raise CsvFormatError(f"{path}: no data rows")
 
     features = []
     raw_labels = []
-    for offset, row in enumerate(data_rows):
-        line = first_line + offset
+    for line, row in data_rows:
         if len(row) != width:
             raise CsvFormatError(
                 f"{path}:{line}: expected {width} cells, found {len(row)}")
@@ -116,14 +116,23 @@ def _parse_csv(path: Path, label_column: int | str | None,
                 raise CsvFormatError(
                     f"{path}:{line}: missing value in column {col}")
             try:
-                vals.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise CsvFormatError(
                     f"{path}:{line}: non-numeric feature cell {cell!r} "
                     f"in column {col}")
+            if not math.isfinite(value):  # float() reads nan, inf and 1e999
+                raise CsvFormatError(
+                    f"{path}:{line}: non-finite feature cell {cell!r} "
+                    f"in column {col}")
+            vals.append(value)
         features.append(vals)
-        if label_idx is not None:
-            raw_labels.append(row[label_idx].strip())
+        if labelled and label_idx is not None:
+            label = row[label_idx].strip()
+            if label == "":
+                raise CsvFormatError(
+                    f"{path}:{line}: missing label in column {label_idx}")
+            raw_labels.append(label)
     return np.array(features, dtype=float), raw_labels
 
 
@@ -149,11 +158,12 @@ def load_csv(path: str | Path, label_column: int | str = -1,
 
 def load_feature_matrix(path: str | Path, label_column: int | str | None = None,
                         delimiter: str = ",") -> np.ndarray:
-    """Feature rows only; any label column is parsed but discarded.
+    """Feature rows only; any label column is skipped unread.
 
     For prediction inputs, which need no valid labeling.
     """
-    features, _ = _parse_csv(Path(path), label_column, delimiter)
+    features, _ = _parse_csv(Path(path), label_column, delimiter,
+                             labelled=False)
     return features
 
 

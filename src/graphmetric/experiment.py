@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -234,6 +233,8 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
                        classifiers=classifiers, k=k,
                        scale_features=scale_features)
     if n_jobs > 1 and len(seeds) > 1:
+        # imported here: it loads multiprocessing, socket and selectors
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(seeds))) as pool:
             per_seed = list(pool.map(evaluate, seeds))
     else:

@@ -8,13 +8,14 @@ labels contribute exactly zero and are skipped.
 
 Q depends on M only through the per-pair distances delta_p = d_p^T M d_p,
 and a Frank-Wolfe direction moves every delta_p linearly in the step size.
-The value and gradients therefore accept either a matrix or its
-:class:`PairDistances`, and a line-search trial costs O(P) once the
-distances of the incumbent are known.  A point keeps its pair terms
-w_p e^{-delta_p} once they are computed, so the gradient at an accepted
-line-search trial reuses the exponentials of its value.  The pair cache
-memoizes the feature-difference columns of the last off-diagonal column
-asked for, which every gradient and ray of one column step shares.
+The value and gradients therefore take only a :class:`PairDistances`
+point, which ``pair_distances`` (or ``GLRObjective.at``) builds from a
+matrix, and a line-search trial costs O(P) once the distances of the
+incumbent are known.  A point keeps its pair terms w_p e^{-delta_p} once
+they are computed, so the gradient at an accepted line-search trial
+reuses the exponentials of its value.  The pair cache memoizes the
+feature-difference columns of the last off-diagonal column asked for,
+which every gradient and ray of one column step shares.
 
 Any object that follows :class:`ConvexObjective` can drive the optimizer;
 :class:`GLRObjective` is the one the experiments use.
@@ -149,10 +150,6 @@ class PairDistances:
     delta: np.ndarray  # (P,)
 
     @property
-    def dim(self) -> int:
-        return self.ctx.num_features
-
-    @property
     def terms(self) -> np.ndarray:
         """weights * exp(-delta) per cross pair, computed once; read-only."""
         # memoized by hand: functools.cached_property takes a lock per miss
@@ -165,54 +162,45 @@ class PairDistances:
         return terms
 
 
-MetricLike = SymmetricMatrix | PairDistances
-
-
-def _check_dims(ctx: ObjectiveContext, m: MetricLike) -> None:
+def pair_distances(ctx: ObjectiveContext, m: SymmetricMatrix) -> PairDistances:
+    """The per-pair distances of ``m`` over ``ctx``'s cross pairs: the one
+    way a matrix becomes a point of the objective."""
     if m.dim != ctx.num_features:
         raise DimensionMismatchError(
             f"metric dim {m.dim} != feature dim {ctx.num_features}")
-
-
-def pair_distances(ctx: ObjectiveContext, m: SymmetricMatrix) -> PairDistances:
-    """The per-pair distances of ``m`` over ``ctx``'s cross pairs."""
-    _check_dims(ctx, m)
     d = ctx.pair_cache.diffs
     return PairDistances(ctx, np.sum((d @ m.entries) * d, axis=1))
 
 
-def _point(ctx: ObjectiveContext, m: MetricLike) -> PairDistances:
-    """``m`` as distances over ``ctx``'s cross pairs, checked against ``ctx``.
-
-    Distances of ``ctx`` itself have its dimension, so only foreign ones
-    need the dimension check.
-    """
-    if isinstance(m, PairDistances):
-        if m.ctx is not ctx:
-            _check_dims(ctx, m)
-            raise ValueError("pair distances belong to another context")
-        return m
-    return pair_distances(ctx, m)
+def _point(ctx: ObjectiveContext, point: PairDistances) -> PairDistances:
+    """``point``, checked to be distances over ``ctx``'s cross pairs."""
+    if not isinstance(point, PairDistances):
+        raise TypeError(
+            f"the objective takes PairDistances, not "
+            f"{type(point).__name__}; build them with pair_distances(ctx, m)")
+    if point.ctx is not ctx:
+        raise ValueError("pair distances belong to another context")
+    return point
 
 
-def glr_value(ctx: ObjectiveContext, m: MetricLike) -> float:
+def glr_value(ctx: ObjectiveContext, point: PairDistances) -> float:
     """Q(M): non-negative, zero iff no pair of samples disagrees in label."""
-    return float(_point(ctx, m).terms.sum())
+    return float(_point(ctx, point).terms.sum())
 
 
-def glr_grad_diag(ctx: ObjectiveContext, m: MetricLike) -> np.ndarray:
+def glr_grad_diag(ctx: ObjectiveContext, point: PairDistances) -> np.ndarray:
     """dQ/dm_kk = -sum over ordered pairs of (f_i^k - f_j^k)^2 e^{-delta} (z_i-z_j)^2."""
-    return -(_point(ctx, m).terms @ ctx.pair_cache.sq_diffs)
+    return -(_point(ctx, point).terms @ ctx.pair_cache.sq_diffs)
 
 
-def glr_grad_offdiag_col(ctx: ObjectiveContext, m: MetricLike,
+def glr_grad_offdiag_col(ctx: ObjectiveContext, point: PairDistances,
                          col: int) -> np.ndarray:
     """Gradient with respect to column ``col``'s off-diagonal entries.
 
     Entries m[r, col] and m[col, r] are one tied variable, hence the factor
     2.  Returns length K-1, rows 0..K-1 with ``col`` skipped.
     """
-    point = _point(ctx, m)
+    point = _point(ctx, point)
     dim = ctx.num_features
     if not 0 <= col < dim:
         raise IndexError(f"column {col} out of range for dim {dim}")
@@ -254,11 +242,11 @@ class GLRObjective:
             rate = 2.0 * column * (others @ direction)
         return lambda gamma: PairDistances(self.ctx, point.delta + gamma * rate)
 
-    def value(self, point: MetricLike) -> float:
+    def value(self, point: PairDistances) -> float:
         return glr_value(self.ctx, point)
 
-    def grad_diag(self, point: MetricLike) -> np.ndarray:
+    def grad_diag(self, point: PairDistances) -> np.ndarray:
         return glr_grad_diag(self.ctx, point)
 
-    def grad_offdiag_col(self, point: MetricLike, col: int) -> np.ndarray:
+    def grad_offdiag_col(self, point: PairDistances, col: int) -> np.ndarray:
         return glr_grad_offdiag_col(self.ctx, point, col)

@@ -198,13 +198,14 @@ def _path_edges(dim: int) -> tuple[tuple[int, int], ...]:
 
 def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
                   objective: ConvexObjective | None = None) -> OptimizerState:
-    """State at M^0, its scalars aligned at rho, and Q(M^0) as the trace."""
+    """State at M^0, its scalars aligned at rho, and Q(M^0) as the trace,
+    taken at ``objective.at(M^0)`` for the first step to reuse."""
     dim = ctx.num_features
     cfg = cfg.resolve(dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     g = init_metric(cfg, dim)
     return OptimizerState(metric=g, scalars=_conditioned_scalars(g, cfg.rho),
-                          objective_trace=(obj.value(g.matrix),),
+                          objective_trace=(obj.value(obj.at(g.matrix)),),
                           protected_edges=_path_edges(dim))
 
 

@@ -11,6 +11,8 @@ shortcuts: a learn through them must give the same bits.
 ``key_array_spanning_tree`` and ``mirrored_symmetric_init`` are the
 earlier forms of Prim's tree and ``SymmetricMatrix`` construction.
 ``alignment_scalars`` is the paper's bare disc-alignment rule s = 1/v.
+``GLRAtMatrix`` is no oracle: it is the package's own Q(M) and
+gradients with a matrix as input.
 ``reference_graph_scores`` solves the graph classifier's system by
 scipy's Cholesky routines.  ``count_eigensolves`` is the one spy: it
 records solver calls.
@@ -29,7 +31,9 @@ from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
                               validate_graph_metric)
 from graphmetric.data import Dataset
 from graphmetric.lp import INFEASIBLE, OPTIMAL, LPError, LPSolution
-from graphmetric.objective import ObjectiveContext, glr_value
+from graphmetric.objective import (ObjectiveContext, glr_grad_diag,
+                                   glr_grad_offdiag_col, glr_value,
+                                   pair_distances)
 from graphmetric.optimizer import _ARMIJO_C, _MIN_STEP
 
 
@@ -134,23 +138,45 @@ def random_objective_instance(rng: np.random.Generator
     return ctx, random_graph_metric(rng, k).matrix
 
 
+class GLRAtMatrix:
+    """The package's Q(M) and gradients with the matrix M as input.
+
+    Each call turns M into its point by ``pair_distances``, the package's
+    one way from a matrix to the objective, so the kernels evaluated are
+    the production ones.
+    """
+
+    def __init__(self, ctx: ObjectiveContext):
+        self.ctx = ctx
+
+    def value(self, m: SymmetricMatrix) -> float:
+        return glr_value(self.ctx, pair_distances(self.ctx, m))
+
+    def grad_diag(self, m: SymmetricMatrix) -> np.ndarray:
+        return glr_grad_diag(self.ctx, pair_distances(self.ctx, m))
+
+    def grad_offdiag_col(self, m: SymmetricMatrix, col: int) -> np.ndarray:
+        return glr_grad_offdiag_col(self.ctx, pair_distances(self.ctx, m), col)
+
+
 def fd_grad_diag(ctx: ObjectiveContext, m: SymmetricMatrix,
                  h: float = 1e-5) -> np.ndarray:
     """Central-difference oracle for the diagonal gradient."""
+    q = GLRAtMatrix(ctx).value
     out = np.zeros(m.dim)
     d = m.diagonal()
     for kk in range(m.dim):
         dp, dm = d.copy(), d.copy()
         dp[kk] += h
         dm[kk] -= h
-        out[kk] = (glr_value(ctx, m.with_diagonal(dp))
-                   - glr_value(ctx, m.with_diagonal(dm))) / (2 * h)
+        out[kk] = (q(m.with_diagonal(dp)) - q(m.with_diagonal(dm))) / (2 * h)
     return out
 
 
 def fd_grad_offdiag_col(ctx: ObjectiveContext, m: SymmetricMatrix, col: int,
                         h: float = 1e-5) -> np.ndarray:
     """Central differences with m[r, col] and m[col, r] perturbed together."""
+    q = GLRAtMatrix(ctx).value
     rows = [r for r in range(m.dim) if r != col]
     x = m.entries[rows, col]
     out = np.zeros(len(rows))
@@ -158,8 +184,8 @@ def fd_grad_offdiag_col(ctx: ObjectiveContext, m: SymmetricMatrix, col: int,
         xp, xm = x.copy(), x.copy()
         xp[idx] += h
         xm[idx] -= h
-        out[idx] = (glr_value(ctx, m.with_offdiag_column(col, xp))
-                    - glr_value(ctx, m.with_offdiag_column(col, xm))) / (2 * h)
+        out[idx] = (q(m.with_offdiag_column(col, xp))
+                    - q(m.with_offdiag_column(col, xm))) / (2 * h)
     return out
 
 

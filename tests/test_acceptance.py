@@ -21,14 +21,14 @@ from graphmetric.data import load_csv, standardize
 from graphmetric.eigen import (DEFAULT_MAX_ITERS, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg, LobpcgNonConvergence)
 from graphmetric.experiment import run_experiment
-from graphmetric.objective import (ObjectiveContext, glr_grad_diag,
-                                   glr_grad_offdiag_col)
+from graphmetric.objective import ObjectiveContext
 from graphmetric.optimizer import (OptimizerConfig, _EIG_TOL, diagonal_step,
                                    learn_metric, update_scalars)
-from helpers import (alignment_scalars, fd_grad_diag, fd_grad_offdiag_col,
-                     gaussian_blobs_dataset, gershgorin_left_ends,
-                     grid_search_diag, random_graph_metric,
-                     random_objective_instance, random_spd)
+from helpers import (GLRAtMatrix, alignment_scalars, fd_grad_diag,
+                     fd_grad_offdiag_col, gaussian_blobs_dataset,
+                     gershgorin_left_ends, grid_search_diag,
+                     random_graph_metric, random_objective_instance,
+                     random_spd)
 
 EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-2.0, 5.0, -2.0],
@@ -179,10 +179,11 @@ def test_criterion_06_gradient_correctness():
     worst = 0.0
     for _ in range(100):
         ctx, m = random_objective_instance(rng)
-        worst = max(worst, _relative_error(glr_grad_diag(ctx, m),
+        glr = GLRAtMatrix(ctx)
+        worst = max(worst, _relative_error(glr.grad_diag(m),
                                            fd_grad_diag(ctx, m)))
         col = int(rng.integers(0, m.dim))
-        worst = max(worst, _relative_error(glr_grad_offdiag_col(ctx, m, col),
+        worst = max(worst, _relative_error(glr.grad_offdiag_col(m, col),
                                            fd_grad_offdiag_col(ctx, m, col)))
     assert worst <= 1e-5
     _report(6, f"worst relative gradient error {worst:.3e} over 100 "

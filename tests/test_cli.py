@@ -203,6 +203,10 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
     (_LEARN, None, "No such file or directory"),
     (_LEARN, "f0,label\n1.5,a\nabc,b\n", "bad:3: non-numeric feature cell"),
     (_LEARN, "f0,f1,label\n1,2,a\n3,b\n", "bad:3: expected 3 cells, found 2"),
+    (_LEARN, "f0,label\n1.5,a\n1e999,b\n",
+     "bad:3: non-finite feature cell '1e999' in column 0"),
+    (_LEARN, "f0,label\n1.5,\n2.5,a\n3.5,b\n",
+     "bad:2: missing label in column 1"),
     (_LEARN, "f0,f1,class\n1,2,a\n3,4,b\n", "no column named 'label'"),
     ("learn --dataset {csv} --label-col 3", None,
      "label column index 3 is out of range for 3 columns"),
@@ -244,6 +248,7 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
 ], ids=["metric-list", "metric-no-entries", "metric-missing",
         "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
         "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
+        "csv-non-finite", "csv-blank-label",
         "csv-label-col", "csv-label-index", "csv-label-index-numeric",
         "positive-class", "experiment-k-zero",
         "experiment-k-above-fold", "experiment-folds-zero",
@@ -264,6 +269,22 @@ def test_bad_input_is_a_usage_error(cluster_csv, tmp_path, capsys, argv, text,
         main(argv.format(bad=bad, csv=cluster_csv).split())
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+def test_classify_rejects_a_non_finite_test_cell(cluster_csv, tmp_path,
+                                                 capsys, cell):
+    # it used to reach every score and print predictions
+    metric = tmp_path / "metric.json"
+    metric.write_text(_METRIC)
+    test = tmp_path / "test.csv"
+    test.write_text(f"f0,f1,label\n1.0,2.0,c0\n{cell},2.0,c1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--metric", str(metric), "--train", str(cluster_csv),
+              "--test", str(test), "--label-col", "label"])
+    assert exc.value.code == 2
+    assert (f"test.csv:3: non-finite feature cell '{cell}' in column 0"
+            in capsys.readouterr().err)
 
 
 def test_config_types_name_every_optimizer_field():

@@ -41,6 +41,25 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=r":2: non-numeric"):
             load_csv(path, label_column=-1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = _write(tmp_path, f"1.0,2.0,A\n1.0,{cell},B\n")
+        with pytest.raises(CsvFormatError, match=rf":2: non-finite feature "
+                           rf"cell '{cell}' in column 1"):
+            load_csv(path, label_column=-1)
+
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_label_names_line_and_column(self, tmp_path, label):
+        path = _write(tmp_path, f"f0,y,f1\n1.0,A,2.0\n1.0,{label},3.0\n")
+        with pytest.raises(CsvFormatError,
+                           match=r":3: missing label in column 1"):
+            load_csv(path, label_column="y")
+
+    def test_error_lines_count_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "1.0,2.0,A\n\n2.0,x,B\n")
+        with pytest.raises(CsvFormatError, match=r":3: non-numeric"):
+            load_csv(path, label_column=-1)
+
     def test_header_by_name(self, tmp_path):
         path = _write(tmp_path, "f1,f2,species\n1,2,cat\n3,4,dog\n5,6,cat\n")
         ds = load_csv(path, label_column="species")
@@ -110,6 +129,18 @@ class TestLoadFeatureMatrix:
 
     def test_label_column_discarded(self, tmp_path):
         path = _write(tmp_path, "1.0,whatever,2.0\n3.0,whatever,4.0\n")
+        feats = load_feature_matrix(path, label_column=1)
+        assert feats.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_non_finite_cell_names_line_and_column(self, tmp_path):
+        path = _write(tmp_path, "f0,f1\n1.0,2.0\n3.0,nan\n")
+        with pytest.raises(CsvFormatError, match=r":3: non-finite feature "
+                           r"cell 'nan' in column 1"):
+            load_feature_matrix(path)
+
+    def test_blank_label_cells_allowed(self, tmp_path):
+        # the labels of samples to classify may be unknown
+        path = _write(tmp_path, "1.0,,2.0\n3.0, ,4.0\n")
         feats = load_feature_matrix(path, label_column=1)
         assert feats.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 

@@ -1,5 +1,6 @@
 """Tests for the cross-validation harness."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -139,7 +140,10 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool from concurrent.futures when it
+        # needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         ds = _separable()
         serial = run_experiment(ds, seeds=range(2), n_jobs=1)
         assert sizes == []

@@ -1,6 +1,7 @@
 """Every name a package module imports or keeps private is used in it,
 the package exports exactly what its ``__init__.py`` imports, and
-importing it loads nothing beyond the standard library and numpy."""
+importing it loads nothing beyond the standard library and numpy, nor
+the process pool."""
 
 import ast
 import os
@@ -117,6 +118,15 @@ def test_all_matches_init_imports():
     assert export_mismatches(INIT.read_text()) == []
 
 
+def test_objective_internals_stay_in_their_modules():
+    import graphmetric
+    from graphmetric import objective, optimizer
+    internals = (objective.PairDistances, objective.pair_distances,
+                 objective.glr_value, objective.glr_grad_diag,
+                 objective.glr_grad_offdiag_col, optimizer.init_metric)
+    assert not {f.__name__ for f in internals} & set(dir(graphmetric))
+
+
 def test_package_has_modules():
     assert {p.name for p in MODULES} >= {"optimizer.py", "experiment.py",
                                          "cli.py"}
@@ -132,32 +142,36 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
 
 
-# run in a fresh interpreter: prints the top-level modules that the
-# statement on stdin loads, except the standard library, numpy, the
-# package and __main__'s aliases (multiprocessing adds __mp_main__)
+# run in a fresh interpreter: prints the modules that the statement on
+# stdin loads, except __main__'s aliases (multiprocessing adds __mp_main__)
 _PROBE = """
 import sys
 before = set(sys.modules)
 exec(sys.stdin.read())
 main = sys.modules["__main__"]
-allowed = set(sys.stdlib_module_names) | {"numpy", "graphmetric"}
-print(" ".join(sorted({name.partition(".")[0]
-                       for name, module in sys.modules.items()
-                       if name not in before and module is not main}
-                      - allowed)))
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if name not in before and module is not main)))
 """
 
 
-def foreign_modules(statement: str) -> list[str]:
-    """Top-level non-stdlib modules other than numpy that ``statement``
-    loads in a fresh interpreter with this checkout's package on the path.
-    Modules the interpreter loaded before the statement ran do not count.
+def loaded_modules(statement: str) -> set[str]:
+    """Modules that ``statement`` loads in a fresh interpreter with this
+    checkout's package on the path.  Modules the interpreter loaded before
+    the statement ran do not count.
     """
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", _PROBE], input=statement,
                          env=env, check=True, capture_output=True,
                          text=True).stdout
-    return out.split()
+    return set(out.split())
+
+
+def foreign_modules(statement: str) -> list[str]:
+    """Top-level non-stdlib modules other than numpy and the package that
+    ``statement`` loads (see ``loaded_modules``)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "graphmetric"}
+    return sorted({name.partition(".")[0]
+                   for name in loaded_modules(statement)} - allowed)
 
 
 def test_detects_foreign_modules():
@@ -168,3 +182,15 @@ def test_detects_foreign_modules():
 
 def test_package_runs_on_numpy_alone():
     assert foreign_modules("import graphmetric, graphmetric.cli") == []
+
+
+def test_detects_process_pool():
+    statement = "import concurrent.futures as cf; cf.ProcessPoolExecutor"
+    assert "concurrent.futures.process" in loaded_modules(statement)
+
+
+def test_process_pool_loads_only_for_parallel_experiments():
+    # it pulls in multiprocessing, socket and selectors; run_experiment
+    # imports it when n_jobs > 1
+    loaded = loaded_modules("import graphmetric, graphmetric.cli")
+    assert "concurrent.futures.process" not in loaded

@@ -11,7 +11,7 @@ from graphmetric.objective import (GLRObjective, ObjectiveContext,
                                    PairDistances, glr_grad_diag,
                                    glr_grad_offdiag_col, glr_value,
                                    pair_distances)
-from helpers import (ReferenceGLRObjective, random_graph_metric,
+from helpers import (GLRAtMatrix, ReferenceGLRObjective, random_graph_metric,
                      random_objective_instance)
 
 
@@ -25,19 +25,19 @@ class TestValue:
     def test_equal_labels_zero(self):
         ctx = ObjectiveContext(features=np.random.default_rng(0).normal(size=(5, 3)),
                                labels=np.ones(5))
-        assert glr_value(ctx, SymmetricMatrix(np.eye(3))) == 0.0
+        assert GLRAtMatrix(ctx).value(SymmetricMatrix(np.eye(3))) == 0.0
 
     def test_two_point_hand_value(self):
         # ordered pairs (1,2) and (2,1): 2 * exp(-1) * (1 - (-1))^2 = 8/e
         ctx = _two_point_ctx()
-        val = glr_value(ctx, SymmetricMatrix(np.eye(3)))
+        val = GLRAtMatrix(ctx).value(SymmetricMatrix(np.eye(3)))
         assert val == pytest.approx(8.0 / np.e, rel=1e-14)
         assert val == pytest.approx(2.9430, abs=1e-4)
 
     def test_scaling_metric_non_increasing(self):
         rng = np.random.default_rng(1)
         ctx, m = random_objective_instance(rng)
-        vals = [glr_value(ctx, SymmetricMatrix(t * m.entries))
+        vals = [GLRAtMatrix(ctx).value(SymmetricMatrix(t * m.entries))
                 for t in (1.0, 2.0, 4.0)]
         assert vals[0] >= vals[1] >= vals[2]
 
@@ -45,24 +45,24 @@ class TestValue:
         rng = np.random.default_rng(2)
         for _ in range(20):
             ctx, m = random_objective_instance(rng)
-            assert glr_value(ctx, m) >= 0.0
+            assert GLRAtMatrix(ctx).value(m) >= 0.0
 
     def test_dimension_mismatch(self):
         ctx = _two_point_ctx(3)
         with pytest.raises(Exception):
-            glr_value(ctx, SymmetricMatrix(np.eye(4)))
+            GLRAtMatrix(ctx).value(SymmetricMatrix(np.eye(4)))
 
 
 class TestGradDiag:
     def test_equal_labels_zero_gradient(self):
         ctx = ObjectiveContext(features=np.random.default_rng(3).normal(size=(4, 3)),
                                labels=np.full(4, 2.0))
-        assert np.array_equal(glr_grad_diag(ctx, SymmetricMatrix(np.eye(3))),
-                              np.zeros(3))
+        g = GLRAtMatrix(ctx).grad_diag(SymmetricMatrix(np.eye(3)))
+        assert np.array_equal(g, np.zeros(3))
 
     def test_two_point_hand_gradient(self):
         ctx = _two_point_ctx()
-        g = glr_grad_diag(ctx, SymmetricMatrix(np.eye(3)))
+        g = GLRAtMatrix(ctx).grad_diag(SymmetricMatrix(np.eye(3)))
         assert g[0] == pytest.approx(-8.0 / np.e, rel=1e-14)
         assert g[1] == g[2] == 0.0
 
@@ -71,7 +71,7 @@ class TestGradOffdiag:
     def test_equal_labels_zero(self):
         ctx = ObjectiveContext(features=np.random.default_rng(5).normal(size=(4, 3)),
                                labels=np.zeros(4))
-        g = glr_grad_offdiag_col(ctx, SymmetricMatrix(np.eye(3)), 1)
+        g = GLRAtMatrix(ctx).grad_offdiag_col(SymmetricMatrix(np.eye(3)), 1)
         assert np.array_equal(g, np.zeros(2))
 
     def test_constant_feature_column_zero_entry(self):
@@ -80,14 +80,14 @@ class TestGradOffdiag:
         feats[:, 2] = 7.0  # constant: zero difference factor
         ctx = ObjectiveContext(features=feats,
                                labels=rng.choice([-1.0, 1.0], size=6))
-        g = glr_grad_offdiag_col(ctx, SymmetricMatrix(np.eye(3)), 0)
+        g = GLRAtMatrix(ctx).grad_offdiag_col(SymmetricMatrix(np.eye(3)), 0)
         # rows are (1, 2); entry for row 2 vanishes
         assert g[1] == 0.0
 
     def test_bad_column_index(self):
         ctx = _two_point_ctx()
         with pytest.raises(IndexError):
-            glr_grad_offdiag_col(ctx, SymmetricMatrix(np.eye(3)), 3)
+            GLRAtMatrix(ctx).grad_offdiag_col(SymmetricMatrix(np.eye(3)), 3)
 
 
 class TestConvexity:
@@ -95,13 +95,14 @@ class TestConvexity:
         rng = np.random.default_rng(6)
         for _ in range(100):
             ctx, _ = random_objective_instance(rng)
+            q = GLRAtMatrix(ctx).value
             k = ctx.num_features
             m1 = random_graph_metric(rng, k).matrix
             m2 = random_graph_metric(rng, k).matrix
-            q1, q2 = glr_value(ctx, m1), glr_value(ctx, m2)
+            q1, q2 = q(m1), q(m2)
             for t in (0.25, 0.5, 0.75):
                 mid = SymmetricMatrix(t * m1.entries + (1 - t) * m2.entries)
-                assert glr_value(ctx, mid) <= t * q1 + (1 - t) * q2 + 1e-10
+                assert q(mid) <= t * q1 + (1 - t) * q2 + 1e-10
 
 
 class TestContext:
@@ -123,11 +124,11 @@ class TestContext:
     def test_objective_protocol_wrapper(self):
         ctx = _two_point_ctx()
         obj = GLRObjective(ctx)
-        m = SymmetricMatrix(np.eye(3))
-        assert obj.value(m) == glr_value(ctx, m)
-        assert np.array_equal(obj.grad_diag(m), glr_grad_diag(ctx, m))
-        assert np.array_equal(obj.grad_offdiag_col(m, 0),
-                              glr_grad_offdiag_col(ctx, m, 0))
+        point = obj.at(SymmetricMatrix(np.eye(3)))
+        assert obj.value(point) == glr_value(ctx, point)
+        assert np.array_equal(obj.grad_diag(point), glr_grad_diag(ctx, point))
+        assert np.array_equal(obj.grad_offdiag_col(point, 0),
+                              glr_grad_offdiag_col(ctx, point, 0))
 
 
 def _unit_floats():
@@ -169,19 +170,20 @@ class TestPairDistances:
         point = obj.ray(obj.at(m), direction, col)(gamma)
         rebuilt = _moved_matrix(m, col, gamma * direction)
 
-        want = glr_value(ctx, rebuilt)
+        at_matrix = GLRAtMatrix(ctx)
+        want = at_matrix.value(rebuilt)
         assert abs(obj.value(point) - want) <= 1e-12 * want
         # gradients, relative to the sum of absolute pair contributions
         cache = ctx.pair_cache
         terms = cache.weights * np.exp(-pair_distances(ctx, rebuilt).delta)
         scale = terms @ cache.sq_diffs
         assert np.all(np.abs(obj.grad_diag(point)
-                             - glr_grad_diag(ctx, rebuilt)) <= 1e-12 * scale)
+                             - at_matrix.grad_diag(rebuilt)) <= 1e-12 * scale)
         for c in range(ctx.num_features):
             d = np.abs(cache.diffs)
             scale = 2.0 * (terms * d[:, c]) @ np.delete(d, c, axis=1)
             err = np.abs(obj.grad_offdiag_col(point, c)
-                         - glr_grad_offdiag_col(ctx, rebuilt, c))
+                         - at_matrix.grad_offdiag_col(rebuilt, c))
             assert np.all(err <= 1e-12 * scale)
 
     def test_distances_bound_to_their_context(self):
@@ -191,6 +193,15 @@ class TestPairDistances:
         assert glr_value(ctx, point) == pytest.approx(8.0 / np.e, rel=1e-14)
         with pytest.raises(ValueError):
             glr_value(other, point)
+
+    @pytest.mark.parametrize("evaluate", [
+        glr_value, glr_grad_diag,
+        lambda ctx, m: glr_grad_offdiag_col(ctx, m, 0)],
+        ids=["value", "grad_diag", "grad_offdiag_col"])
+    def test_matrix_is_not_a_point(self, evaluate):
+        ctx = _two_point_ctx()
+        with pytest.raises(TypeError, match=r"pair_distances\(ctx, m\)"):
+            evaluate(ctx, SymmetricMatrix(np.eye(3)))
 
 
 class TestKernelCaches:

@@ -17,14 +17,14 @@ from graphmetric.data import load_csv, standardize
 from graphmetric import core, eigen, lp, objective
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.experiment import stratified_folds
-from graphmetric.objective import GLRObjective, ObjectiveContext
+from graphmetric.objective import ObjectiveContext
 from graphmetric import optimizer
 from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    OptimizerState, SubproblemInfeasibleError,
                                    diagonal_step, init_metric, initial_state,
                                    learn_metric, offdiag_step, update_scalars,
                                    _column_tree_edges, _tree_survives)
-from helpers import (MatrixObjective, ReferenceGLRObjective,
+from helpers import (GLRAtMatrix, MatrixObjective, ReferenceGLRObjective,
                      armijo_backtracking, column_tree_edges_by_scan,
                      count_eigensolves, diag_objective_fn, golden_section,
                      grid_search_diag, key_array_spanning_tree,
@@ -386,10 +386,10 @@ class TestOffdiagStep:
         left = scaled_left_ends(matrix, state.scalars)
         u = abs(matrix.entries[1, 0]) + s[0] * (left[1] - cfg.rho) / s[1]
         u = min(u, s[1] * (matrix.entries[0, 0] - cfg.rho) / s[0])
-        obj = GLRObjective(ctx)
+        q = GLRAtMatrix(ctx).value
 
         def q_of(x):
-            return obj.value(matrix.with_offdiag_column(0, np.array([x])))
+            return q(matrix.with_offdiag_column(0, np.array([x])))
 
         x_oracle = golden_section(q_of, -u, -cfg.epsilon, tol=1e-12)
         assert x_fw == pytest.approx(x_oracle, abs=1e-6)
@@ -874,6 +874,19 @@ class TestPairDistancePath:
                 slow = offdiag_step(state, ctx, cfg, col, objective=ref)
                 self._assert_same(fast, slow)
                 state = fast
+
+    def test_initial_distances_built_once(self, monkeypatch):
+        """Q(M^0) and the first diagonal step share M^0's point."""
+        built = []
+        real = objective.pair_distances
+        monkeypatch.setattr(objective, "pair_distances",
+                            lambda ctx, m: built.append(m) or real(ctx, m))
+        init = []
+        learn_metric(_cv_fold_ctx(), OptimizerConfig(outer_max_iters=3),
+                     observer=lambda event, state: event == "init"
+                     and init.append(state.metric.matrix))
+        assert len(init) == 1
+        assert sum(m is init[0] for m in built) == 1
 
     @staticmethod
     def _assert_same(fast, slow):
