@@ -62,9 +62,10 @@ def _parse_csv(path: Path, label_column: int | str | None, delimiter: str,
     """Shared CSV core: finite feature matrix plus label strings.
 
     ``label_column`` may be a header name (the first row is then treated as
-    a header), a column index in -width..width-1 (header auto-detected: a
-    first row whose feature cells fail numeric parsing is skipped), or None
-    for a file of features only.  Blank, non-numeric and non-finite feature
+    a header), a column index in -width..width-1, or None for a file of
+    features only.  With an index or None the first row is a header when
+    none of its feature cells parses as a number, a data row when all do,
+    and an error otherwise.  Blank, non-numeric and non-finite feature
     cells are errors, and so are blank label cells unless not ``labelled``.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
@@ -94,10 +95,15 @@ def _parse_csv(path: Path, label_column: int | str | None, delimiter: str,
                     f"{path}: label column index {label_column} is out of "
                     f"range for {width} columns")
             label_idx = label_column % width
-        data_rows = rows
-        feature_cells = [c for i, c in enumerate(header) if i != label_idx]
-        if any(not _is_number(c) for c in feature_cells):
-            data_rows = rows[1:]
+        feature_cells = [(i, c) for i, c in enumerate(header)
+                         if i != label_idx]
+        text = [(i, c) for i, c in feature_cells if not _is_number(c)]
+        if text and len(text) < len(feature_cells):
+            (col, cell), line = text[0], rows[0][0]
+            raise CsvFormatError(
+                f"{path}:{line}: non-numeric feature cell {cell!r} in column "
+                f"{col}; a header row has no numeric feature cells")
+        data_rows = rows[1:] if text else rows
     if not data_rows:
         raise CsvFormatError(f"{path}: no data rows")
 

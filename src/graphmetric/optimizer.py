@@ -11,10 +11,13 @@ Above K = 16 a column step's iterate lies in the scaled disc polytope of
 the current scalars, so its own disc left-ends prove lambda_min >= rho; the
 step keeps the scalars and solves no eigenproblem, and the learner
 re-certifies and re-aligns once per sweep (``learn_metric``).  Eigenpairs
-come from ``_certify_matrix`` by one rule: above K = 16 a warm LOBPCG pair
-whose scalars verify every scaled disc left-end, else one dense solve.
-A pair becomes a certificate only through ``core.Certificate.from_pair``,
-which signs and clamps its vector.  Every iterate stays a certified graph
+come from ``_certify_matrix`` by one rule: above K = 16 and given a warm
+vector, a warm LOBPCG pair whose scalars verify every scaled disc
+left-end, else one dense solve.  A column step whose discs fail and the
+sweep-end re-alignment pass the last computed eigenvector; a diagonal
+step, which moves every disc, passes none.  A pair becomes a certificate
+only through ``core.Certificate.from_pair``, which signs and clamps its
+vector.  Every iterate stays a certified graph
 metric whose scalars its certificate verifies.  Column steps keep the
 graph connected by pinning the edges of Prim's maximum spanning tree
 (``core.max_spanning_tree``) at magnitude >= epsilon; the config holds
@@ -210,9 +213,10 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
 
 
 # Largest K whose iterates are certified after every step, each by one
-# dense solve; above it warm LOBPCG comes first and a pair whose scalars do
-# not verify goes to dense (``_certify_matrix``).  Measured on the
-# benchmark workloads (2-core x86, numpy 2.4):
+# dense solve; above it a column step whose discs fail and the sweep-end
+# re-alignment try warm LOBPCG first, and a pair whose scalars do not
+# verify goes to dense (``_certify_matrix``).  Measured on the benchmark
+# workloads (2-core x86, numpy 2.4):
 # - Replayed on the certification inputs, one LAPACK eigh took 34 and 61 us
 #   at K = 4 and 13 against 309 and 707 us for warm LOBPCG.
 # - Above it, certifying column steps by their discs and re-aligning once
@@ -220,9 +224,17 @@ def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
 #   0.2267 at the same converged learns.  The same rule at K = 4 and 13
 #   makes iris and wine learns creep (outer iterations +55%, wine learns/s
 #   -35%), so those keep the paper's per-step alignment.
-# - Certifying K = 48 densely instead of by warm LOBPCG first lost: over
-#   74 K = 48 blob learns, converged learns 66 -> 57 and outer iterations
-#   761 -> 1,197.
+# - Certifying every K = 48 step densely, column-step fallbacks and
+#   re-alignments included, lost: over 75 K = 48 blob learns, converged
+#   learns 67 -> 58 and outer iterations 768 -> 1,204, and the K = 48
+#   benchmark's converged fraction 0.933 -> 0.867.
+# - Certifying only the diagonal steps densely won: a diagonal step moves
+#   every disc, and warm LOBPCG from the last eigenvector took about
+#   1.6 ms a call there, 31 of 45 calls a K = 48 benchmark pass still
+#   ending in the dense solve, against about 0.2 ms for one eigh.  Learns
+#   per second rose about 7% at an equal converged fraction; the 75 learns
+#   gave 66 converged and 800 outer iterations, within the run-to-run
+#   spread that 1e-12 eigenvector noise causes.
 _DENSE_MAX_DIM = 16
 
 
@@ -231,17 +243,17 @@ def _certify_matrix(matrix: SymmetricMatrix, warm: np.ndarray | None,
     """Fresh certificate for ``matrix`` and its scalars aligned at ``rho``.
 
     Runs after every matrix-changing step up to _DENSE_MAX_DIM, and above
-    it once per sweep and after a column step whose discs do not certify.
-    A pair certifies when ``Certificate.from_pair`` gives a certificate.
-    Above _DENSE_MAX_DIM warm LOBPCG is tried first, and its
-    pair is kept only when the scalars it aligns verify every scaled disc
-    left-end.  Every other case is certified by one dense solve, and only
-    that pair may carry floored scalars (``_conditioned_scalars``): its
-    lambda_min is exact, while a LOBPCG Rayleigh quotient only bounds
-    lambda_min from above.  A dense pair that does not certify raises
-    CertificationError.
+    it after a diagonal step, once per sweep and after a column step whose
+    discs do not certify.  A pair certifies when ``Certificate.from_pair``
+    gives a certificate.  Above _DENSE_MAX_DIM and given a ``warm`` vector,
+    warm LOBPCG is tried first, and its pair is kept only when the scalars
+    it aligns verify every scaled disc left-end.  Every other case is
+    certified by one dense solve, and only that pair may carry floored
+    scalars (``_conditioned_scalars``): its lambda_min is exact, while a
+    LOBPCG Rayleigh quotient only bounds lambda_min from above.  A dense
+    pair that does not certify raises CertificationError.
     """
-    if matrix.dim > _DENSE_MAX_DIM:
+    if matrix.dim > _DENSE_MAX_DIM and warm is not None:
         try:
             pair = eigen.smallest_eigenpair_lobpcg(matrix, warm_start=warm,
                                                    tol=_EIG_TOL)
@@ -415,12 +427,14 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
     Feasible set: m_ii >= s_i * sum_{j != i} |m_ij| / s_j + rho per row and
     trace <= trace_cap.  The LP vertex is closed-form; ``_frank_wolfe``
     states the stop rules.  A new diagonal comes back certified and
-    aligned (``_certify_matrix``).
+    aligned by one dense solve (``_certify_matrix`` without a warm vector:
+    the step moves every disc, so the last eigenvector is a poor start).
     """
     cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
     lb = scaled_radii(matrix, state.scalars) + cfg.rho
+    lb.setflags(write=False)  # lets the LP keep its set-up for the step
     x0 = matrix.diagonal()
     point = obj.at(matrix)
     q = obj.value(point)
@@ -444,8 +458,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         obj, point, x0, q, None, cfg,
         lambda g: lp.solve_diagonal_lp(g, lb, cfg.trace_cap).point)
     if np.any(x != x0):
-        metric, scalars = _certify_matrix(matrix.with_diagonal(x),
-                                          state.metric.certificate.eigvec,
+        metric, scalars = _certify_matrix(matrix.with_diagonal(x), None,
                                           cfg.rho)
     else:
         metric, scalars = _unchanged(state.metric), state.scalars
@@ -542,6 +555,8 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     upper[[zeta_local, *tree_local]] = -cfg.epsilon
 
     coupling_coeffs = 1.0 / s_rows
+    for box in (lower, upper, coupling_coeffs):
+        box.setflags(write=False)  # lets the LP keep its set-up for the step
     x = np.minimum(np.maximum(x0, lower), upper)
     if ((lower > upper).any() or coupling_budget < 0
             or float(coupling_coeffs @ np.maximum(-x, 0.0))

@@ -208,6 +208,9 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
     (_LEARN, "f0,label\n1.5,\n2.5,a\n3.5,b\n",
      "bad:2: missing label in column 1"),
     (_LEARN, "f0,f1,class\n1,2,a\n3,4,b\n", "no column named 'label'"),
+    ("learn --dataset {bad} --label-col -1",
+     "5.l,3.5,A\n4.9,3.0,B\n4.7,3.2,A\n5.0,3.1,B\n",
+     "bad:1: non-numeric feature cell '5.l' in column 0"),
     ("learn --dataset {csv} --label-col 3", None,
      "label column index 3 is out of range for 3 columns"),
     ("learn --dataset {bad} --label-col 4", "1,2,3,4\n5,6,7,8\n9,1,2,3\n",
@@ -249,7 +252,8 @@ _EXPERIMENT = "experiment --dataset {csv} --label-col label --seeds 0"
         "metric-nan-lambda", "metric-inf-entry", "metric-rejected",
         "metric-dim", "csv-missing", "csv-non-numeric", "csv-ragged",
         "csv-non-finite", "csv-blank-label",
-        "csv-label-col", "csv-label-index", "csv-label-index-numeric",
+        "csv-label-col", "csv-first-row-typo", "csv-label-index",
+        "csv-label-index-numeric",
         "positive-class", "experiment-k-zero",
         "experiment-k-above-fold", "experiment-folds-zero",
         "experiment-folds-one", "experiment-folds-negative",

@@ -76,6 +76,27 @@ class TestLoadCsv:
         ds = load_csv(path, label_column=2)
         assert ds.num_samples == 2
 
+    def test_header_autodetect_on_the_bundled_data(self):
+        for path, shape in (("data/iris.csv", (150, 4)),
+                            ("data/wine.csv", (178, 13))):
+            assert load_csv(path, label_column=-1).features.shape == shape
+
+    def test_first_row_typo_is_not_a_header(self, tmp_path):
+        # the row used to be dropped as a header, and class B became 0
+        path = _write(tmp_path, "5.l,3.5,A\n4.9,3.0,B\n4.7,3.2,A\n5.0,3.1,B\n")
+        with pytest.raises(CsvFormatError, match=r":1: non-numeric feature "
+                           r"cell '5\.l' in column 0"):
+            load_csv(path, label_column=-1)
+
+    def test_first_row_mixing_numbers_and_text_is_an_error(self, tmp_path):
+        path = _write(tmp_path, "\n1.0,f1,A\n2.0,3.0,B\n")
+        with pytest.raises(CsvFormatError, match=r":2: non-numeric feature "
+                           r"cell 'f1' in column 1"):
+            load_csv(path, label_column=-1)
+        with pytest.raises(CsvFormatError, match=r":2: non-numeric feature "
+                           r"cell 'f1' in column 1"):
+            load_feature_matrix(path, label_column=2)
+
     def test_label_column_in_middle(self, tmp_path):
         path = _write(tmp_path, "1.0,A,2.0\n3.0,B,4.0\n")
         ds = load_csv(path, label_column=1)
@@ -136,6 +157,12 @@ class TestLoadFeatureMatrix:
         path = _write(tmp_path, "f0,f1\n1.0,2.0\n3.0,nan\n")
         with pytest.raises(CsvFormatError, match=r":3: non-finite feature "
                            r"cell 'nan' in column 1"):
+            load_feature_matrix(path)
+
+    def test_first_row_typo_without_label_column(self, tmp_path):
+        path = _write(tmp_path, "1.0,2.O\n3.0,4.0\n")
+        with pytest.raises(CsvFormatError, match=r":1: non-numeric feature "
+                           r"cell '2\.O' in column 1"):
             load_feature_matrix(path)
 
     def test_blank_label_cells_allowed(self, tmp_path):

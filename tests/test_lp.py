@@ -17,6 +17,7 @@ import pytest
 from scipy.optimize import linprog
 
 import graphmetric
+from graphmetric import lp
 from graphmetric.lp import (INFEASIBLE, OPTIMAL, solve_box_knapsack_lp,
                             solve_diagonal_lp)
 from helpers import (count_active, enumerate_lp_vertices,
@@ -180,6 +181,98 @@ class TestBoxKnapsackLP:
             ratios = (g / a)[g > 0]
             tied += np.unique(ratios).size < ratios.size
         assert tied > 300
+
+
+class TestSetupReuse:
+    """Each solver sets up its feasible set once for a run of read-only
+    inputs, as a Frank-Wolfe loop passes them; the vertices must not
+    depend on whether the set-up was reused."""
+
+    @staticmethod
+    def _read_only(*arrays):
+        for x in arrays:
+            x.setflags(write=False)
+        return arrays
+
+    def test_repeated_knapsack_solves_are_fresh_solves(self, monkeypatch):
+        setups = []
+        real = lp._knapsack_box
+        monkeypatch.setattr(lp, "_knapsack_box",
+                            lambda *args: setups.append(1) or real(*args))
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            dim = int(rng.integers(2, 9))
+            _, lo, up, a, budget = _random_knapsack(rng, dim)
+            self._read_only(lo, up, a)
+            for _ in range(4):
+                g = rng.normal(size=dim)
+                sol = solve_box_knapsack_lp(g, lo, up, a, budget)
+                _assert_same_bits(sol, solve_box_knapsack_lp(
+                    g, lo.copy(), up.copy(), a.copy(), budget), g)
+                _assert_same_bits(sol, reference_knapsack_lp(
+                    g, lo, up, a, budget), g)
+            # one for the read-only box, one per writeable copy
+            assert len(setups) == 1 + 4
+            setups.clear()
+
+    def test_repeated_diagonal_solves_are_fresh_solves(self, monkeypatch):
+        setups = []
+        real = lp._diagonal_slack
+        monkeypatch.setattr(lp, "_diagonal_slack",
+                            lambda *args: setups.append(1) or real(*args))
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            dim = int(rng.integers(2, 9))
+            _, lb, cap = _random_diagonal(rng, dim)
+            self._read_only(lb)
+            for _ in range(4):
+                g = rng.normal(size=dim)
+                sol = solve_diagonal_lp(g, lb, cap)
+                _assert_same_bits(sol, solve_diagonal_lp(g, lb.copy(), cap), g)
+                _assert_same_bits(sol, reference_diagonal_lp(g, lb, cap), g)
+            assert len(setups) == 1 + 4
+            setups.clear()
+
+    @pytest.mark.parametrize("read_only_views", [False, True])
+    @pytest.mark.parametrize("change, index, value, point", [
+        ("lower", 1, -1.0, [-2.0, -1.0]),
+        ("upper", 0, -2.0, [-2.0, -1.0]),
+        ("coeffs", 0, 0.5, [-5.0, -0.5]),
+    ])
+    def test_writeable_knapsack_box_changed_in_place(self, change, index,
+                                                     value, point,
+                                                     read_only_views):
+        g = np.array([1.0, 2.0])
+        box = {"lower": np.array([-5.0, -5.0]), "upper": np.zeros(2),
+               "coeffs": np.ones(2)}
+        args = (box["lower"], box["upper"], box["coeffs"])
+        if read_only_views:
+            # a read-only view still changes with its writeable base
+            args = self._read_only(*(x.view() for x in args))
+        args += (3.0,)
+        assert solve_box_knapsack_lp(g, *args).point.tolist() == [0.0, -3.0]
+        box[change][index] = value
+        second = solve_box_knapsack_lp(g, *args)
+        assert second.point.tolist() == point
+        _assert_same_bits(second, reference_knapsack_lp(g, *args), g)
+
+    def test_writeable_lower_bounds_changed_in_place(self):
+        g = np.array([-1.0, -3.0, 2.0])
+        lb = np.ones(3)
+        assert solve_diagonal_lp(g, lb, 6.0).point.tolist() == [1.0, 4.0, 1.0]
+        lb[0] = 3.0
+        assert solve_diagonal_lp(g, lb, 6.0).point.tolist() == [3.0, 2.0, 1.0]
+        lb[2] = 3.0
+        assert solve_diagonal_lp(g, lb, 6.0).status == INFEASIBLE
+
+    def test_new_budget_on_the_same_box(self):
+        g = np.array([1.0, 2.0])
+        lo, up, a = self._read_only(np.array([-5.0, -5.0]), np.zeros(2),
+                                    np.ones(2))
+        for budget, point in ((3.0, [0.0, -3.0]), (7.0, [-2.0, -5.0]),
+                              (3.0, [0.0, -3.0])):
+            assert solve_box_knapsack_lp(g, lo, up, a,
+                                         budget).point.tolist() == point
 
 
 @pytest.mark.parametrize("solve, program, draw", [

@@ -1303,6 +1303,89 @@ class TestDiscCertifiedSteps:
                                   * cert.eigvec) <= 1e-9
 
 
+class TestCertificationRoute:
+    """Which solver certifies what above K = 16: a diagonal step, which
+    moves every disc, is certified by one dense solve; a column step whose
+    discs fail and the sweep-end re-alignment try warm LOBPCG first."""
+
+    @staticmethod
+    def _spy_solves(monkeypatch, log):
+        """Append (solver name, warm start or None) to ``log`` per solve."""
+        for name in ("smallest_eigenpair_lobpcg", "smallest_eigenpair_dense"):
+            solver = getattr(eigen, name)
+
+            def spied(matrix, *args, _name=name, _solver=solver, **kwargs):
+                log.append((_name, kwargs.get("warm_start")))
+                return _solver(matrix, *args, **kwargs)
+            monkeypatch.setattr(eigen, name, spied)
+
+    def test_k48_diagonal_step_is_one_dense_solve(self, monkeypatch):
+        ctx = _blob_ctx(1, k=48, per_class=10)
+        cfg = OptimizerConfig(trace_cap=2.0).resolve(48)
+        state = initial_state(ctx, cfg)
+        solves = count_eigensolves(monkeypatch)
+        new = diagonal_step(state, ctx, cfg)
+        m = new.metric.matrix
+        assert not np.array_equal(m.entries, state.metric.matrix.entries)
+        assert solves == ["smallest_eigenpair_dense"]
+        assert new.metric.certificate.lambda_min == \
+            smallest_eigenpair_dense(m).value
+        expected = optimizer._conditioned_scalars(new.metric, cfg.rho)
+        assert np.array_equal(new.scalars.values, expected.values)
+
+    @pytest.mark.parametrize("k", [17, 48])
+    def test_no_warm_vector_is_one_dense_solve(self, monkeypatch, k):
+        g, _ = TestCertifyMatrix._iterate(k)
+        solves = count_eigensolves(monkeypatch)
+        metric, _ = optimizer._certify_matrix(g.matrix, None, 0.0)
+        assert solves == ["smallest_eigenpair_dense"]
+        assert metric.certificate.lambda_min == \
+            smallest_eigenpair_dense(g.matrix).value
+
+    def test_k48_column_fallback_starts_with_warm_lobpcg(self, monkeypatch):
+        # all-ones scalars leave some plain Gershgorin left-ends negative,
+        # so column 0's step cannot be certified by its discs
+        rng = np.random.default_rng(1)
+        g = random_graph_metric(rng, 48)
+        ctx = ObjectiveContext(features=0.3 * rng.normal(size=(30, 48)),
+                               labels=rng.choice([-1.0, 1.0], size=30))
+        cfg = OptimizerConfig(trace_cap=g.matrix.trace()).resolve(48)
+        state = OptimizerState(metric=g,
+                               scalars=GershgorinScalars(np.ones(48)),
+                               objective_trace=(0.0,))
+        solves = []
+        self._spy_solves(monkeypatch, solves)
+        new = offdiag_step(state, ctx, cfg, 0)
+        assert not np.array_equal(new.metric.matrix.entries, g.matrix.entries)
+        name, warm = solves[0]
+        assert name == "smallest_eigenpair_lobpcg"
+        assert warm is g.certificate.eigvec
+        assert new.metric.certificate.eigenpair
+
+    def test_k48_learn_routes(self, monkeypatch):
+        log = []
+        self._spy_solves(monkeypatch, log)
+        learn_metric(_blob_ctx(1, k=48, per_class=10),
+                     OptimizerConfig(trace_cap=2.0),
+                     observer=lambda event, st: log.append((event, st)))
+        # the solves each observed event follows
+        solves, routes = [], {"diagonal": [], "outer": []}
+        for name, item in log:
+            if name.startswith("smallest_eigenpair"):
+                solves.append((name, item))
+                continue
+            if name in routes and solves:
+                routes[name].append(solves)
+            solves = []
+        assert routes["diagonal"]
+        assert all(r == [("smallest_eigenpair_dense", None)]
+                   for r in routes["diagonal"])
+        assert routes["outer"]
+        for r in routes["outer"]:
+            assert r[0][0] == "smallest_eigenpair_lobpcg"
+            assert r[0][1] is not None
+
+
 def test_localized_perron_vector_certifies():
     """Blob seed 19, class 0 of the benchmark's highdim recipe: the first
     diagonal step's Perron vector is localized, and its first entry above
