@@ -17,7 +17,6 @@ from .data import Dataset, Scaler, load_csv, load_feature_matrix, standardize
 from .eigen import (EigenPair, LobpcgNonConvergence, smallest_eigenpair_dense,
                     smallest_eigenpair_lobpcg)
 from .experiment import ExperimentReport, RunRecord, run_experiment
-from .lp import LPSolution, solve_box_knapsack_lp, solve_diagonal_lp
 from .metric_io import load_metric, save_metric
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 from .optimizer import (LearnResult, OptimizerConfig, OptimizerState,
@@ -30,13 +29,12 @@ __all__ = [
     "Certificate", "ConvexObjective", "Dataset", "EigenPair",
     "ExperimentReport", "GLRObjective", "GershgorinScalars", "GraphMetric",
     "GraphMetricRejection", "LearnResult", "LobpcgNonConvergence",
-    "LPSolution", "ObjectiveContext", "OptimizerConfig", "OptimizerState",
-    "RunRecord", "Scaler", "SymmetricMatrix", "diagonal_step",
-    "graph_classify", "knn_vote_scores", "learn_metric", "load_csv",
-    "load_feature_matrix", "load_metric", "offdiag_step",
-    "one_vs_all_predict", "pairwise_mahalanobis", "run_experiment",
-    "save_metric", "scaled_left_ends", "smallest_eigenpair_dense",
-    "smallest_eigenpair_lobpcg", "solve_box_knapsack_lp",
-    "solve_diagonal_lp", "standardize", "update_scalars",
+    "ObjectiveContext", "OptimizerConfig", "OptimizerState", "RunRecord",
+    "Scaler", "SymmetricMatrix", "diagonal_step", "graph_classify",
+    "knn_vote_scores", "learn_metric", "load_csv", "load_feature_matrix",
+    "load_metric", "offdiag_step", "one_vs_all_predict",
+    "pairwise_mahalanobis", "run_experiment", "save_metric",
+    "scaled_left_ends", "smallest_eigenpair_dense",
+    "smallest_eigenpair_lobpcg", "standardize", "update_scalars",
     "validate_graph_metric", "__version__",
 ]

@@ -45,10 +45,13 @@ def graph_classify(all_features: np.ndarray,
         raise ValueError("need at least one known label")
     f = np.asarray(all_features, dtype=float)
     n = f.shape[0]
-    known = {int(i): v for i, v in known_labels.items()}
-    for i in known:
+    for i in known_labels:
+        # int() would keep 1.5 as row 1 and True as row 1
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise TypeError(f"known-label index {i!r} is not an integer")
         if not 0 <= i < n:
             raise IndexError(f"known-label index {i} out of range for N={n}")
+    known = {int(i): v for i, v in known_labels.items()}
     d = pairwise_mahalanobis(f, f, metric.matrix)
     w = np.exp(-d)  # underflows to exactly 0 for far pairs
     np.fill_diagonal(w, 0.0)
@@ -91,6 +94,8 @@ def knn_vote_scores(train_features: np.ndarray, train_z: np.ndarray,
     """
     train_z = np.asarray(train_z, dtype=float)
     n_train = train_z.shape[0]
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, not {k!r}")
     if not 1 <= k <= n_train:
         raise ValueError(f"k={k} must be in 1..{n_train}")
     d = pairwise_mahalanobis(test_features, train_features, metric.matrix)

@@ -182,6 +182,14 @@ def _evaluate_seed(dataset: Dataset, cfg: OptimizerConfig, seed: int,
     return records
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int.  A bool or a non-integer is a ProtocolError
+    that starts with ``what`` (int() would run 0.7 as 0 and True as 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ProtocolError(f"{what}, not {value!r}")
+    return int(value)
+
+
 def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
                    classifier_choice: str = "graph",
                    seeds: Iterable[int] = range(50), folds: int = 2,
@@ -192,7 +200,9 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     ``classifier_choice`` is "knn", "graph", or "both" (both reuse the same
     learned metrics).  Seeds are independent, so ``n_jobs`` > 1 evaluates
     them in parallel in at most one worker process per seed; the merge
-    order is fixed by (seed, fold, classifier).
+    order is fixed by (seed, fold, classifier).  Seeds, ``folds``, ``k``
+    and ``n_jobs`` must be integers (numpy integers become int); a bad
+    setting is a ProtocolError before any learning.
     """
     if classifier_choice == "both":
         classifiers = CLASSIFIERS
@@ -204,11 +214,10 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     if not seeds:
         raise ProtocolError(f"empty seed range {requested!r}: the protocol "
                             f"needs at least one CV seed")
-    for seed in seeds:
-        # int() would run 0.7 as seed 0 and True as seed 1
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ProtocolError(f"seeds must be integers, not {seed!r}")
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(_integer(s, "seeds must be integers") for s in seeds)
+    folds = _integer(folds, "folds must be an integer")
+    k = _integer(k, "k must be an integer")
+    n_jobs = _integer(n_jobs, "n_jobs must be an integer")
     if n_jobs < 1:
         raise ProtocolError(f"n_jobs={n_jobs}: the protocol needs at least "
                             f"1 worker")

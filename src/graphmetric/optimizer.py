@@ -74,7 +74,8 @@ class OptimizerConfig:
     ``trace_cap``, ``rho`` and ``epsilon`` default to None and are resolved
     against the feature dimension K: trace_cap = K, rho = 1e-4 * C / K,
     epsilon = 1e-3 * C / K.  Building a config coerces numeric strings to
-    float, rejects booleans and checks the invariants that hold at any K;
+    float and numpy-integer iteration counts to int, rejects booleans and
+    checks the invariants that hold at any K;
     ``resolve`` checks the ones that depend on K.
     """
 
@@ -108,6 +109,9 @@ class OptimizerConfig:
             raise ConfigError(f"iteration counts must be integers: {counts}")
         if min(counts) < 1:
             raise ConfigError("iteration counts must be >= 1")
+        for name in ("fw_max_iters", "outer_max_iters"):
+            # a numpy integer would reach the experiment's JSON echo
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def resolve(self, dim: int) -> "OptimizerConfig":
         """Fill defaults for dimension ``dim``; check the invariants on K.
@@ -388,25 +392,21 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
     """Frank-Wolfe on the diagonal (``col`` None) or on column ``col``.
 
     Starts from block values ``x`` at objective point ``point`` of value
-    ``q``; ``vertex(g)`` is the LP vertex for gradient g, or None when the
-    LP is empty.  Each iteration steps by backtracking Armijo over gamma =
-    2**-j; ``_step_size`` starts its search at the exponent the previous
-    iteration accepted (0 on the first), which finds the same step as
-    halving from gamma = 1 in fewer objective evaluations, and the next
-    gradient is taken at the accepted trial's point.  Stops when the
-    duality gap g.(x - vertex) is at most obj_rel_tol * max(1, |Q|), when
-    backtracking Armijo finds no step of at least _MIN_STEP, or after
-    fw_max_iters.  Returns (x, Q, gap), or None when the LP is empty.
+    ``q``; ``vertex(g)`` is the LP vertex for gradient g.  Each iteration
+    steps by backtracking Armijo over gamma = 2**-j; ``_step_size`` starts
+    its search at the exponent the previous iteration accepted (0 on the
+    first), which finds the same step as halving from gamma = 1 in fewer
+    objective evaluations, and the next gradient is taken at the accepted
+    trial's point.  Stops when the duality gap g.(x - vertex) is at most
+    obj_rel_tol * max(1, |Q|), when backtracking Armijo finds no step of
+    at least _MIN_STEP, or after fw_max_iters.  Returns (x, Q, gap).
     """
     gap = math.nan
     j = 0
     for _ in range(cfg.fw_max_iters):
         g = (obj.grad_diag(point) if col is None
              else obj.grad_offdiag_col(point, col))
-        target = vertex(g)
-        if target is None:
-            return None
-        direction = target - x
+        direction = vertex(g) - x
         gap = float(-(g @ direction))
         if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
             break
@@ -425,7 +425,8 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
     """Frank-Wolfe over the diagonal under the current scalars.
 
     Feasible set: m_ii >= s_i * sum_{j != i} |m_ij| / s_j + rho per row and
-    trace <= trace_cap.  The LP vertex is closed-form; ``_frank_wolfe``
+    trace <= trace_cap, set up once (``lp.diagonal_lp``); the step skips
+    when it is empty.  The LP vertex is closed-form; ``_frank_wolfe``
     states the stop rules.  A new diagonal comes back certified and
     aligned by one dense solve (``_certify_matrix`` without a warm vector:
     the step moves every disc, so the last eigenvector is a poor start).
@@ -434,16 +435,17 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
     lb = scaled_radii(matrix, state.scalars) + cfg.rho
-    lb.setflags(write=False)  # lets the LP keep its set-up for the step
     x0 = matrix.diagonal()
     point = obj.at(matrix)
     q = obj.value(point)
-    deficit = float(np.sum(lb)) - cfg.trace_cap
-    if deficit > 1e-3 * max(1.0, cfg.trace_cap):
-        raise SubproblemInfeasibleError(
-            f"diagonal LP infeasible: sum of lower bounds exceeds trace_cap "
-            f"{cfg.trace_cap:.6g} by {deficit:.3e}; check rho / trace_cap")
-    if deficit > lp.FEASIBILITY_TOL * max(1.0, cfg.trace_cap):
+    feasible = lp.diagonal_lp(lb, cfg.trace_cap)
+    if feasible is None:
+        deficit = float(np.sum(lb)) - cfg.trace_cap
+        if deficit > 1e-3 * max(1.0, cfg.trace_cap):
+            raise SubproblemInfeasibleError(
+                f"diagonal LP infeasible: sum of lower bounds exceeds "
+                f"trace_cap {cfg.trace_cap:.6g} by {deficit:.3e}; check "
+                f"rho / trace_cap")
         # tiny overshoot comes from floored-scalar bound erosion at the
         # lambda_min = rho floor, not from misconfiguration; the skip keeps
         # the metric object, and learn_metric's summary counts it
@@ -453,10 +455,9 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
         return replace(state,
                        objective_trace=state.objective_trace + (q,),
                        fw_gap=0.0)
-    # the deficit test above is solve_diagonal_lp's, so the LP is nonempty
     x, q, gap = _frank_wolfe(
         obj, point, x0, q, None, cfg,
-        lambda g: lp.solve_diagonal_lp(g, lb, cfg.trace_cap).point)
+        lambda g: lp.solve_diagonal_lp(g, feasible).point)
     if np.any(x != x0):
         metric, scalars = _certify_matrix(matrix.with_diagonal(x), None,
                                           cfg.rho)
@@ -519,7 +520,8 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     lowest row on ties) plus the protected spanning edges in this column.
     The spanning-edge floors keep the whole graph connected across block
     updates; the per-column zeta floor alone only guards this column.
-    Infeasible subproblems skip the column and leave the state unchanged.
+    The LP is set up once (``lp.knapsack_lp``); a column whose incumbent
+    or LP is infeasible is skipped and the state comes back unchanged.
     Above _DENSE_MAX_DIM a new column whose scaled disc left-ends under the
     unchanged scalars are all >= rho - _FEAS_SLACK comes back with a disc
     certificate and those scalars; any other new column comes back
@@ -555,12 +557,14 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     upper[[zeta_local, *tree_local]] = -cfg.epsilon
 
     coupling_coeffs = 1.0 / s_rows
-    for box in (lower, upper, coupling_coeffs):
-        box.setflags(write=False)  # lets the LP keep its set-up for the step
     x = np.minimum(np.maximum(x0, lower), upper)
+    # the LP is set up only for a column that passes the stricter test
+    # on the incumbent
     if ((lower > upper).any() or coupling_budget < 0
             or float(coupling_coeffs @ np.maximum(-x, 0.0))
-            > coupling_budget * (1.0 + 1e-9) + 1e-15):
+            > coupling_budget * (1.0 + 1e-9) + 1e-15
+            or (feasible := lp.knapsack_lp(lower, upper, coupling_coeffs,
+                                           coupling_budget)) is None):
         log.debug("off-diagonal step on column %d skipped: the epsilon "
                   "floor or coupling budget excludes the incumbent "
                   "(lambda_min is pressing the rho floor)", col)
@@ -571,14 +575,9 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
         point = obj.ray(start, x - x0, col)(1.0)
         q = obj.value(point)
 
-    result = _frank_wolfe(
+    x, q, _ = _frank_wolfe(
         obj, point, x, q, col, cfg,
-        lambda g: lp.solve_box_knapsack_lp(g, lower, upper, coupling_coeffs,
-                                           coupling_budget).point)
-    if result is None:
-        log.debug("off-diagonal step on column %d skipped: empty LP", col)
-        return state
-    x, q, _ = result
+        lambda g: lp.solve_box_knapsack_lp(g, feasible).point)
     if q > q0:
         # the feasibility clamp on the start cost more than the step gained
         log.debug("off-diagonal step on column %d made no progress; "

@@ -30,11 +30,15 @@ from graphmetric.core import (DimensionMismatchError, GershgorinScalars,
                               GraphMetric, SymmetricMatrix,
                               validate_graph_metric)
 from graphmetric.data import Dataset
-from graphmetric.lp import INFEASIBLE, OPTIMAL, LPError, LPSolution
+from graphmetric.lp import OPTIMAL, LPError, LPSolution
 from graphmetric.objective import (ObjectiveContext, glr_grad_diag,
                                    glr_grad_offdiag_col, glr_value,
                                    pair_distances)
 from graphmetric.optimizer import _ARMIJO_C, _MIN_STEP
+
+# enumerate_lp_vertices' status of an empty LP (the package's LPs return no
+# status for one: their set-up is None)
+INFEASIBLE = "infeasible"
 
 
 def random_graph_metric(rng: np.random.Generator, dim: int,
@@ -390,16 +394,18 @@ class ReferenceGLRObjective:
         return -2.0 * ((self.terms(m) * d[:, col]) @ d[:, self._rows(col)])
 
 
-def reference_diagonal_lp(g, lb, trace_cap, tol: float = 1e-9) -> LPSolution:
+def reference_diagonal_lp(g, lb, trace_cap, tol: float = 1e-9
+                          ) -> LPSolution | None:
     """Vertex of min g.x over {x >= lb, sum(x) <= C}: lower bounds, plus
-    the slack on the first most negative gradient entry."""
+    the slack on the first most negative gradient entry; None when the LP
+    is empty."""
     if g.shape != lb.shape or g.ndim != 1:
         raise LPError("gradient and lower_bounds must be 1-D and equal length")
     if not np.all(np.isfinite(lb)):
         raise LPError("lower bounds must be finite")
     slack = trace_cap - float(np.sum(lb))
     if slack < -tol * max(1.0, abs(trace_cap)):
-        return LPSolution(point=None, status=INFEASIBLE)
+        return None
     x = lb.copy()
     slack = max(slack, 0.0)
     if slack > 0 and float(np.min(g)) < 0:
@@ -408,21 +414,21 @@ def reference_diagonal_lp(g, lb, trace_cap, tol: float = 1e-9) -> LPSolution:
 
 
 def reference_knapsack_lp(g, lo, up, a, budget, tol: float = 1e-9
-                          ) -> LPSolution:
+                          ) -> LPSolution | None:
     """Continuous-knapsack vertex of min g.x over {lo <= x <= up <= 0,
     sum a * (-x) <= budget}, with the greedy on numpy scalars in lexsort
-    order (gain per unit budget, then index)."""
+    order (gain per unit budget, then index); None when the LP is empty."""
     n = g.shape[0]
     if not (lo.shape == up.shape == a.shape == (n,)):
         raise LPError("knapsack LP vectors must share one length")
     if not np.all(a > 0):
         raise LPError("knapsack coefficients must be strictly positive")
     if np.any(lo > up + tol) or np.any(up > tol):
-        return LPSolution(point=None, status=INFEASIBLE)
+        return None
     x = np.minimum(up, 0.0)
     spent = float(a @ (-x))
     if spent > budget + tol * max(1.0, abs(budget)):
-        return LPSolution(point=None, status=INFEASIBLE)
+        return None
     remaining = max(budget - spent, 0.0)
     pos = np.flatnonzero(g > 0)
     order = pos[np.lexsort((pos, -(g[pos] / a[pos])))]

@@ -86,6 +86,20 @@ class TestKnn:
             with pytest.raises(ValueError, match=f"k={k} must be in 1..3"):
                 knn_vote_scores(feats, z, np.zeros((1, 3)), IDENTITY_3, k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_])
+    def test_vote_scores_k_must_be_an_integer(self, k):
+        feats, z = np.zeros((3, 3)), np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=f"k must be an integer, not "
+                           f"{k!r}"):
+            knn_vote_scores(feats, z, np.zeros((1, 3)), IDENTITY_3, k)
+
+    def test_vote_scores_numpy_integer_k(self):
+        feats = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        z = np.array([1.0, -1.0, 1.0])
+        scores = knn_vote_scores(feats, z, np.zeros((1, 3)), IDENTITY_3,
+                                 np.int64(2))
+        assert scores.tolist() == [0.0]
+
     def test_vote_scores_shape_and_range(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(12, 3))
@@ -170,6 +184,25 @@ class TestGraphClassify:
             with pytest.raises(IndexError, match=f"index {index} out of "
                                f"range for N=3"):
                 graph_classify(np.zeros((3, 3)), {index: 1.0}, IDENTITY_3)
+
+    def test_fractional_known_index_rejected(self):
+        # int() would fold 1.5 onto row 1 and keep one of the two labels
+        with pytest.raises(TypeError, match="index 1.5 is not an integer"):
+            graph_classify(np.zeros((3, 3)), {1.5: 1.0, 1: -1.0}, IDENTITY_3)
+
+    @pytest.mark.parametrize("index", [True, np.False_])
+    def test_bool_known_index_rejected(self, index):
+        # int(True) would label row 1
+        with pytest.raises(TypeError, match=f"index {index!r} is not an "
+                           f"integer"):
+            graph_classify(np.zeros((3, 3)), {index: 1.0}, IDENTITY_3)
+
+    def test_numpy_integer_known_index(self):
+        feats = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        scores = graph_classify(feats, {np.int64(0): 1.0, np.int32(2): -1.0},
+                                IDENTITY_3)
+        assert np.array_equal(scores, graph_classify(
+            feats, {0: 1.0, 2: -1.0}, IDENTITY_3))
 
     def test_singular_block_regularized_with_warning(self, caplog):
         # one unlabeled node infinitely far away: its row of W underflows

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,30 @@ class TestRunExperiment:
         assert report.config["seeds"] == [0]
         assert report.to_json() == run_experiment(_separable(),
                                                   seeds=range(1)).to_json()
+
+    @pytest.mark.parametrize("setting, value", [
+        ("folds", 2.0), ("folds", True), ("k", 2.5), ("k", True),
+        ("k", np.True_), ("n_jobs", 1.5), ("n_jobs", "2")])
+    def test_non_integer_setting_rejected_before_learning(
+            self, monkeypatch, setting, value):
+        def no_learning(*args, **kwargs):
+            raise AssertionError("a metric was learned")
+        monkeypatch.setattr(experiment, "learn_metric", no_learning)
+        with pytest.raises(ProtocolError, match=re.escape(
+                f"{setting} must be an integer, not {value!r}")):
+            run_experiment(_separable(), classifier_choice="both",
+                           seeds=range(1), **{setting: value})
+
+    def test_numpy_integer_settings_echo_as_json(self):
+        cfg = OptimizerConfig(outer_max_iters=np.int64(2))
+        report = run_experiment(_separable(), cfg=cfg, classifier_choice="both",
+                                seeds=range(1), folds=np.int64(2),
+                                k=np.int64(5), n_jobs=np.int64(1))
+        echo = json.loads(report.to_json())["config"]
+        assert (echo["outer_max_iters"], echo["folds"], echo["k"]) == (2, 2, 5)
+        assert report.to_json() == run_experiment(
+            _separable(), cfg=OptimizerConfig(outer_max_iters=2),
+            classifier_choice="both", seeds=range(1)).to_json()
 
     def test_table_output(self):
         report = run_experiment(_separable(), seeds=range(1))

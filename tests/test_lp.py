@@ -17,10 +17,9 @@ import pytest
 from scipy.optimize import linprog
 
 import graphmetric
-from graphmetric import lp
-from graphmetric.lp import (INFEASIBLE, OPTIMAL, solve_box_knapsack_lp,
-                            solve_diagonal_lp)
-from helpers import (count_active, enumerate_lp_vertices,
+from graphmetric.lp import (OPTIMAL, LPError, diagonal_lp, knapsack_lp,
+                            solve_box_knapsack_lp, solve_diagonal_lp)
+from helpers import (INFEASIBLE, count_active, enumerate_lp_vertices,
                      knapsack_greedy_sorted, reference_diagonal_lp,
                      reference_knapsack_lp)
 
@@ -45,14 +44,36 @@ def _knapsack_program(g, lo, up, a, budget):
     return g, -a[None, :], np.array([budget]), lo, up
 
 
+def _diagonal(g, lb, cap):
+    """Set-up plus one solve: the vertex, or None when the LP is empty."""
+    feasible = diagonal_lp(lb, cap)
+    return None if feasible is None else solve_diagonal_lp(g, feasible)
+
+
+def _knapsack(g, lo, up, a, budget):
+    """Set-up plus one solve: the vertex, or None when the LP is empty."""
+    feasible = knapsack_lp(lo, up, a, budget)
+    return None if feasible is None else solve_box_knapsack_lp(g, feasible)
+
+
 def _assert_same_bits(sol, ref, g):
-    assert sol.status == ref.status
-    if ref.point is None:
-        assert sol.point is None
+    if ref is None:
+        assert sol is None
     else:
+        assert sol.status == ref.status == OPTIMAL
         assert sol.point.tobytes() == ref.point.tobytes()
         assert np.float64(g @ sol.point).tobytes() == \
             np.float64(g @ ref.point).tobytes()
+
+
+def _assert_matches_highs(sol, program):
+    """An empty set-up where HiGHS finds the LP infeasible, else HiGHS's
+    optimal value."""
+    status, value = _highs(*program)
+    assert (sol is None) == (status == INFEASIBLE)
+    if sol is not None:
+        assert status == OPTIMAL
+        assert abs(program[0] @ sol.point - value) <= 1e-9
 
 
 def _random_diagonal(rng, dim):
@@ -75,7 +96,7 @@ def _random_knapsack(rng, dim):
 class TestDiagonalLP:
     def test_slack_to_most_negative_gradient(self):
         g = np.array([-1.0, -3.0, 2.0])
-        sol = solve_diagonal_lp(g, np.array([1.0, 1.0, 1.0]), 6.0)
+        sol = _diagonal(g, np.array([1.0, 1.0, 1.0]), 6.0)
         assert sol.status == OPTIMAL
         assert sol.point.tolist() == [1.0, 4.0, 1.0]
         _, oracle = _highs(*_diagonal_program(
@@ -83,82 +104,66 @@ class TestDiagonalLP:
         assert g @ sol.point == pytest.approx(oracle, abs=1e-9)
 
     def test_all_positive_gradient_stays_at_bounds(self):
-        sol = solve_diagonal_lp(np.array([0.5, 1.0, 2.0]),
-                                np.array([1.0, 2.0, 3.0]), 10.0)
+        sol = _diagonal(np.array([0.5, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]),
+                        10.0)
         assert sol.point.tolist() == [1.0, 2.0, 3.0]
 
     def test_tight_trace(self):
-        sol = solve_diagonal_lp(np.array([-1.0, -1.0]),
-                                np.array([2.0, 2.0]), 4.0)
+        sol = _diagonal(np.array([-1.0, -1.0]), np.array([2.0, 2.0]), 4.0)
         assert sol.point.tolist() == [2.0, 2.0]
 
     def test_infeasible(self):
-        sol = solve_diagonal_lp(np.array([-1.0, -1.0]),
-                                np.array([3.0, 3.0]), 4.0)
-        assert sol.status == INFEASIBLE
+        assert diagonal_lp(np.array([3.0, 3.0]), 4.0) is None
 
     def test_tie_breaks_to_lowest_index(self):
-        sol = solve_diagonal_lp(np.array([-2.0, -2.0]),
-                                np.array([0.0, 0.0]), 5.0)
+        sol = _diagonal(np.array([-2.0, -2.0]), np.array([0.0, 0.0]), 5.0)
         assert sol.point.tolist() == [5.0, 0.0]
 
     def test_equivalence_batch(self):
         rng = np.random.default_rng(10)
         for _ in range(500):
             g, lb, cap = _random_diagonal(rng, int(rng.integers(2, 9)))
-            fast = solve_diagonal_lp(g, lb, cap)
+            fast = _diagonal(g, lb, cap)
             _assert_same_bits(fast, reference_diagonal_lp(g, lb, cap), g)
-            status, value = _highs(*_diagonal_program(g, lb, cap))
-            assert fast.status == status
-            if fast.status == OPTIMAL:
-                assert abs(g @ fast.point - value) <= 1e-9
+            _assert_matches_highs(fast, _diagonal_program(g, lb, cap))
 
 
 class TestBoxKnapsackLP:
     def test_no_budget_pressure(self):
         # huge budget: variables follow their gradient signs freely
-        sol = solve_box_knapsack_lp(np.array([1.0, -1.0]),
-                                    np.array([-2.0, -3.0]),
-                                    np.array([0.0, -0.5]),
-                                    np.array([1.0, 1.0]), 100.0)
+        sol = _knapsack(np.array([1.0, -1.0]), np.array([-2.0, -3.0]),
+                        np.array([0.0, -0.5]), np.array([1.0, 1.0]), 100.0)
         assert sol.point.tolist() == [-2.0, -0.5]
 
     def test_budget_goes_to_best_rate(self):
         # both want to drop; index 1 gains twice as much per unit budget
-        sol = solve_box_knapsack_lp(np.array([1.0, 2.0]),
-                                    np.array([-5.0, -5.0]),
-                                    np.array([0.0, 0.0]),
-                                    np.array([1.0, 1.0]), 3.0)
+        sol = _knapsack(np.array([1.0, 2.0]), np.array([-5.0, -5.0]),
+                        np.array([0.0, 0.0]), np.array([1.0, 1.0]), 3.0)
         assert sol.point.tolist() == [0.0, -3.0]
 
     def test_fractional_split(self):
-        sol = solve_box_knapsack_lp(np.array([2.0, 1.0]),
-                                    np.array([-1.0, -5.0]),
-                                    np.array([0.0, 0.0]),
-                                    np.array([1.0, 1.0]), 3.0)
+        sol = _knapsack(np.array([2.0, 1.0]), np.array([-1.0, -5.0]),
+                        np.array([0.0, 0.0]), np.array([1.0, 1.0]), 3.0)
         assert sol.point.tolist() == [-1.0, -2.0]
 
     def test_infeasible_floor(self):
-        sol = solve_box_knapsack_lp(np.array([1.0]), np.array([-2.0]),
-                                    np.array([-1.0]), np.array([1.0]), 0.5)
-        assert sol.status == INFEASIBLE
+        assert knapsack_lp(np.array([-2.0]), np.array([-1.0]),
+                           np.array([1.0]), 0.5) is None
 
     def test_equivalence_batch(self):
         rng = np.random.default_rng(12)
         for _ in range(500):
             g, lo, up, a, budget = _random_knapsack(rng,
                                                     int(rng.integers(2, 9)))
-            fast = solve_box_knapsack_lp(g, lo, up, a, budget)
+            fast = _knapsack(g, lo, up, a, budget)
             _assert_same_bits(fast, reference_knapsack_lp(g, lo, up, a,
                                                           budget), g)
-            status, value = _highs(*_knapsack_program(g, lo, up, a, budget))
-            assert fast.status == status
-            if fast.status == OPTIMAL:
-                assert abs(g @ fast.point - value) <= 1e-9
+            _assert_matches_highs(fast,
+                                  _knapsack_program(g, lo, up, a, budget))
+            if fast is not None:
                 x = fast.point
                 assert a @ (-x) <= budget + 1e-12
                 assert np.all(x >= lo - 1e-12) and np.all(x <= up + 1e-12)
-
 
     def test_tied_ratios_match_sorted_greedy(self):
         # rounded gradients and coefficients that are powers of two make many
@@ -172,7 +177,7 @@ class TestBoxKnapsackLP:
             a = (np.ones(dim) if rng.random() < 0.5
                  else rng.choice([0.5, 1.0, 2.0], size=dim))
             budget = float(a @ (-up)) + float(rng.uniform(0.0, 1.5))
-            sol = solve_box_knapsack_lp(g, lo, up, a, budget)
+            sol = _knapsack(g, lo, up, a, budget)
             assert sol.status == OPTIMAL
             assert np.array_equal(sol.point,
                                   knapsack_greedy_sorted(g, lo, up, a, budget))
@@ -184,100 +189,101 @@ class TestBoxKnapsackLP:
 
 
 class TestSetupReuse:
-    """Each solver sets up its feasible set once for a run of read-only
-    inputs, as a Frank-Wolfe loop passes them; the vertices must not
-    depend on whether the set-up was reused."""
+    """A block step sets up its feasible set once and solves it for one
+    gradient after another; every vertex must be the one a fresh set-up
+    gives.  A set is a snapshot: it copies the arrays it is built from."""
 
-    @staticmethod
-    def _read_only(*arrays):
-        for x in arrays:
-            x.setflags(write=False)
-        return arrays
-
-    def test_repeated_knapsack_solves_are_fresh_solves(self, monkeypatch):
-        setups = []
-        real = lp._knapsack_box
-        monkeypatch.setattr(lp, "_knapsack_box",
-                            lambda *args: setups.append(1) or real(*args))
+    def test_repeated_knapsack_solves_are_fresh_solves(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             dim = int(rng.integers(2, 9))
             _, lo, up, a, budget = _random_knapsack(rng, dim)
-            self._read_only(lo, up, a)
+            feasible = knapsack_lp(lo, up, a, budget)
+            if feasible is None:
+                continue
             for _ in range(4):
                 g = rng.normal(size=dim)
-                sol = solve_box_knapsack_lp(g, lo, up, a, budget)
-                _assert_same_bits(sol, solve_box_knapsack_lp(
-                    g, lo.copy(), up.copy(), a.copy(), budget), g)
+                sol = solve_box_knapsack_lp(g, feasible)
+                _assert_same_bits(sol, _knapsack(g, lo, up, a, budget), g)
                 _assert_same_bits(sol, reference_knapsack_lp(
                     g, lo, up, a, budget), g)
-            # one for the read-only box, one per writeable copy
-            assert len(setups) == 1 + 4
-            setups.clear()
 
-    def test_repeated_diagonal_solves_are_fresh_solves(self, monkeypatch):
-        setups = []
-        real = lp._diagonal_slack
-        monkeypatch.setattr(lp, "_diagonal_slack",
-                            lambda *args: setups.append(1) or real(*args))
+    def test_repeated_diagonal_solves_are_fresh_solves(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
             dim = int(rng.integers(2, 9))
             _, lb, cap = _random_diagonal(rng, dim)
-            self._read_only(lb)
+            feasible = diagonal_lp(lb, cap)
+            if feasible is None:
+                continue
             for _ in range(4):
                 g = rng.normal(size=dim)
-                sol = solve_diagonal_lp(g, lb, cap)
-                _assert_same_bits(sol, solve_diagonal_lp(g, lb.copy(), cap), g)
+                sol = solve_diagonal_lp(g, feasible)
+                _assert_same_bits(sol, _diagonal(g, lb, cap), g)
                 _assert_same_bits(sol, reference_diagonal_lp(g, lb, cap), g)
-            assert len(setups) == 1 + 4
-            setups.clear()
 
-    @pytest.mark.parametrize("read_only_views", [False, True])
+    @pytest.mark.parametrize("views", [False, True])
     @pytest.mark.parametrize("change, index, value, point", [
         ("lower", 1, -1.0, [-2.0, -1.0]),
         ("upper", 0, -2.0, [-2.0, -1.0]),
         ("coeffs", 0, 0.5, [-5.0, -0.5]),
     ])
     def test_writeable_knapsack_box_changed_in_place(self, change, index,
-                                                     value, point,
-                                                     read_only_views):
+                                                     value, point, views):
         g = np.array([1.0, 2.0])
         box = {"lower": np.array([-5.0, -5.0]), "upper": np.zeros(2),
                "coeffs": np.ones(2)}
         args = (box["lower"], box["upper"], box["coeffs"])
-        if read_only_views:
-            # a read-only view still changes with its writeable base
-            args = self._read_only(*(x.view() for x in args))
+        if views:
+            args = tuple(x.view() for x in args)
         args += (3.0,)
-        assert solve_box_knapsack_lp(g, *args).point.tolist() == [0.0, -3.0]
+        feasible = knapsack_lp(*args)
+        assert solve_box_knapsack_lp(g, feasible).point.tolist() == [0.0, -3.0]
         box[change][index] = value
-        second = solve_box_knapsack_lp(g, *args)
+        # the set keeps the box it was built from; a new set-up sees the
+        # change
+        assert solve_box_knapsack_lp(g, feasible).point.tolist() == [0.0, -3.0]
+        second = _knapsack(g, *args)
         assert second.point.tolist() == point
         _assert_same_bits(second, reference_knapsack_lp(g, *args), g)
 
     def test_writeable_lower_bounds_changed_in_place(self):
         g = np.array([-1.0, -3.0, 2.0])
         lb = np.ones(3)
-        assert solve_diagonal_lp(g, lb, 6.0).point.tolist() == [1.0, 4.0, 1.0]
+        feasible = diagonal_lp(lb, 6.0)
         lb[0] = 3.0
-        assert solve_diagonal_lp(g, lb, 6.0).point.tolist() == [3.0, 2.0, 1.0]
+        assert solve_diagonal_lp(g, feasible).point.tolist() == [1.0, 4.0, 1.0]
+        assert _diagonal(g, lb, 6.0).point.tolist() == [3.0, 2.0, 1.0]
         lb[2] = 3.0
-        assert solve_diagonal_lp(g, lb, 6.0).status == INFEASIBLE
+        assert diagonal_lp(lb, 6.0) is None
 
     def test_new_budget_on_the_same_box(self):
         g = np.array([1.0, 2.0])
-        lo, up, a = self._read_only(np.array([-5.0, -5.0]), np.zeros(2),
-                                    np.ones(2))
+        lo, up, a = np.array([-5.0, -5.0]), np.zeros(2), np.ones(2)
         for budget, point in ((3.0, [0.0, -3.0]), (7.0, [-2.0, -5.0]),
                               (3.0, [0.0, -3.0])):
-            assert solve_box_knapsack_lp(g, lo, up, a,
-                                         budget).point.tolist() == point
+            assert _knapsack(g, lo, up, a, budget).point.tolist() == point
+
+
+def test_malformed_inputs_raise():
+    with pytest.raises(LPError, match="1-D"):
+        diagonal_lp(np.ones((2, 2)), 4.0)
+    with pytest.raises(LPError, match="finite"):
+        diagonal_lp(np.array([1.0, np.nan]), 4.0)
+    with pytest.raises(LPError, match="1-D"):
+        solve_diagonal_lp(np.ones(3), diagonal_lp(np.ones(2), 4.0))
+    box = (np.full(2, -1.0), np.zeros(2))
+    with pytest.raises(LPError, match="one length"):
+        knapsack_lp(*box, np.ones(3), 1.0)
+    with pytest.raises(LPError, match="strictly positive"):
+        knapsack_lp(*box, np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(LPError, match="one length"):
+        solve_box_knapsack_lp(np.ones(3), knapsack_lp(*box, np.ones(2), 1.0))
 
 
 @pytest.mark.parametrize("solve, program, draw", [
-    (solve_diagonal_lp, _diagonal_program, _random_diagonal),
-    (solve_box_knapsack_lp, _knapsack_program, _random_knapsack),
+    (_diagonal, _diagonal_program, _random_diagonal),
+    (_knapsack, _knapsack_program, _random_knapsack),
 ], ids=["diagonal", "knapsack"])
 def test_closed_form_is_enumerated_optimal_vertex(solve, program, draw):
     rng = np.random.default_rng(13)
@@ -287,7 +293,7 @@ def test_closed_form_is_enumerated_optimal_vertex(solve, program, draw):
         sol = solve(*args)
         c, a_ub, b_ub, lo, hi = program(*args)
         status, best, _ = enumerate_lp_vertices(c, a_ub, b_ub, lo, hi)
-        assert sol.status == status
+        assert (sol is None) == (status == INFEASIBLE)
         if status == OPTIMAL:
             assert c @ sol.point == pytest.approx(best, abs=1e-9)
             assert count_active(a_ub, b_ub, lo, hi, sol.point) >= dim

@@ -73,6 +73,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be integers"):
             OptimizerConfig(**{field: value}).resolve(3)
 
+    def test_numpy_integer_counts_become_int(self):
+        cfg = OptimizerConfig(fw_max_iters=np.int32(7),
+                              outer_max_iters=np.int64(2))
+        assert (type(cfg.fw_max_iters), type(cfg.outer_max_iters)) == \
+            (int, int)
+        assert (cfg.fw_max_iters, cfg.outer_max_iters) == (7, 2)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["trace_cap", "rho", "epsilon",
                                        "obj_rel_tol"])
@@ -983,8 +990,12 @@ class TestReferenceKernels:
             fast, fast_solves = self._learn(patch, ctx, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "GLRObjective", ReferenceGLRObjective)
-            patch.setattr(lp, "solve_diagonal_lp", reference_diagonal_lp)
-            patch.setattr(lp, "solve_box_knapsack_lp", reference_knapsack_lp)
+            patch.setattr(lp, "solve_diagonal_lp",
+                          lambda g, f: reference_diagonal_lp(
+                              g, f.lower_bounds, f.trace_cap))
+            patch.setattr(lp, "solve_box_knapsack_lp",
+                          lambda g, f: reference_knapsack_lp(
+                              g, f.lower, f.upper, f.coeffs, f.budget))
             patch.setattr(eigen, "smallest_eigenpair_lobpcg", reference_lobpcg)
             patch.setattr(core, "max_spanning_tree", key_array_spanning_tree)
             patch.setattr(optimizer, "max_spanning_tree",
@@ -1006,12 +1017,14 @@ class TestReferenceKernels:
 class TestTracerContract:
     """The per-call invariants that bench/tracer.py counts by: one LP
     vertex per Frank-Wolfe gradient, and one SymmetricMatrix construction
-    for M^0 and for each iterate that changes the matrix."""
+    for M^0 and for each iterate that changes the matrix.  Each block step
+    also sets up its LP at most once."""
 
     def test_one_call_per_event_in_a_k48_learn(self, monkeypatch):
         counts = dict.fromkeys(("glr_grad_diag", "glr_grad_offdiag_col",
                                 "solve_diagonal_lp", "solve_box_knapsack_lp",
-                                "__post_init__"), 0)
+                                "diagonal_lp", "knapsack_lp", "diagonal_step",
+                                "offdiag_step", "__post_init__"), 0)
 
         def count(owner, name):
             real = getattr(owner, name)
@@ -1025,6 +1038,10 @@ class TestTracerContract:
         count(objective, "glr_grad_offdiag_col")
         count(lp, "solve_diagonal_lp")
         count(lp, "solve_box_knapsack_lp")
+        count(lp, "diagonal_lp")
+        count(lp, "knapsack_lp")
+        count(optimizer, "diagonal_step")
+        count(optimizer, "offdiag_step")
         count(SymmetricMatrix, "__post_init__")
         changed = 0
         last = None
@@ -1042,21 +1059,40 @@ class TestTracerContract:
         assert counts["solve_box_knapsack_lp"] == \
             counts["glr_grad_offdiag_col"]
         assert counts["solve_diagonal_lp"] == counts["glr_grad_diag"]
+        # a diagonal step's set-up decides its skip; a column is set up
+        # only when its incumbent passes
+        assert counts["diagonal_lp"] == counts["diagonal_step"]
+        assert counts["knapsack_lp"] <= counts["offdiag_step"]
         assert counts["__post_init__"] == 1 + changed
 
 
-def _overshooting_state():
+def _overshooting_state(overshoot: float = 1e-4):
     """M^0 at K = 3 with scalars (1, t, 1) whose scaled diagonal lower
-    bounds overshoot the trace cap by 1e-4: inside the band where a
-    diagonal step skips instead of raising."""
+    bounds overshoot the trace cap by ``overshoot`` (up to rounding); the
+    default 1e-4 is inside the band where a diagonal step skips instead of
+    raising."""
     ctx = _random_ctx(np.random.default_rng(3), 12, 3)
     cfg = OptimizerConfig().resolve(3)
     # the bounds sum to 2 eps (t + 1/t) + 3 rho
-    half = (cfg.trace_cap + 1e-4 - 3 * cfg.rho) / (4 * cfg.epsilon)
+    half = (cfg.trace_cap + overshoot - 3 * cfg.rho) / (4 * cfg.epsilon)
     t = half + math.sqrt(half * half - 1.0)
     state = initial_state(ctx, cfg)
     scalars = GershgorinScalars(np.array([1.0, t, 1.0]))
     return ctx, cfg, replace(state, scalars=scalars)
+
+
+@pytest.mark.parametrize("overshoot", [-1e-8, 0.0, 2.9e-9, 3e-9, 3.1e-9,
+                                       1e-8, 1e-4])
+def test_diagonal_step_skips_exactly_on_an_empty_lp(overshoot):
+    # trace_cap = 3, so the LP's emptiness tolerance is 3e-9
+    ctx, cfg, state = _overshooting_state(overshoot)
+    lb = scaled_radii(state.metric.matrix, state.scalars) + cfg.rho
+    empty = lp.diagonal_lp(lb, cfg.trace_cap) is None
+    if overshoot != 3e-9:  # the boundary itself may round either way
+        assert empty == (overshoot > 3e-9)
+    after = diagonal_step(state, ctx, cfg)
+    # a skipped step keeps the metric object, a step that ran does not
+    assert (after.metric is state.metric) == empty
 
 
 class TestLogging:
