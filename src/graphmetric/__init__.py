@@ -9,10 +9,9 @@ alternately by Frank-Wolfe iterations whose subproblems are small LPs.
 """
 
 from .classify import graph_classify, knn_vote_scores, one_vs_all_predict
-from .core import (Certificate, GershgorinScalars, GraphMetric,
-                   GraphMetricRejection, SymmetricMatrix,
-                   pairwise_mahalanobis, scaled_left_ends,
-                   validate_graph_metric)
+from .core import (Certificate, GershgorinPolytope, GershgorinScalars,
+                   GraphMetric, GraphMetricRejection, SymmetricMatrix,
+                   pairwise_mahalanobis, validate_graph_metric)
 from .data import Dataset, Scaler, load_csv, load_feature_matrix, standardize
 from .eigen import (EigenPair, LobpcgNonConvergence, smallest_eigenpair_dense,
                     smallest_eigenpair_lobpcg)
@@ -27,14 +26,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate", "ConvexObjective", "Dataset", "EigenPair",
-    "ExperimentReport", "GLRObjective", "GershgorinScalars", "GraphMetric",
-    "GraphMetricRejection", "LearnResult", "LobpcgNonConvergence",
-    "ObjectiveContext", "OptimizerConfig", "OptimizerState", "RunRecord",
-    "Scaler", "SymmetricMatrix", "diagonal_step", "graph_classify",
-    "knn_vote_scores", "learn_metric", "load_csv", "load_feature_matrix",
-    "load_metric", "offdiag_step", "one_vs_all_predict",
-    "pairwise_mahalanobis", "run_experiment", "save_metric",
-    "scaled_left_ends", "smallest_eigenpair_dense",
-    "smallest_eigenpair_lobpcg", "standardize", "update_scalars",
-    "validate_graph_metric", "__version__",
+    "ExperimentReport", "GLRObjective", "GershgorinPolytope",
+    "GershgorinScalars", "GraphMetric", "GraphMetricRejection", "LearnResult",
+    "LobpcgNonConvergence", "ObjectiveContext", "OptimizerConfig",
+    "OptimizerState", "RunRecord", "Scaler", "SymmetricMatrix",
+    "diagonal_step", "graph_classify", "knn_vote_scores", "learn_metric",
+    "load_csv", "load_feature_matrix", "load_metric", "offdiag_step",
+    "one_vs_all_predict", "pairwise_mahalanobis", "run_experiment",
+    "save_metric", "smallest_eigenpair_dense", "smallest_eigenpair_lobpcg",
+    "standardize", "update_scalars", "validate_graph_metric", "__version__",
 ]

@@ -7,8 +7,9 @@ of the metric learner; this module provides the matrix substrate, the one
 membership check (``validate_graph_metric``), the one rule for what a
 computed eigenpair certifies (``Certificate.from_pair``: it signs the
 vector by its largest-magnitude entry and lifts round-off to a positive
-floor), and the Gershgorin disc arithmetic under per-row scalars that
-turns the PD cone constraint into linear constraints.
+floor), and ``GershgorinPolytope``, the one owner of the scaled Gershgorin
+row arithmetic that turns the PD cone constraint into linear rows, with one
+membership rule: every scaled disc left-end is >= rho - FEAS_SLACK.
 
 ``SymmetricMatrix`` stores exactly symmetric entries.  The optimizer only
 ever builds exactly symmetric inputs, which are copied as they are; the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -38,6 +40,8 @@ CONNECTIVITY_EPS = 1e-12
 # lambda_min > PD_TOL * trace / K.  Scale-relative so small-norm but
 # well-conditioned matrices are not rejected.
 PD_TOL = 1e-10
+
+FEAS_SLACK = 1e-9  # round-off margin of ``GershgorinPolytope.holds``
 
 
 class DimensionMismatchError(ValueError):
@@ -209,7 +213,7 @@ class GraphMetric:
 
 @dataclass(frozen=True)
 class GershgorinScalars:
-    """Strictly positive per-row scalars s defining S = diag(s).
+    """Finite, strictly positive per-row scalars s defining S = diag(s).
 
     Only the ratios s_i / s_j matter: the similarity transform S M S^-1 is
     invariant under a common positive rescaling of s.
@@ -219,10 +223,10 @@ class GershgorinScalars:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
-        if v.ndim != 1:
-            raise ValueError("scalars must be a 1-D vector")
-        if not (v > 0).all():
-            raise ValueError("all Gershgorin scalars must be strictly positive")
+        if v.ndim != 1 or v.size == 0:
+            raise ValueError("scalars must be a non-empty 1-D vector")
+        if not (np.isfinite(v) & (v > 0)).all():
+            raise ValueError("scalars must be finite and strictly positive")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -231,24 +235,55 @@ class GershgorinScalars:
         return self.values.shape[0]
 
 
-def scaled_radii(m: SymmetricMatrix, s: GershgorinScalars) -> np.ndarray:
-    """Disc radii of B = S M S^-1: entry i is s_i * sum_{j != i} |m_ij| / s_j."""
-    if s.dim != m.dim:
-        raise DimensionMismatchError(f"scalars dim {s.dim} != matrix dim {m.dim}")
-    a = np.abs(m.entries).copy()
-    np.fill_diagonal(a, 0.0)
-    sv = s.values
-    # ratio form s_i / s_j keeps the result invariant under common rescaling
-    ratios = sv[:, None] / sv[None, :]
-    return np.sum(a * ratios, axis=1)
+@dataclass(frozen=True)
+class GershgorinPolytope:
+    """The scaled Gershgorin rows of ``matrix`` under ``scalars`` at ``rho``.
 
-
-def scaled_left_ends(m: SymmetricMatrix, s: GershgorinScalars) -> np.ndarray:
-    """Disc left-ends of the similar-transformed matrix S M S^-1.
-
-    Centers are unchanged by the transform; only radii rescale.
+    Row i needs m_ii - s_i * sum_{j != i} |m_ij| / s_j >= rho.  ``radii``
+    work in ratio form s_i / s_j, exact under power-of-two rescaling of s;
+    ``column`` in division form.  The two agree to round-off.
     """
-    return np.diag(m.entries) - scaled_radii(m, s)
+
+    matrix: SymmetricMatrix
+    scalars: GershgorinScalars
+    rho: float = 0.0
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        m, s = self.matrix, self.scalars
+        if s.dim != m.dim:
+            raise DimensionMismatchError(f"scalars dim {s.dim} != matrix dim {m.dim}")
+        a = np.abs(m.entries)
+        a.ravel()[::m.dim + 1] = 0.0  # the diagonal
+        sv = s.values
+        return np.sum(a * (sv[:, None] / sv[None, :]), axis=1)
+
+    @cached_property
+    def left_ends(self) -> np.ndarray:
+        return np.diag(self.matrix.entries) - self.radii
+
+    @property
+    def holds(self) -> bool:
+        return float(self.left_ends.min()) >= self.rho - FEAS_SLACK
+
+    def column(self, col: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """(u, 1 / s_r, b) over the rows r != col: row r holds while
+        |m_r,col| <= u_r = s_col * ((m_rr - rho) / s_r - sum_{j != r, col}
+        |m_rj| / s_j), summed directly (no cancellation), and row ``col``
+        while sum_r |m_r,col| / s_r <= b = (m_col,col - rho) / s_col."""
+        k = self.matrix.dim
+        if not 0 <= col < k:
+            raise IndexError(f"column {col} out of range for dim {k}")
+        rows = np.arange(k - 1)
+        rows[col:] += 1  # every row but col
+        a, s = self.matrix.entries, self.scalars.values
+        a_rows, s_rows = a[rows], s[rows]
+        diag = (np.arange(rows.size), rows)  # entry (r, r) of each row r
+        ratio_rows = np.abs(a_rows) / s  # |a_rj| / s_j
+        other_sum = (ratio_rows.sum(axis=1) - ratio_rows[diag]
+                     - ratio_rows[:, col])
+        budgets = s[col] * ((a_rows[diag] - self.rho) / s_rows - other_sum)
+        return budgets, 1.0 / s_rows, (a[col, col] - self.rho) / s[col]
 
 
 # Every positive double is at or above this: a zero is never an edge.

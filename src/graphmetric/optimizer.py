@@ -36,9 +36,9 @@ from typing import Callable
 import numpy as np
 
 from . import eigen, lp
-from .core import (CONNECTIVITY_EPS, Certificate, GershgorinScalars,
-                   GraphMetric, SymmetricMatrix, is_connected,
-                   max_spanning_tree, scaled_left_ends, scaled_radii,
+from .core import (CONNECTIVITY_EPS, FEAS_SLACK, Certificate,
+                   GershgorinPolytope, GershgorinScalars, GraphMetric,
+                   SymmetricMatrix, is_connected, max_spanning_tree,
                    validate_graph_metric)
 from .objective import ConvexObjective, GLRObjective, ObjectiveContext
 
@@ -48,7 +48,6 @@ log = logging.getLogger(__name__)
 # default so feasibility margins are not eaten by eigenvector error.
 _EIG_TOL = 1e-11
 
-_FEAS_SLACK = 1e-9
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
 
@@ -149,7 +148,7 @@ class OptimizerState:
     ``metric.certificate`` holds the iterate's smallest eigenpair and
     ``scalars`` are aligned with it at rho, or, for a column step above
     _DENSE_MAX_DIM, a disc certificate: the step kept the scalars, under
-    which every scaled disc left-end of the new matrix is >= rho - 1e-9, and
+    which the new matrix's ``core.GershgorinPolytope`` at rho holds, and
     the certificate's vector is the last computed eigenvector, a warm start
     only.  Every other step that changes the matrix certifies and aligns it
     afresh; a step that leaves it unchanged keeps the certificate object and
@@ -296,25 +295,24 @@ def _conditioned_scalars(metric: GraphMetric, rho: float,
     scalars stay numerically representable; any positive scalars keep the
     Gershgorin PD guarantee, lifting only relaxes tightness on coordinates
     that double precision cannot resolve anyway.  Returns the first choice
-    under which the incumbent verifiably keeps every scaled disc left-end
-    (``scaled_left_ends``) >= rho - 1e-9.  When none does, the entries sit
-    below double precision's reach and the left-ends are too noisy to
-    verify a margin that may still hold: then with ``floored`` the eta =
-    _SCALAR_FLOOR choice is returned once lambda_min >= rho - 1e-9 is
-    checked, and without it None.  So ``floored`` needs a lambda_min that
-    is not above the true one: never a LOBPCG Rayleigh quotient.
+    under which the incumbent's ``GershgorinPolytope`` at rho holds.  When
+    none does, the entries sit below double precision's reach and the
+    left-ends are too noisy to verify a margin that may still hold: then
+    with ``floored`` the eta = _SCALAR_FLOOR choice is returned once
+    lambda_min >= rho - FEAS_SLACK is checked, and without it None.  So
+    ``floored`` needs a lambda_min that is not above the true one: never a
+    LOBPCG Rayleigh quotient.
     """
     v = metric.certificate.eigvec
     vmax = float(v.max())
     for eta in (_SCALAR_FLOOR, 1e-9, 0.0):
         scalars = GershgorinScalars(1.0 / np.maximum(v, eta * vmax))
-        left = scaled_left_ends(metric.matrix, scalars)
-        if float(left.min()) >= rho - _FEAS_SLACK:
+        if GershgorinPolytope(metric.matrix, scalars, rho).holds:
             return scalars
     if not floored:
         return None
     lam = metric.certificate.lambda_min
-    if lam < rho - _FEAS_SLACK:
+    if lam < rho - FEAS_SLACK:
         raise CertificationError(
             f"incumbent left the feasible region: lambda_min "
             f"{lam:.6e} < rho {rho:.6e}")
@@ -424,17 +422,17 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
                   objective: ConvexObjective | None = None) -> OptimizerState:
     """Frank-Wolfe over the diagonal under the current scalars.
 
-    Feasible set: m_ii >= s_i * sum_{j != i} |m_ij| / s_j + rho per row and
-    trace <= trace_cap, set up once (``lp.diagonal_lp``); the step skips
-    when it is empty.  The LP vertex is closed-form; ``_frank_wolfe``
-    states the stop rules.  A new diagonal comes back certified and
+    Feasible set: m_ii >= ``GershgorinPolytope.radii`` + rho and trace <=
+    trace_cap, set up once (``lp.diagonal_lp``); the step skips when it is
+    empty.  The LP vertex is closed-form; ``_frank_wolfe`` states the stop
+    rules.  A new diagonal comes back certified and
     aligned by one dense solve (``_certify_matrix`` without a warm vector:
     the step moves every disc, so the last eigenvector is a poor start).
     """
     cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
-    lb = scaled_radii(matrix, state.scalars) + cfg.rho
+    lb = GershgorinPolytope(matrix, state.scalars, cfg.rho).radii + cfg.rho
     x0 = matrix.diagonal()
     point = obj.at(matrix)
     q = obj.value(point)
@@ -514,49 +512,33 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                  objective: ConvexObjective | None = None) -> OptimizerState:
     """Frank-Wolfe over column ``col``'s off-diagonals (symmetric tying).
 
-    Feasible set: every scaled Gershgorin row constraint written in the
-    column variables, all variables <= 0, and magnitude floors epsilon on
-    the anchor entry zeta (this column's largest incumbent magnitude,
-    lowest row on ties) plus the protected spanning edges in this column.
-    The spanning-edge floors keep the whole graph connected across block
-    updates; the per-column zeta floor alone only guards this column.
-    The LP is set up once (``lp.knapsack_lp``); a column whose incumbent
-    or LP is infeasible is skipped and the state comes back unchanged.
-    Above _DENSE_MAX_DIM a new column whose scaled disc left-ends under the
-    unchanged scalars are all >= rho - _FEAS_SLACK comes back with a disc
-    certificate and those scalars; any other new column comes back
+    Feasible set: the rows of ``GershgorinPolytope.column``, all variables
+    <= 0, and magnitude floors epsilon on the anchor entry zeta (this
+    column's largest incumbent magnitude, lowest row on ties) plus the
+    protected spanning edges in this column.  The spanning-edge floors keep
+    the whole graph connected across block updates; the per-column zeta
+    floor alone only guards this column.  The LP is set up once
+    (``lp.knapsack_lp``); a column whose incumbent or LP is infeasible is
+    skipped and the state comes back unchanged.  Above _DENSE_MAX_DIM a new
+    column whose polytope under the unchanged scalars holds comes back with
+    a disc certificate and those scalars; any other new column comes back
     certified and aligned (``_certify_matrix``).
     """
     cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     matrix = state.metric.matrix
-    k = matrix.dim
-    if not 0 <= col < k:
-        raise IndexError(f"column {col} out of range for dim {k}")
-    rows = np.arange(k - 1)
-    rows[col:] += 1  # every row but col
-    a = matrix.entries
-    s = state.scalars.values
-    a_rows, s_rows = a[rows], s[rows]
-    x0 = a_rows[:, col]
+    upper_mag, coupling_coeffs, coupling_budget = GershgorinPolytope(
+        matrix, state.scalars, cfg.rho).column(col)
+    row = matrix.entries[col]  # the column too: entries are exactly symmetric
+    x0 = np.concatenate((row[:col], row[col + 1:]))
 
     zeta_local = int(np.abs(x0).argmax())
     tree = state.protected_edges or max_spanning_tree(matrix, cfg.epsilon) or ()
     tree_local = _column_tree_edges(tree, col)
 
-    # row r's budget for |m_r,col|, by direct summation (no cancellation):
-    # u_r = s_col * ((a_rr - rho)/s_r - sum_{j not in {r, col}} |a_rj|/s_j)
-    diag = (np.arange(k - 1), rows)  # entry (r, r) of each row r of a_rows
-    ratio_rows = np.abs(a_rows) / s  # |a_rj| / s_j
-    other_sum = (ratio_rows.sum(axis=1) - ratio_rows[diag]
-                 - ratio_rows[:, col])
-    upper_mag = s[col] * ((a_rows[diag] - cfg.rho) / s_rows - other_sum)
-    coupling_budget = (a[col, col] - cfg.rho) / s[col]
     lower = -np.maximum(upper_mag, 0.0)
-    upper = np.zeros(k - 1)
+    upper = np.zeros(x0.size)
     upper[[zeta_local, *tree_local]] = -cfg.epsilon
-
-    coupling_coeffs = 1.0 / s_rows
     x = np.minimum(np.maximum(x0, lower), upper)
     # the LP is set up only for a column that passes the stricter test
     # on the incumbent
@@ -601,10 +583,10 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                 "off-diagonal step disconnected the graph despite edge floors")
         tree_after = state.protected_edges
     warm = state.metric.certificate.eigvec
-    bound = (float(scaled_left_ends(current, state.scalars).min())
-             if k > _DENSE_MAX_DIM else -math.inf)
-    if bound >= cfg.rho - _FEAS_SLACK:
-        # Gershgorin's theorem on S M S^-1 proves lambda_min >= bound
+    if matrix.dim > _DENSE_MAX_DIM and (discs := GershgorinPolytope(
+            current, state.scalars, cfg.rho)).holds:
+        # Gershgorin's theorem on S M S^-1 proves lambda_min >= every left-end
+        bound = float(discs.left_ends.min())
         metric, scalars = GraphMetric(matrix=current, certificate=Certificate(
             lambda_min=bound, eigvec=warm, eigenpair=False)), state.scalars
     else:

@@ -129,6 +129,18 @@ def gaussian_blobs_dataset(rng: np.random.Generator, n_classes: int = 3,
                    labels=np.array(labels), num_classes=n_classes)
 
 
+def highdim_blobs(blob_seed: int, center_scale: float = 0.5
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The benchmark's K = 48 recipe: 3 classes x 10 samples of Gaussian
+    blobs whose centers have scale ``center_scale``, standardized per
+    feature; returns (features, labels)."""
+    rng = np.random.default_rng(blob_seed)
+    labels = np.repeat(np.arange(3), 10)
+    centers = rng.normal(0.0, center_scale, (3, 48))
+    x = centers[labels] + rng.normal(size=(labels.size, 48))
+    return (x - x.mean(axis=0)) / x.std(axis=0), labels
+
+
 def random_objective_instance(rng: np.random.Generator
                               ) -> tuple[ObjectiveContext, SymmetricMatrix]:
     """Small objective (4..9 samples, 2..6 features, both labels) and metric."""

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphmetric.core import (Certificate, SymmetricMatrix,
-                              scaled_left_ends, validate_graph_metric)
+from graphmetric.core import (Certificate, GershgorinPolytope,
+                              SymmetricMatrix, validate_graph_metric)
 from graphmetric.data import load_csv, standardize
 from graphmetric.eigen import (DEFAULT_MAX_ITERS, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg, LobpcgNonConvergence)
@@ -55,7 +55,8 @@ class _RunLog:
         # own certificate; at these K (<= 16) "outer" repeats the last
         # column step's state
         if event != "outer":
-            ends = scaled_left_ends(state.metric.matrix, state.scalars)
+            ends = GershgorinPolytope(state.metric.matrix,
+                                      state.scalars).left_ends
             self.margin_events.append(float(np.min(ends)))
         self.iterates.append(state.metric.matrix)
         self.trace = state.objective_trace
@@ -93,7 +94,7 @@ def alignment_batch():
     worst_spread, min_entry = 0.0, np.inf
     for _ in range(1000):
         g = random_graph_metric(rng, int(rng.integers(2, 31)))
-        ends = scaled_left_ends(g.matrix, alignment_scalars(g))
+        ends = GershgorinPolytope(g.matrix, alignment_scalars(g)).left_ends
         spread = float(np.max(ends) - np.min(ends))
         worst_spread = max(worst_spread,
                            spread / max(1.0, g.certificate.lambda_min))
@@ -117,7 +118,7 @@ def test_criterion_01_worked_example():
     assert abs(lam - 0.1078) <= 1e-3
     dense = smallest_eigenpair_dense(EX_MATRIX).value
     assert abs(lam - dense) <= 1e-8
-    aligned = scaled_left_ends(EX_MATRIX, alignment_scalars(g))
+    aligned = GershgorinPolytope(EX_MATRIX, alignment_scalars(g)).left_ends
     spread = float(np.max(aligned) - np.min(aligned))
     assert spread < 1e-8
     elapsed = time.perf_counter() - start
@@ -213,13 +214,13 @@ def test_criterion_07_oracle_equivalence():
     base = SymmetricMatrix([[0.1, -0.03, 0.0],
                             [-0.03, 0.1, -0.03],
                             [0.0, -0.03, 0.1]])
-    from graphmetric.core import GershgorinScalars, scaled_radii
+    from graphmetric.core import GershgorinScalars
     from graphmetric.optimizer import OptimizerState
     g = validate_graph_metric(base)
     state = OptimizerState(metric=g, scalars=GershgorinScalars(np.ones(3)),
                            objective_trace=(0.0,))
     state = update_scalars(state, rho=1e-4)
-    lb = scaled_radii(base, state.scalars) + 1e-4
+    lb = GershgorinPolytope(base, state.scalars).radii + 1e-4
     cap = float(np.sum(lb)) + 0.2
     cfg = OptimizerConfig(trace_cap=cap, rho=1e-4, epsilon=0.03,
                           fw_max_iters=3000, obj_rel_tol=1e-12).resolve(3)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from graphmetric.core import (CONNECTIVITY_EPS, Certificate,
-                              DimensionMismatchError,
+from graphmetric.core import (CONNECTIVITY_EPS, FEAS_SLACK, Certificate,
+                              DimensionMismatchError, GershgorinPolytope,
                               GershgorinScalars, GraphMetricRejection,
                               SymmetricMatrix, is_connected,
-                              pairwise_mahalanobis, scaled_left_ends,
-                              validate_graph_metric)
+                              pairwise_mahalanobis, validate_graph_metric)
 from graphmetric.eigen import smallest_eigenpair_dense
 from helpers import (alignment_scalars, count_eigensolves,
                      gershgorin_left_ends, mahalanobis,
@@ -220,9 +219,10 @@ class TestGershgorin:
 
     def test_unit_scalars_match_plain(self):
         s = GershgorinScalars(np.ones(3))
-        assert np.array_equal(scaled_left_ends(EX_MATRIX, s),
+        assert np.array_equal(GershgorinPolytope(EX_MATRIX, s).left_ends,
                               gershgorin_left_ends(EX_MATRIX))
-        assert scaled_left_ends(EX_MATRIX, s).tolist() == [-1.0, 1.0, 1.0]
+        assert GershgorinPolytope(EX_MATRIX, s).left_ends.tolist() == [
+            -1.0, 1.0, 1.0]
 
     def test_alignment_from_unit_eigvec_reciprocals(self):
         # s_k = 1/v_k for the unit-norm eigenvector aligns all left-ends
@@ -232,7 +232,7 @@ class TestGershgorin:
         assert np.allclose(s.values, expected, rtol=0, atol=0)
         # printed to 4 digits these are (1.3314, 2.0467, 2.2523)
         assert np.allclose(s.values, [1.3314, 2.0467, 2.2523], atol=5e-4)
-        ends = scaled_left_ends(EX_MATRIX, s)
+        ends = GershgorinPolytope(EX_MATRIX, s).left_ends
         lam = g.certificate.lambda_min
         assert np.max(np.abs(ends - lam)) < 1e-8
         assert lam == pytest.approx(0.1078, abs=1e-3)
@@ -242,14 +242,14 @@ class TestGershgorin:
         g = validate_graph_metric(SymmetricMatrix([[a, -b], [-b, a]]))
         s = alignment_scalars(g)
         assert s.values[0] == pytest.approx(s.values[1], rel=1e-12)
-        ends = scaled_left_ends(g.matrix, s)
+        ends = GershgorinPolytope(g.matrix, s).left_ends
         assert np.allclose(ends, a - b, atol=1e-10)
 
     def test_alignment_random_10x10_vs_dense(self):
         rng = np.random.default_rng(7)
         g = random_graph_metric(rng, 10)
         lam = smallest_eigenpair_dense(g.matrix).value
-        ends = scaled_left_ends(g.matrix, alignment_scalars(g))
+        ends = GershgorinPolytope(g.matrix, alignment_scalars(g)).left_ends
         assert np.max(np.abs(ends - lam)) < 1e-8 * max(1.0, lam)
 
     def test_alignment_rejects_nonpositive_eigvec(self):
@@ -264,21 +264,29 @@ class TestGershgorin:
     def test_scalars_must_be_positive(self):
         with pytest.raises(ValueError):
             GershgorinScalars(np.array([1.0, 0.0]))
+        # non-finite or empty scalars would give nan left-ends much later
+        for values, problem in (([1.0, math.inf, 2.0], "finite"),
+                                ([1.0, math.nan], "finite"),
+                                ([], "non-empty")):
+            with pytest.raises(ValueError, match=problem):
+                GershgorinScalars(np.array(values))
 
     def test_scaling_invariance_power_of_two_bitwise(self):
         rng = np.random.default_rng(3)
         g = random_graph_metric(rng, 6)
         s = GershgorinScalars(rng.uniform(0.5, 2.0, size=6))
-        base = scaled_left_ends(g.matrix, s)
-        scaled = scaled_left_ends(g.matrix, GershgorinScalars(8.0 * s.values))
+        base = GershgorinPolytope(g.matrix, s).left_ends
+        scaled = GershgorinPolytope(
+            g.matrix, GershgorinScalars(8.0 * s.values)).left_ends
         assert np.array_equal(base, scaled)
 
     def test_scaling_invariance_general(self):
         rng = np.random.default_rng(4)
         g = random_graph_metric(rng, 6)
         s = GershgorinScalars(rng.uniform(0.5, 2.0, size=6))
-        base = scaled_left_ends(g.matrix, s)
-        scaled = scaled_left_ends(g.matrix, GershgorinScalars(3.0 * s.values))
+        base = GershgorinPolytope(g.matrix, s).left_ends
+        scaled = GershgorinPolytope(
+            g.matrix, GershgorinScalars(3.0 * s.values)).left_ends
         assert np.max(np.abs(base - scaled)) <= 1e-12
 
     def test_scaling_invariance_batch(self):
@@ -288,12 +296,14 @@ class TestGershgorin:
             dim = int(rng.integers(2, 12))
             g = random_graph_metric(rng, dim)
             s = rng.uniform(0.1, 10.0, size=dim)
-            base = scaled_left_ends(g.matrix, GershgorinScalars(s))
+            base = GershgorinPolytope(g.matrix, GershgorinScalars(s)).left_ends
             for c in (4.0, 8.0):
                 assert np.array_equal(
-                    scaled_left_ends(g.matrix, GershgorinScalars(c * s)), base)
+                    GershgorinPolytope(
+                        g.matrix, GershgorinScalars(c * s)).left_ends, base)
             c = float(rng.uniform(0.3, 7.0))
-            general = scaled_left_ends(g.matrix, GershgorinScalars(c * s))
+            general = GershgorinPolytope(
+                g.matrix, GershgorinScalars(c * s)).left_ends
             assert np.max(np.abs(general - base)) <= 1e-12
 
     def test_gct_lower_bound_vs_dense(self):
@@ -304,8 +314,62 @@ class TestGershgorin:
             a = rng.normal(size=(dim, dim))
             m = SymmetricMatrix((a + a.T) / 2)
             lam = smallest_eigenpair_dense(m).value
-            ends = scaled_left_ends(m, GershgorinScalars(np.ones(dim)))
+            ends = GershgorinPolytope(
+                m, GershgorinScalars(np.ones(dim))).left_ends
             assert float(np.min(ends)) <= lam + 1e-10
+
+
+class TestGershgorinPolytope:
+    """``radii`` (ratio form) and ``column`` (division form) are two
+    arithmetics of one polytope: a column at its budgets puts a row's
+    left-end on rho."""
+
+    @pytest.mark.parametrize("dim", [4, 13, 48])
+    def test_column_budgets_meet_left_ends_at_rho(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            m = random_graph_metric(rng, dim).matrix
+            s = GershgorinScalars(rng.uniform(0.5, 2.0, size=dim))
+            # a level below every left-end leaves every budget positive
+            rho = float(GershgorinPolytope(m, s).left_ends.min()) - 1.0
+            col = int(rng.integers(dim))
+            budgets, coeffs, budget = GershgorinPolytope(m, s, rho).column(col)
+            assert (budgets > 0).all() and budget > 0
+
+            local = int(rng.integers(dim - 1))
+            row = local + (local >= col)
+            x = np.delete(m.entries[:, col], col)
+            x[local] = -budgets[local]
+            at_row = m.with_offdiag_column(col, x)
+            ends = GershgorinPolytope(at_row, s, rho).left_ends
+            assert abs(ends[row] - rho) <= 1e-12 * np.abs(at_row.entries).max()
+
+            w = rng.uniform(0.1, 1.0, size=dim - 1)
+            column = -budget * (w / w.sum()) / coeffs
+            assert float(coeffs @ -column) == pytest.approx(budget, rel=1e-12)
+            filled = m.with_offdiag_column(col, column)
+            ends = GershgorinPolytope(filled, s, rho).left_ends
+            assert abs(ends[col] - rho) <= 1e-12 * np.abs(filled.entries).max()
+
+    @pytest.mark.parametrize("dim", [4, 13, 48])
+    def test_holds_is_min_left_end_within_the_slack(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        m = random_graph_metric(rng, dim).matrix
+        s = GershgorinScalars(rng.uniform(0.5, 2.0, size=dim))
+        low = float(GershgorinPolytope(m, s).left_ends.min())
+        assert GershgorinPolytope(m, s, low).holds
+        assert not GershgorinPolytope(m, s, low + 2 * FEAS_SLACK).holds
+
+    def test_dimension_mismatch(self):
+        polytope = GershgorinPolytope(EX_MATRIX, GershgorinScalars(np.ones(2)))
+        with pytest.raises(DimensionMismatchError):
+            polytope.left_ends  # noqa: B018 -- computed on first read
+
+    @pytest.mark.parametrize("col", [-1, 3])
+    def test_column_out_of_range(self, col):
+        polytope = GershgorinPolytope(EX_MATRIX, GershgorinScalars(np.ones(3)))
+        with pytest.raises(IndexError, match="out of range"):
+            polytope.column(col)
 
 
 class TestConnectivity:
