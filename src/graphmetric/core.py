@@ -213,7 +213,8 @@ class GraphMetric:
 
 @dataclass(frozen=True)
 class GershgorinScalars:
-    """Finite, strictly positive per-row scalars s defining S = diag(s).
+    """Finite, strictly positive per-row scalars s defining S = diag(s),
+    with a finite ratio max(s) / min(s).
 
     Only the ratios s_i / s_j matter: the similarity transform S M S^-1 is
     invariant under a common positive rescaling of s.
@@ -227,6 +228,8 @@ class GershgorinScalars:
             raise ValueError("scalars must be a non-empty 1-D vector")
         if not (np.isfinite(v) & (v > 0)).all():
             raise ValueError("scalars must be finite and strictly positive")
+        if not math.isfinite(float(v.max()) / float(v.min())):
+            raise ValueError("scalars must have a finite max/min ratio")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

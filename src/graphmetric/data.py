@@ -29,17 +29,22 @@ class Dataset:
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
+        y = np.asarray(self.labels, dtype=float)  # int() truncates 0.7
         if f.ndim != 2 or y.shape != (f.shape[0],):
             raise ValueError("features must be (N, K) with length-N labels")
         if not np.all(np.isfinite(f)):
             raise ValueError("features contain non-finite values")
-        if self.num_classes < 2:
+        c = self.num_classes
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise ValueError(f"num_classes must be an integer, not {c!r}")
+        if c < 2:
             raise ValueError("need at least 2 classes")
-        if y.min(initial=0) < 0 or y.max(initial=0) >= self.num_classes:
+        if not np.all(y == np.floor(y)):  # false for NaN
+            raise ValueError("labels must be integers")
+        if y.min(initial=0) < 0 or y.max(initial=0) >= c:
             raise ValueError("labels must lie in 0..num_classes-1")
         f = f.copy()
-        y = y.copy()
+        y = y.astype(int)
         f.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", f)

@@ -182,10 +182,12 @@ def _evaluate_seed(dataset: Dataset, cfg: OptimizerConfig, seed: int,
     return records
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int.  A bool or a non-integer is a ProtocolError
-    that starts with ``what`` (int() would run 0.7 as 0 and True as 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int.  A bool, a non-integer or an integer below
+    ``minimum`` is a ProtocolError that starts with ``what`` (int() would
+    run 0.7 as 0 and True as 1)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
         raise ProtocolError(f"{what}, not {value!r}")
     return int(value)
 
@@ -201,8 +203,8 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     learned metrics).  Seeds are independent, so ``n_jobs`` > 1 evaluates
     them in parallel in at most one worker process per seed; the merge
     order is fixed by (seed, fold, classifier).  Seeds, ``folds``, ``k``
-    and ``n_jobs`` must be integers (numpy integers become int); a bad
-    setting is a ProtocolError before any learning.
+    and ``n_jobs`` must be integers (numpy integers become int), and seeds
+    non-negative; a bad setting is a ProtocolError before any learning.
     """
     if classifier_choice == "both":
         classifiers = CLASSIFIERS
@@ -214,7 +216,8 @@ def run_experiment(dataset: Dataset, cfg: OptimizerConfig | None = None,
     if not seeds:
         raise ProtocolError(f"empty seed range {requested!r}: the protocol "
                             f"needs at least one CV seed")
-    seeds = tuple(_integer(s, "seeds must be integers") for s in seeds)
+    seeds = tuple(_integer(s, "seeds must be non-negative integers", 0)
+                  for s in seeds)
     folds = _integer(folds, "folds must be an integer")
     k = _integer(k, "k must be an integer")
     n_jobs = _integer(n_jobs, "n_jobs must be an integer")

@@ -11,9 +11,11 @@ and a Frank-Wolfe direction moves every delta_p linearly in the step size.
 The value and gradients therefore take only a :class:`PairDistances`
 point, which ``pair_distances`` (or ``GLRObjective.at``) builds from a
 matrix, and a line-search trial costs O(P) once the distances of the
-incumbent are known.  A point keeps its pair terms w_p e^{-delta_p} once
-they are computed, so the gradient at an accepted line-search trial
-reuses the exponentials of its value.  The pair cache memoizes the
+incumbent are known; a learn builds them once, at M^0, and carries the
+accepted line-search points on (``optimizer.OptimizerState.point``).  A
+point keeps its pair terms w_p e^{-delta_p} once they are computed, so the
+gradient at an accepted line-search trial reuses the exponentials of its
+value.  The pair cache memoizes the
 feature-difference columns of the last off-diagonal column asked for,
 which every gradient and ray of one column step shares.
 
@@ -212,22 +214,14 @@ def glr_grad_offdiag_col(ctx: ObjectiveContext, point: PairDistances,
 class GLRObjective:
     """The GLR objective bound to one sample context (ConvexObjective).
 
-    Points are :class:`PairDistances`; moving one along a ray costs O(P).
-    ``at`` remembers its last matrix: matrices are immutable, so a block
-    step that starts from the matrix the previous step started from (and
-    left unchanged) reuses its distances.
+    Points are :class:`PairDistances`; ``at`` builds one in O(P K^2), and
+    moving one along a ray costs O(P).  It holds no state.
     """
 
     ctx: ObjectiveContext
-    _last: list = field(default_factory=lambda: [None, None], init=False,
-                        repr=False, compare=False)
 
     def at(self, m: SymmetricMatrix) -> PairDistances:
-        matrix, point = self._last
-        if matrix is not m:
-            point = pair_distances(self.ctx, m)
-            self._last[:] = m, point
-        return point
+        return pair_distances(self.ctx, m)
 
     def ray(self, point: PairDistances, direction: np.ndarray,
             col: int | None = None) -> Callable[[float], PairDistances]:

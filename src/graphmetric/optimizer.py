@@ -31,7 +31,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -155,11 +155,15 @@ class OptimizerState:
     the scalars.  ``protected_edges`` is the spanning tree of edges
     currently pinned at magnitude >= epsilon to keep the graph irreducible:
     Prim's tree of the incumbent as of the last column step that found one.
+    ``point``, the objective's point of ``metric.matrix``, is built by
+    ``initial_state`` and then handed on by the steps; in every state a
+    learn builds, ``objective_trace[-1]`` is the objective's value there.
     """
 
     metric: GraphMetric
     scalars: GershgorinScalars
     objective_trace: tuple[float, ...]
+    point: Any
     protected_edges: tuple[tuple[int, int], ...] = ()
     fw_gap: float = math.nan
 
@@ -204,14 +208,15 @@ def _path_edges(dim: int) -> tuple[tuple[int, int], ...]:
 
 def initial_state(ctx: ObjectiveContext, cfg: OptimizerConfig,
                   objective: ConvexObjective | None = None) -> OptimizerState:
-    """State at M^0, its scalars aligned at rho, and Q(M^0) as the trace,
-    taken at ``objective.at(M^0)`` for the first step to reuse."""
+    """State at M^0, its scalars aligned at rho, its point (the one a learn
+    builds from a matrix) and Q(M^0) as the trace."""
     dim = ctx.num_features
     cfg = cfg.resolve(dim)
     obj = objective if objective is not None else GLRObjective(ctx)
     g = init_metric(cfg, dim)
+    point = obj.at(g.matrix)
     return OptimizerState(metric=g, scalars=_conditioned_scalars(g, cfg.rho),
-                          objective_trace=(obj.value(obj.at(g.matrix)),),
+                          objective_trace=(obj.value(point),), point=point,
                           protected_edges=_path_edges(dim))
 
 
@@ -397,7 +402,7 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
     objective evaluations, and the next gradient is taken at the accepted
     trial's point.  Stops when the duality gap g.(x - vertex) is at most
     obj_rel_tol * max(1, |Q|), when backtracking Armijo finds no step of
-    at least _MIN_STEP, or after fw_max_iters.  Returns (x, Q, gap).
+    at least _MIN_STEP, or after fw_max_iters.  Returns (x, point, Q, gap).
     """
     gap = math.nan
     j = 0
@@ -414,7 +419,7 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
             break
         x = x + gamma * direction
         point, q = moved, phi
-    return x, q, gap
+    return x, point, q, gap
 
 
 def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
@@ -434,8 +439,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
     matrix = state.metric.matrix
     lb = GershgorinPolytope(matrix, state.scalars, cfg.rho).radii + cfg.rho
     x0 = matrix.diagonal()
-    point = obj.at(matrix)
-    q = obj.value(point)
+    q0 = obj.value(state.point)
     feasible = lp.diagonal_lp(lb, cfg.trace_cap)
     if feasible is None:
         deficit = float(np.sum(lb)) - cfg.trace_cap
@@ -451,18 +455,19 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
                   "the trace cap by %.3e (incumbent at the rho floor)",
                   deficit)
         return replace(state,
-                       objective_trace=state.objective_trace + (q,),
+                       objective_trace=state.objective_trace + (q0,),
                        fw_gap=0.0)
-    x, q, gap = _frank_wolfe(
-        obj, point, x0, q, None, cfg,
+    x, point, q, gap = _frank_wolfe(
+        obj, state.point, x0, q0, None, cfg,
         lambda g: lp.solve_diagonal_lp(g, feasible).point)
-    if np.any(x != x0):
-        metric, scalars = _certify_matrix(matrix.with_diagonal(x), None,
-                                          cfg.rho)
-    else:
-        metric, scalars = _unchanged(state.metric), state.scalars
+    if not np.any(x != x0):
+        return replace(state, metric=_unchanged(state.metric),
+                       objective_trace=state.objective_trace + (q0,),
+                       fw_gap=gap)
+    metric, scalars = _certify_matrix(matrix.with_diagonal(x), None, cfg.rho)
     return replace(state, metric=metric, scalars=scalars,
-                   objective_trace=state.objective_trace + (q,), fw_gap=gap)
+                   objective_trace=state.objective_trace + (q,), point=point,
+                   fw_gap=gap)
 
 
 def _unchanged(metric: GraphMetric) -> GraphMetric:
@@ -551,13 +556,13 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                   "floor or coupling budget excludes the incumbent "
                   "(lambda_min is pressing the rho floor)", col)
         return state
-    point = start = obj.at(matrix)
-    q = q0 = obj.value(start)
+    point = state.point
+    q = q0 = obj.value(point)
     if (x != x0).any():
-        point = obj.ray(start, x - x0, col)(1.0)
+        point = obj.ray(point, x - x0, col)(1.0)
         q = obj.value(point)
 
-    x, q, _ = _frank_wolfe(
+    x, point, q, _ = _frank_wolfe(
         obj, point, x, q, col, cfg,
         lambda g: lp.solve_box_knapsack_lp(g, feasible).point)
     if q > q0:
@@ -568,7 +573,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                        objective_trace=state.objective_trace + (q0,))
     if not (x != x0).any():
         return replace(state, metric=_unchanged(state.metric),
-                       objective_trace=state.objective_trace + (q,))
+                       objective_trace=state.objective_trace + (q0,))
     current = matrix.with_offdiag_column(col, x)
     # a spanning tree over edges >= epsilon > CONNECTIVITY_EPS proves the
     # graph connected; only without one is the full check needed
@@ -592,7 +597,7 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     else:
         metric, scalars = _certify_matrix(current, warm, cfg.rho)
     return replace(state, metric=metric, scalars=scalars,
-                   objective_trace=state.objective_trace + (q,),
+                   objective_trace=state.objective_trace + (q,), point=point,
                    protected_edges=tree_after)
 
 

@@ -21,7 +21,7 @@ from graphmetric.data import load_csv, standardize
 from graphmetric.eigen import (DEFAULT_MAX_ITERS, smallest_eigenpair_dense,
                                smallest_eigenpair_lobpcg, LobpcgNonConvergence)
 from graphmetric.experiment import run_experiment
-from graphmetric.objective import ObjectiveContext
+from graphmetric.objective import ObjectiveContext, pair_distances
 from graphmetric.optimizer import (OptimizerConfig, _EIG_TOL, diagonal_step,
                                    learn_metric, update_scalars)
 from helpers import (GLRAtMatrix, alignment_scalars, fd_grad_diag,
@@ -218,7 +218,8 @@ def test_criterion_07_oracle_equivalence():
     from graphmetric.optimizer import OptimizerState
     g = validate_graph_metric(base)
     state = OptimizerState(metric=g, scalars=GershgorinScalars(np.ones(3)),
-                           objective_trace=(0.0,))
+                           objective_trace=(0.0,),
+                           point=pair_distances(ctx, g.matrix))
     state = update_scalars(state, rho=1e-4)
     lb = GershgorinPolytope(base, state.scalars).radii + 1e-4
     cap = float(np.sum(lb)) + 0.2

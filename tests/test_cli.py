@@ -135,6 +135,15 @@ def test_experiment_empty_seed_range_is_a_usage_error(cluster_csv, capsys):
     assert "empty seed range '5..3'" in capsys.readouterr().err
 
 
+def test_experiment_negative_seed_is_a_usage_error(cluster_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--dataset", str(cluster_csv), "--label-col",
+              "label", "--seeds=-1..0"])
+    assert exc.value.code == 2
+    assert "seeds must be non-negative integers, not -1" in \
+        capsys.readouterr().err
+
+
 def test_config_file_merge_and_flag_override(cluster_csv, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"outer_max_iters": 2, "rho": 1e-5}))

@@ -264,9 +264,11 @@ class TestGershgorin:
     def test_scalars_must_be_positive(self):
         with pytest.raises(ValueError):
             GershgorinScalars(np.array([1.0, 0.0]))
-        # non-finite or empty scalars would give nan left-ends much later
+        # non-finite or empty scalars, or scalars whose ratios overflow,
+        # would give nan left-ends much later
         for values, problem in (([1.0, math.inf, 2.0], "finite"),
                                 ([1.0, math.nan], "finite"),
+                                ([1e-200, 1.0, 1e200], "finite max/min"),
                                 ([], "non-empty")):
             with pytest.raises(ValueError, match=problem):
                 GershgorinScalars(np.array(values))

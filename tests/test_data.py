@@ -189,6 +189,25 @@ class TestDataset:
             Dataset(name="x", features=np.zeros((2, 1)),
                     labels=np.array([0, 2]), num_classes=2)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.9, 0.2], [0, 1, np.nan],
+                                        [0.0, 1.0, 0.5]])
+    def test_rejects_non_integral_labels(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Dataset(name="x", features=np.ones((3, 2)), labels=labels,
+                    num_classes=2)
+
+    @pytest.mark.parametrize("num_classes", [2.5, 2.0, True, np.True_, "2"])
+    def test_rejects_non_integer_num_classes(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes must be an integer"):
+            Dataset(name="x", features=np.ones((3, 2)), labels=[0, 1, 0],
+                    num_classes=num_classes)
+
+    def test_integral_float_labels_and_numpy_class_count_accepted(self):
+        ds = Dataset(name="x", features=np.ones((3, 2)),
+                     labels=[0.0, 1.0, 0.0], num_classes=np.int64(2))
+        assert ds.labels.tolist() == [0, 1, 0]
+        assert ds.class_counts().tolist() == [2, 1]
+
     def test_class_counts(self):
         ds = Dataset(name="x", features=np.zeros((3, 1)),
                      labels=np.array([0, 1, 0]), num_classes=2)

@@ -168,14 +168,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"empty seed range range\(5, 3\)"):
             run_experiment(_separable(), seeds=range(5, 3))
 
-    @pytest.mark.parametrize("seed", [0.7, 2.0, True, np.True_, "1"])
+    @pytest.mark.parametrize("seed", [0.7, 2.0, True, np.True_, "1", -1])
     def test_non_integer_seed_rejected_before_learning(self, monkeypatch,
                                                        seed):
         def no_learning(*args, **kwargs):
             raise AssertionError("a metric was learned")
         monkeypatch.setattr(experiment, "learn_metric", no_learning)
         with pytest.raises(ProtocolError,
-                           match=f"seeds must be integers, not {seed!r}"):
+                           match=f"seeds must be non-negative integers, "
+                                 f"not {seed!r}"):
             run_experiment(_separable(), seeds=[0, seed])
 
     def test_numpy_integer_seeds_accepted(self):

@@ -17,7 +17,8 @@ from graphmetric.data import load_csv, standardize
 from graphmetric import core, eigen, lp, objective
 from graphmetric.eigen import smallest_eigenpair_dense
 from graphmetric.experiment import stratified_folds
-from graphmetric.objective import ObjectiveContext
+from graphmetric.objective import (GLRObjective, ObjectiveContext,
+                                   glr_value, pair_distances)
 from graphmetric import optimizer
 from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    OptimizerState, SubproblemInfeasibleError,
@@ -39,11 +40,16 @@ EX_MATRIX = SymmetricMatrix([[2.0, -2.0, -1.0],
                              [-1.0, -2.0, 4.0]])
 
 
-def _state_for(matrix: SymmetricMatrix) -> OptimizerState:
-    """Optimizer state around an arbitrary graph metric with stale scalars."""
+def _state_for(matrix: SymmetricMatrix, obj=None) -> OptimizerState:
+    """Optimizer state around an arbitrary graph metric with stale scalars.
+
+    Its point is ``obj``'s point of ``matrix``, which a block step run with
+    ``obj`` needs; without ``obj`` the state is for scalar updates only.
+    """
     g = validate_graph_metric(matrix)
     return OptimizerState(metric=g, scalars=GershgorinScalars(np.ones(g.dim)),
-                          objective_trace=(0.0,))
+                          objective_trace=(0.0,),
+                          point=None if obj is None else obj.at(matrix))
 
 
 def _random_ctx(rng, n, k):
@@ -326,8 +332,8 @@ class TestDiagonalStep:
         lb = GershgorinPolytope(state.metric.matrix,
                                 state.scalars).radii + cfg.rho
         pinned = state.metric.matrix.with_diagonal(lb)
-        pinned_state = update_scalars(_state_for(pinned), rho=cfg.rho)
         obj = _LinearDiagObjective(slope=np.array([1.0, 2.0, 3.0]))
+        pinned_state = update_scalars(_state_for(pinned, obj), rho=cfg.rho)
         ctx = _random_ctx(np.random.default_rng(2), 5, 3)
         out = diagonal_step(pinned_state, ctx, cfg, objective=obj)
         assert np.allclose(out.metric.matrix.diagonal(),
@@ -339,7 +345,7 @@ class TestDiagonalStep:
         base = SymmetricMatrix([[0.1, -0.03, 0.0],
                                 [-0.03, 0.1, -0.03],
                                 [0.0, -0.03, 0.1]])
-        state = update_scalars(_state_for(base), rho=1e-4)
+        state = update_scalars(_state_for(base, GLRObjective(ctx)), rho=1e-4)
         lb = GershgorinPolytope(base, state.scalars).radii + 1e-4
         cap = float(np.sum(lb)) + 0.2
         assert base.trace() <= cap
@@ -883,28 +889,59 @@ class TestPairDistancePath:
         state = update_scalars(initial_state(ctx, cfg), rho=cfg.rho)
         for outer in range(2):
             fast = diagonal_step(state, ctx, cfg)
-            slow = diagonal_step(state, ctx, cfg, objective=ref)
+            slow = diagonal_step(self._on(ref, state), ctx, cfg,
+                                 objective=ref)
             self._assert_same(fast, slow)
             state = fast
             for col in range(k):
                 state = update_scalars(state, rho=cfg.rho)
                 fast = offdiag_step(state, ctx, cfg, col)
-                slow = offdiag_step(state, ctx, cfg, col, objective=ref)
+                slow = offdiag_step(self._on(ref, state), ctx, cfg, col,
+                                    objective=ref)
                 self._assert_same(fast, slow)
                 state = fast
 
     def test_initial_distances_built_once(self, monkeypatch):
-        """Q(M^0) and the first diagonal step share M^0's point."""
+        """A learn builds distances from a matrix once, at M^0; every later
+        step starts from the point its predecessor handed on."""
         built = []
         real = objective.pair_distances
         monkeypatch.setattr(objective, "pair_distances",
                             lambda ctx, m: built.append(m) or real(ctx, m))
         init = []
-        learn_metric(_cv_fold_ctx(), OptimizerConfig(outer_max_iters=3),
-                     observer=lambda event, state: event == "init"
-                     and init.append(state.metric.matrix))
+        result = learn_metric(_cv_fold_ctx(),
+                              OptimizerConfig(outer_max_iters=3),
+                              observer=lambda event, state: event == "init"
+                              and init.append(state.metric.matrix))
         assert len(init) == 1
-        assert sum(m is init[0] for m in built) == 1
+        assert len(result.objective_trace) > 2
+        assert len(built) == 1
+        assert built[0] is init[0]
+
+    @pytest.mark.parametrize("case", ["wine", "highdim"])
+    def test_trace_is_the_value_of_the_carried_point(self, case):
+        """Each trace entry is the value of the point the next step starts
+        from, and the carried point stays the matrix's distances."""
+        if case == "wine":
+            ctx, cfg = _cv_fold_ctx("wine"), OptimizerConfig()
+        else:
+            x, y = highdim_blobs(0)
+            ctx = ObjectiveContext(features=x,
+                                   labels=np.where(y == 0, 1.0, -1.0))
+            cfg = OptimizerConfig(trace_cap=2.0)
+        states = []
+        learn_metric(ctx, cfg, observer=lambda event, st: states.append(st))
+        assert len(states) > 2
+        for st in states:
+            assert glr_value(ctx, st.point) == st.objective_trace[-1]
+        last = states[-1]
+        fresh = glr_value(ctx, pair_distances(ctx, last.metric.matrix))
+        assert last.objective_trace[-1] == pytest.approx(fresh, rel=1e-12)
+
+    @staticmethod
+    def _on(ref, state):
+        """``state`` with ``ref``'s point of its matrix."""
+        return replace(state, point=ref.at(state.metric.matrix))
 
     @staticmethod
     def _assert_same(fast, slow):
@@ -1313,7 +1350,8 @@ class TestDiscCertifiedSteps:
         cfg = OptimizerConfig(trace_cap=g.matrix.trace()).resolve(20)
         state = OptimizerState(metric=g,
                                scalars=GershgorinScalars(np.ones(20)),
-                               objective_trace=(0.0,))
+                               objective_trace=(0.0,),
+                               point=pair_distances(ctx, g.matrix))
         solves = count_eigensolves(monkeypatch)
         new = offdiag_step(state, ctx, cfg, 0)
         m = new.metric.matrix
@@ -1402,7 +1440,8 @@ class TestCertificationRoute:
         cfg = OptimizerConfig(trace_cap=g.matrix.trace()).resolve(48)
         state = OptimizerState(metric=g,
                                scalars=GershgorinScalars(np.ones(48)),
-                               objective_trace=(0.0,))
+                               objective_trace=(0.0,),
+                               point=pair_distances(ctx, g.matrix))
         solves = []
         self._spy_solves(monkeypatch, solves)
         new = offdiag_step(state, ctx, cfg, 0)
