@@ -15,7 +15,8 @@ incumbent are known; a learn builds them once, at M^0, and carries the
 accepted line-search points on (``optimizer.OptimizerState.point``).  A
 point keeps its pair terms w_p e^{-delta_p} once they are computed, so the
 gradient at an accepted line-search trial reuses the exponentials of its
-value.  The pair cache memoizes the
+value, and so does the slope of the :class:`PairRay` there.  The pair
+cache memoizes the
 feature-difference columns of the last off-diagonal column asked for,
 which every gradient and ray of one column step shares.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -39,16 +40,19 @@ class ConvexObjective(Protocol):
 
     The optimizer works on the objective's own representation of an
     iterate (a *point*): ``at`` builds it from a matrix, and ``ray`` returns
-    the map gamma -> point moved by gamma * direction, where ``direction``
-    changes the diagonal (``col`` None) or column ``col``'s off-diagonal
-    entries (rows 0..K-1 with ``col`` skipped, mirrored into the row).
-    ``value`` and the gradients take such points.
+    the ray through a point along ``direction``, which changes the diagonal
+    (``col`` None) or column ``col``'s off-diagonal entries (rows 0..K-1
+    with ``col`` skipped, mirrored into the row).  Called with gamma the
+    ray gives the point moved by gamma * direction; with phi(gamma) the
+    value there, its ``curvature`` is phi''(0) and ``slope(point)`` is
+    phi'(gamma) at a point it gave.  ``value`` and the gradients take
+    points.
     """
 
     def at(self, m: SymmetricMatrix) -> Any: ...
 
     def ray(self, point: Any, direction: np.ndarray,
-            col: int | None = None) -> Callable[[float], Any]: ...
+            col: int | None = None) -> Any: ...
 
     def value(self, point: Any) -> float: ...
 
@@ -141,27 +145,57 @@ class ObjectiveContext:
                           weights=2.0 * dz2[keep])
 
 
-@dataclass(frozen=True, eq=False)
+# the clip of delta in exp(-delta); 0-d arrays spare a scalar conversion
+_MIN_EXPONENT, _MAX_EXPONENT = np.array(-745.0), np.array(745.0)
+
+
+@dataclass(eq=False, slots=True)
 class PairDistances:
     """delta_p = d_p^T M d_p for every cached cross pair of ``ctx``.
 
     Stands in for M wherever the objective only needs these distances.
+    Not frozen, which would slow the build a line search makes per trial.
     """
 
     ctx: ObjectiveContext
     delta: np.ndarray  # (P,)
+    _terms: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def terms(self) -> np.ndarray:
         """weights * exp(-delta) per cross pair, computed once; read-only."""
-        # memoized by hand: functools.cached_property takes a lock per miss
-        terms = self.__dict__.get("_terms")
+        terms = self._terms
         if terms is None:
-            terms = self.ctx.pair_cache.weights * np.exp(
-                -np.minimum(np.maximum(self.delta, -745.0), 745.0))
+            terms = np.maximum(self.delta, _MIN_EXPONENT)
+            np.minimum(terms, _MAX_EXPONENT, out=terms)
+            np.negative(terms, out=terms)
+            np.exp(terms, out=terms)
+            np.multiply(self.ctx.pair_cache.weights, terms, out=terms)
             terms.setflags(write=False)
-            self.__dict__["_terms"] = terms
+            self._terms = terms
         return terms
+
+
+@dataclass(eq=False, slots=True)
+class PairRay:
+    """gamma -> delta + gamma * rate, the ray through ``start``: along it
+    phi(gamma) = sum_p t_p e^{-gamma rate_p} with t_p the start's terms, so
+    phi''(0) = sum_p t_p rate_p^2 and phi'(gamma) = -sum_p t_p(gamma)
+    rate_p, read off the terms a trial computed anyway."""
+
+    start: PairDistances
+    rate: np.ndarray
+
+    def __call__(self, gamma: float) -> PairDistances:
+        return PairDistances(self.start.ctx,
+                             self.start.delta + gamma * self.rate)
+
+    @property
+    def curvature(self) -> float:
+        return float((self.start.terms * self.rate) @ self.rate)
+
+    def slope(self, point: PairDistances) -> float:
+        return -float(point.terms @ self.rate)
 
 
 def pair_distances(ctx: ObjectiveContext, m: SymmetricMatrix) -> PairDistances:
@@ -187,7 +221,7 @@ def _point(ctx: ObjectiveContext, point: PairDistances) -> PairDistances:
 
 def glr_value(ctx: ObjectiveContext, point: PairDistances) -> float:
     """Q(M): non-negative, zero iff no pair of samples disagrees in label."""
-    return float(_point(ctx, point).terms.sum())
+    return float(np.add.reduce(_point(ctx, point).terms))
 
 
 def glr_grad_diag(ctx: ObjectiveContext, point: PairDistances) -> np.ndarray:
@@ -224,17 +258,17 @@ class GLRObjective:
         return pair_distances(self.ctx, m)
 
     def ray(self, point: PairDistances, direction: np.ndarray,
-            col: int | None = None) -> Callable[[float], PairDistances]:
-        """gamma -> delta + gamma * d(delta)/d(gamma), with the rate
-        sum_k d_pk^2 dir_k for the diagonal and 2 d_pc sum_{r != c} d_pr
-        dir_r for column c (the 2 counts the mirrored row entry)."""
+            col: int | None = None) -> PairRay:
+        """The ray's rate d(delta)/d(gamma) is sum_k d_pk^2 dir_k for the
+        diagonal and 2 d_pc sum_{r != c} d_pr dir_r for column c (the 2
+        counts the mirrored row entry)."""
         cache = self.ctx.pair_cache
         if col is None:
             rate = cache.sq_diffs @ direction
         else:
             column, others = cache.column_block(col)
             rate = 2.0 * column * (others @ direction)
-        return lambda gamma: PairDistances(self.ctx, point.delta + gamma * rate)
+        return PairRay(point, rate)
 
     def value(self, point: PairDistances) -> float:
         return glr_value(self.ctx, point)

@@ -50,6 +50,7 @@ _EIG_TOL = 1e-11
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
+_TANGENT_SLACK = 1e-9  # relative; derived in _step_size
 
 Observer = Callable[[str, "OptimizerState"], None]
 
@@ -158,6 +159,9 @@ class OptimizerState:
     ``point``, the objective's point of ``metric.matrix``, is built by
     ``initial_state`` and then handed on by the steps; in every state a
     learn builds, ``objective_trace[-1]`` is the objective's value there.
+    ``fw_gap`` is the Frank-Wolfe duality gap at which the last diagonal
+    step stopped; it is NaN before the first diagonal step and after one
+    that skipped, and column steps leave it as it is.
     """
 
     metric: GraphMetric
@@ -343,49 +347,63 @@ def update_scalars(state: OptimizerState, rho: float = 0.0) -> OptimizerState:
 _MAX_HALVINGS = math.floor(-math.log2(_MIN_STEP))
 
 
-def _step_size(phi0: float, slope: float, move, value, j0: int
+def _step_size(phi0: float, slope: float, ray, value, j0: int
                ) -> tuple[float, object, float, int]:
-    """Backtracking Armijo step toward the LP vertex, searched from 2**-j0.
+    """Backtracking Armijo step toward the LP vertex, in about one trial.
 
-    A trial at gamma evaluates phi = value(move(gamma)).  Returns (gamma,
+    A trial at gamma evaluates phi = value(ray(gamma)).  Returns (gamma,
     point, phi, j) for the largest gamma = 2**-j, 0 <= j <= _MAX_HALVINGS,
-    that passes phi <= phi0 + _ARMIJO_C * gamma * slope, with point =
-    move(gamma) the accepted trial's point; or (0.0, None, phi0, j0) when
-    none passes.  Halving from gamma = 1 finds that step after j + 1
-    trials; the search starts instead at the caller's previous exponent
-    j0.  If 2**-j0 passes it tries j0 - 1, j0 - 2, ... and stops at the
-    first rejection; otherwise it tries j0 + 1, j0 + 2, ... until one
-    passes.
+    that passes phi <= phi0 + _ARMIJO_C * gamma * slope (point = ray(gamma),
+    the accepted trial's), or (0.0, None, phi0, j0) when none passes: the
+    step that halving from gamma = 1 finds after j + 1 trials.
 
-    Skipping the other exponents is exact because the passing steps form
-    one interval.  Along a Frank-Wolfe ray every pair distance delta_p is
-    affine in gamma, so phi(gamma) = sum_p w_p exp(-delta_p(gamma)) is
-    convex.  Then h(gamma) = phi(gamma) - phi0 - c * gamma * slope is
-    convex with h(0) = 0 and h'(0) = (1 - c) * slope < 0 (slope < 0,
-    c < 1), so {gamma > 0 : h(gamma) <= 0} is an interval (0, gamma*]:
-    every step below a passing one passes, every step above a failing one
-    fails.  In floating point a step so small that gamma * slope is below
-    phi0's round-off can fail while a larger step passes; so before giving
-    up, the exponents below j0 are tried in the order halving tries them.
+    Any start finds it.  Along a Frank-Wolfe ray every pair distance
+    delta_p is affine in gamma, so phi(gamma) = sum_p w_p exp(-delta_p) is
+    convex (the +-745 clip keeps each term max(e^-delta, e^-745) convex),
+    and so is h(gamma) = phi(gamma) - phi0 - c * gamma * slope, with h(0) =
+    0 > h'(0): the passing steps form an interval (0, gamma*].  From 2**-j
+    the search tries j - 1, j - 2, ... while they pass, or j + 1, j + 2,
+    ... until one passes.  A step whose decrease is below phi0's round-off
+    can fail while a larger one passes, so before giving up it tries the
+    exponents below the start in halving's order.
+
+    The start is the largest 2**-j at or below 2 (1 - c) (-slope) / kappa,
+    where the quadratic model of curvature kappa = ``ray.curvature`` =
+    phi''(0) crosses the Armijo line (Nocedal and Wright, sec. 3.5), or j0
+    when kappa is not positive and finite.  After gamma passes, 2 gamma is
+    not tried when convexity rejects it: phi(2 gamma) >= T = phi(gamma) +
+    gamma * ``ray.slope(point)`` > threshold(2 gamma) + slack.  The slack
+    _TANGENT_SLACK (|phi0| + |T|) covers the floating-point error: for GLR
+    over P pairs each computed term and sum is off by a relative eps <=
+    (760 + P) u (delta_p's rounding <= 745 u, exp and weight a few u,
+    summation P u).  Of the products t_p(gamma) gamma rate_p in T, those
+    with rate_p > 0 sum to at most phi0 / e and the others add to T; so T
+    and the computed phi(2 gamma) are off by less than 3 eps (|phi0| +
+    |T|), inside the slack up to P = 3e6 pairs.
     """
-    def trial(j: int) -> tuple[bool, float, object, float]:
-        gamma = math.ldexp(1.0, -j)
-        point = move(gamma)
-        phi = value(point)
-        return phi <= phi0 + _ARMIJO_C * gamma * slope, gamma, point, phi
-
-    ok, gamma, point, phi = trial(j0)
-    if ok:
+    kappa = ray.curvature
+    model = (2.0 * (1.0 - _ARMIJO_C) * -slope / kappa
+             if 0.0 < kappa < math.inf else 0.0)
+    if 0.0 < model < math.inf:
+        j0 = min(max(1 - math.frexp(model)[1], 0), _MAX_HALVINGS)
+    gamma = math.ldexp(1.0, -j0)
+    phi = value(point := ray(gamma))
+    if phi <= phi0 + _ARMIJO_C * gamma * slope:
         j = j0
         while j > 0:
-            ok, up_gamma, up_point, up_phi = trial(j - 1)
-            if not ok:
+            up = 2.0 * gamma
+            bar = phi0 + _ARMIJO_C * up * slope
+            tangent = phi + gamma * ray.slope(point)
+            if tangent - _TANGENT_SLACK * (abs(phi0) + abs(tangent)) > bar:
+                break  # convexity rejects 2 gamma
+            if not (up_phi := value(up_point := ray(up))) <= bar:
                 break
-            j, gamma, point, phi = j - 1, up_gamma, up_point, up_phi
+            j, gamma, point, phi = j - 1, up, up_point, up_phi
         return gamma, point, phi, j
     for j in chain(range(j0 + 1, _MAX_HALVINGS + 1), range(j0)):
-        ok, gamma, point, phi = trial(j)
-        if ok:
+        gamma = math.ldexp(1.0, -j)
+        phi = value(point := ray(gamma))
+        if phi <= phi0 + _ARMIJO_C * gamma * slope:
             return gamma, point, phi, j
     return 0.0, None, phi0, j0
 
@@ -396,13 +414,14 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
 
     Starts from block values ``x`` at objective point ``point`` of value
     ``q``; ``vertex(g)`` is the LP vertex for gradient g.  Each iteration
-    steps by backtracking Armijo over gamma = 2**-j; ``_step_size`` starts
-    its search at the exponent the previous iteration accepted (0 on the
-    first), which finds the same step as halving from gamma = 1 in fewer
-    objective evaluations, and the next gradient is taken at the accepted
-    trial's point.  Stops when the duality gap g.(x - vertex) is at most
-    obj_rel_tol * max(1, |Q|), when backtracking Armijo finds no step of
-    at least _MIN_STEP, or after fw_max_iters.  Returns (x, point, Q, gap).
+    steps by backtracking Armijo over gamma = 2**-j along ``obj.ray``,
+    searched from where the ray's curvature points (or from the previous
+    iteration's exponent, 0 on the first, when it is degenerate), which
+    finds halving's step in about one objective evaluation; the next
+    gradient is taken at the accepted trial's point.  Stops when the
+    duality gap g.(x - vertex) is at most obj_rel_tol * max(1, |Q|), when
+    backtracking Armijo finds no step of at least _MIN_STEP, or after
+    fw_max_iters.  Returns (x, point, Q, gap).
     """
     gap = math.nan
     j = 0
@@ -410,7 +429,7 @@ def _frank_wolfe(obj: ConvexObjective, point, x: np.ndarray, q: float,
         g = (obj.grad_diag(point) if col is None
              else obj.grad_offdiag_col(point, col))
         direction = vertex(g) - x
-        gap = float(-(g @ direction))
+        gap = -float(g @ direction)
         if gap <= cfg.obj_rel_tol * max(1.0, abs(q)):
             break
         gamma, moved, phi, j = _step_size(
@@ -456,7 +475,7 @@ def diagonal_step(state: OptimizerState, ctx: ObjectiveContext,
                   deficit)
         return replace(state,
                        objective_trace=state.objective_trace + (q0,),
-                       fw_gap=0.0)
+                       fw_gap=math.nan)
     x, point, q, gap = _frank_wolfe(
         obj, state.point, x0, q0, None, cfg,
         lambda g: lp.solve_diagonal_lp(g, feasible).point)
@@ -518,11 +537,14 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     """Frank-Wolfe over column ``col``'s off-diagonals (symmetric tying).
 
     Feasible set: the rows of ``GershgorinPolytope.column``, all variables
-    <= 0, and magnitude floors epsilon on the anchor entry zeta (this
-    column's largest incumbent magnitude, lowest row on ties) plus the
-    protected spanning edges in this column.  The spanning-edge floors keep
-    the whole graph connected across block updates; the per-column zeta
-    floor alone only guards this column.  The LP is set up once
+    <= 0, and magnitude floors epsilon on the protected spanning tree's
+    edges in this column, which keep the graph connected.  Every vertex
+    of a spanning tree has a tree edge, and by the cut property the
+    column's heaviest edge lies in every maximum spanning tree (ties
+    aside), so while the tree is Prim's tree of the incumbent its floors
+    hold that edge too.  Only a state built by hand whose matrix has no
+    spanning tree of edges >= epsilon has no tree (a learn always carries
+    one); then the heaviest entry alone is floored.  The LP is set up once
     (``lp.knapsack_lp``); a column whose incumbent or LP is infeasible is
     skipped and the state comes back unchanged.  Above _DENSE_MAX_DIM a new
     column whose polytope under the unchanged scalars holds comes back with
@@ -537,13 +559,12 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     row = matrix.entries[col]  # the column too: entries are exactly symmetric
     x0 = np.concatenate((row[:col], row[col + 1:]))
 
-    zeta_local = int(np.abs(x0).argmax())
     tree = state.protected_edges or max_spanning_tree(matrix, cfg.epsilon) or ()
-    tree_local = _column_tree_edges(tree, col)
+    tree_local = _column_tree_edges(tree, col) or [int(np.abs(x0).argmax())]
 
     lower = -np.maximum(upper_mag, 0.0)
     upper = np.zeros(x0.size)
-    upper[[zeta_local, *tree_local]] = -cfg.epsilon
+    upper[tree_local] = -cfg.epsilon
     x = np.minimum(np.maximum(x0, lower), upper)
     # the LP is set up only for a column that passes the stricter test
     # on the incumbent
@@ -654,7 +675,7 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
         notify("outer", state)
         q_end = state.objective_trace[-1]
         log.info("outer=%d objective=%.10e lambda_min=%.6e trace=%.6e "
-                 "fw_gap=%.3e", outer, q_end,
+                 "diag_fw_gap=%.3e", outer, q_end,
                  state.metric.certificate.lambda_min,
                  state.metric.matrix.trace(), state.fw_gap)
         change = abs(q_end - q_start)

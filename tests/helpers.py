@@ -14,13 +14,15 @@ earlier forms of Prim's tree and ``SymmetricMatrix`` construction.
 ``GLRAtMatrix`` is no oracle: it is the package's own Q(M) and
 gradients with a matrix as input.
 ``reference_graph_scores`` solves the graph classifier's system by
-scipy's Cholesky routines.  ``count_eigensolves`` is the one spy: it
+scipy's Cholesky routines.  ``FunctionRay`` assembles a line-search ray
+from plain functions.  ``count_eigensolves`` is the one spy: it
 records solver calls.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Any, Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -321,31 +323,68 @@ def grid_search_diag(ctx: ObjectiveContext, matrix, lb: np.ndarray,
     return best_pt
 
 
+class FunctionRay:
+    """A line-search ray (``objective.Ray``) from plain functions:
+    ``move(gamma)`` is the point, ``slope_at(point)`` phi' there and
+    ``curvature`` phi''(0)."""
+
+    def __init__(self, move: Callable[[float], Any], curvature: float,
+                 slope_at: Callable[[Any], float]):
+        self.move, self.curvature, self.slope_at = move, curvature, slope_at
+
+    def __call__(self, gamma: float) -> Any:
+        return self.move(gamma)
+
+    def slope(self, point: Any) -> float:
+        return self.slope_at(point)
+
+
 class MatrixObjective:
     """The GLR objective on explicitly rebuilt matrices (ConvexObjective).
 
     Points are the matrices themselves: every line-search trial builds
     M + gamma * dM and sums the pair terms over a fresh einsum, the way the
-    optimizer worked before it cached per-pair distances.
+    optimizer worked before it cached per-pair distances.  A ray's slope
+    is the gradient's product with the direction, and its curvature comes
+    from the direction matrix's own pair distances.
     """
 
     def __init__(self, ctx: ObjectiveContext):
         self.ctx = ctx
 
+    def _delta(self, m) -> np.ndarray:
+        d = self.ctx.pair_cache.diffs
+        return np.einsum("pk,kl,pl->p", d, m, d)
+
     def _terms(self, m) -> np.ndarray:
-        cache = self.ctx.pair_cache
-        delta = np.einsum("pk,kl,pl->p", cache.diffs, m.entries, cache.diffs)
-        return cache.weights * np.exp(-np.clip(delta, -745.0, 745.0))
+        delta = self._delta(m.entries)
+        return self.ctx.pair_cache.weights * np.exp(-np.clip(delta, -745.0,
+                                                              745.0))
 
     def at(self, m):
         return m
 
     def ray(self, m, direction, col=None):
         if col is None:
-            return lambda gamma: m.with_diagonal(m.diagonal()
-                                                 + gamma * direction)
-        x = np.delete(m.entries[:, col], col)
-        return lambda gamma: m.with_offdiag_column(col, x + gamma * direction)
+            step = np.diag(direction)
+            grad = self.grad_diag
+
+            def move(gamma):
+                return m.with_diagonal(m.diagonal() + gamma * direction)
+        else:
+            rows = [r for r in range(m.dim) if r != col]
+            step = np.zeros((m.dim, m.dim))
+            step[rows, col] = step[col, rows] = direction
+            x = np.delete(m.entries[:, col], col)
+
+            def grad(p):
+                return self.grad_offdiag_col(p, col)
+
+            def move(gamma):
+                return m.with_offdiag_column(col, x + gamma * direction)
+        rate = self._delta(step)
+        return FunctionRay(move, float(self._terms(m) @ rate ** 2),
+                           lambda p: float(grad(p) @ direction))
 
     def value(self, m) -> float:
         return float(np.sum(self._terms(m)))
@@ -393,7 +432,9 @@ class ReferenceGLRObjective:
         else:
             d = cache.diffs
             rate = 2.0 * d[:, col] * (d[:, self._rows(col)] @ direction)
-        return lambda gamma: delta + gamma * rate
+        return FunctionRay(lambda gamma: delta + gamma * rate,
+                           float(self.terms(delta) @ (rate * rate)),
+                           lambda p: -float(self.terms(p) @ rate))
 
     def value(self, m) -> float:
         return float(np.sum(self.terms(m)))

@@ -25,9 +25,10 @@ from graphmetric.optimizer import (ConfigError, OptimizerConfig,
                                    diagonal_step, init_metric, initial_state,
                                    learn_metric, offdiag_step, update_scalars,
                                    _column_tree_edges, _tree_survives)
-from helpers import (GLRAtMatrix, MatrixObjective, ReferenceGLRObjective,
-                     armijo_backtracking, column_tree_edges_by_scan,
-                     count_eigensolves, diag_objective_fn, golden_section,
+from helpers import (FunctionRay, GLRAtMatrix, MatrixObjective,
+                     ReferenceGLRObjective, armijo_backtracking,
+                     column_tree_edges_by_scan, count_eigensolves,
+                     diag_objective_fn, golden_section,
                      grid_search_diag, highdim_blobs,
                      key_array_spanning_tree,
                      max_spanning_tree, mirrored_symmetric_init,
@@ -228,30 +229,51 @@ class TestUpdateScalars:
 
 
 class TestStepSize:
-    """The search from any start exponent accepts backtracking's step."""
+    """The search from any start exponent, and from the start the ray's
+    curvature picks, accepts backtracking's step."""
 
     @staticmethod
     def _ray(w, delta, rate):
-        """phi(gamma) = sum w exp(-(delta + gamma rate)) and its phi'(0).
+        """phi(gamma) = sum w exp(-(delta + gamma rate)), phi'(0) and the
+        ray gamma -> gamma whose slope is phi' and curvature phi''(0).
 
         A term that overflows reads inf, which no Armijo test accepts.
-        Values are memoized: the 40 searches of one ray share their trials.
+        Values are memoized: the searches of one ray share their trials.
         """
         @functools.cache
         def phi(gamma):
             with np.errstate(over="ignore"):
                 return float(np.sum(w * np.exp(-(delta + gamma * rate))))
-        return phi, float(-np.sum(w * rate * np.exp(-delta)))
+
+        @functools.cache
+        def dphi(gamma):
+            with np.errstate(over="ignore"):
+                return float(-np.sum(w * rate * np.exp(-(delta
+                                                          + gamma * rate))))
+        kappa = float(np.sum(w * rate * rate * np.exp(-delta)))
+        return phi, dphi(0.0), FunctionRay(lambda t: t, kappa, dphi)
 
     @staticmethod
-    def _assert_matches_backtracking(phi, slope):
-        phi0 = phi(0.0)
-        expected = armijo_backtracking(phi0, slope, phi)
-        for j0 in range(40):
+    def _search(phi, slope, ray, j0, curvature=None):
+        """``_step_size`` along ``ray`` (its curvature replaced when
+        ``curvature`` is given) and the steps it evaluated."""
+        tried = []
+        if curvature is not None:
+            ray = FunctionRay(ray.move, curvature, ray.slope_at)
+        found = optimizer._step_size(
+            phi(0.0), slope, ray, lambda t: tried.append(t) or phi(t), j0)
+        return found, tried
+
+    @classmethod
+    def _assert_matches_backtracking(cls, phi, slope, ray):
+        expected = armijo_backtracking(phi(0.0), slope, phi)
+        # a NaN curvature starts the search at j0
+        starts = [(j0, math.nan) for j0 in range(40)] + [(0, None)]
+        for j0, curvature in starts:
             # the point of a trial is its step, so the accepted point is
             # the accepted gamma
-            gamma, point, value, j = optimizer._step_size(
-                phi0, slope, lambda t: t, phi, j0)
+            (gamma, point, value, j), _ = cls._search(phi, slope, ray, j0,
+                                                      curvature)
             assert (gamma, value) == expected
             assert point == (None if gamma == 0.0 else gamma)
             assert gamma == 0.0 or gamma == 2.0 ** -j
@@ -269,10 +291,10 @@ class TestStepSize:
             w = rng.uniform(0.0, 1.0, p)
             delta = rng.uniform(-1.0, 3.0, p)
             rate = 10.0 ** rng.uniform(-2.0, 6.0) * rng.normal(size=p)
-            phi, slope = self._ray(w, delta, rate)
+            phi, slope, ray = self._ray(w, delta, rate)
             if slope > 0.0:
-                phi, slope = self._ray(w, delta, -rate)
-            gamma, _ = self._assert_matches_backtracking(phi, slope)
+                phi, slope, ray = self._ray(w, delta, -rate)
+            gamma, _ = self._assert_matches_backtracking(phi, slope, ray)
             accepted.add(gamma)
         # the draws reach full steps and steps many halvings down
         assert 1.0 in accepted and min(accepted - {0.0}) <= 2.0 ** -20
@@ -280,10 +302,11 @@ class TestStepSize:
 
     def test_no_acceptable_step(self):
         # slope -1 against curvature 2e14: no gamma >= 2**-39 passes
-        phi, slope = self._ray(np.ones(2), np.zeros(2),
-                               np.array([1e7 + 1.0, -1e7]))
+        phi, slope, ray = self._ray(np.ones(2), np.zeros(2),
+                                    np.array([1e7 + 1.0, -1e7]))
         assert slope == -1.0
-        assert self._assert_matches_backtracking(phi, slope) == (0.0, 2.0)
+        assert self._assert_matches_backtracking(phi, slope, ray) == (0.0,
+                                                                      2.0)
 
     def test_round_off_rejection_below_a_passing_step(self):
         # a linear decrease that the smallest steps round up to 1 ulp above
@@ -291,12 +314,80 @@ class TestStepSize:
         def phi(gamma):
             return (1.0 - 0.5 * gamma if gamma == 0.0 or gamma >= 2.0 ** -30
                     else math.nextafter(1.0, 2.0))
-        assert self._assert_matches_backtracking(phi, -0.5) == (1.0, 0.5)
+        ray = FunctionRay(lambda t: t, 0.0, lambda t: -0.5)
+        assert self._assert_matches_backtracking(phi, -0.5, ray) == (1.0,
+                                                                     0.5)
 
     def test_full_step_accepted(self):
-        phi, slope = self._ray(np.ones(1), np.zeros(1), np.ones(1))
-        assert self._assert_matches_backtracking(phi, slope) == (
+        phi, slope, ray = self._ray(np.ones(1), np.zeros(1), np.ones(1))
+        assert self._assert_matches_backtracking(phi, slope, ray) == (
             1.0, math.exp(-1.0))
+
+    def test_tangent_abstains_at_the_armijo_threshold(self):
+        """Rays whose phi(2 gamma) sits within a few ulps of the Armijo
+        threshold: a cliff term A e^{-a t} that is gone by gamma = 2**-10
+        and a nearly linear term e^{-b t}, so the tangent at gamma
+        predicts phi(2 gamma) to far below an ulp.  The threshold moves
+        with A; near the A where the computed phi(2 gamma) crosses it, the
+        search must evaluate 2 gamma whenever gamma passes."""
+        gamma, b = 2.0 ** -10, 1e-9 * 2.0 ** 10
+
+        def excess(a_weight):
+            phi, slope, _ = self._ray(np.array([a_weight, 1.0]), np.zeros(2),
+                                      np.array([1e4 / gamma, b]))
+            return phi(2 * gamma) - (phi(0.0) + optimizer._ARMIJO_C
+                                     * (2 * gamma) * slope)
+
+        # excess(A) rises through 0 near A = 2 b gamma (1 - c)
+        lo, hi = 1e-9, 3e-9
+        assert excess(lo) < 0.0 < excess(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+        near = 0
+        weights = lo + np.arange(-4, 5) * 2.0 ** -52
+        assert {np.sign(excess(a)) for a in weights} >= {-1.0, 1.0}
+        for a_weight in weights:
+            assert abs(excess(a_weight)) <= 8 * 2.0 ** -52
+            phi, slope, ray = self._ray(np.array([a_weight, 1.0]),
+                                        np.zeros(2),
+                                        np.array([1e4 / gamma, b]))
+            self._assert_matches_backtracking(phi, slope, ray)
+            for j0, curvature in [(10, math.nan), (0, None)]:
+                _, tried = self._search(phi, slope, ray, j0, curvature)
+                if gamma in tried and phi(gamma) <= phi(0.0) + (
+                        optimizer._ARMIJO_C * gamma * slope):
+                    near += 1
+                    assert 2 * gamma in tried
+        assert near == 2 * weights.size
+
+    @pytest.mark.parametrize("curvature", [0.0, -1.0, math.inf, math.nan])
+    def test_degenerate_curvature_starts_at_the_previous_exponent(
+            self, curvature):
+        phi, slope, ray = self._ray(np.ones(3), np.zeros(3),
+                                    np.array([2.0, 0.5, -0.1]))
+        for j0 in (0, 7, 39):
+            found, tried = self._search(phi, slope, ray, j0, curvature)
+            assert tried[0] == 2.0 ** -j0
+            assert found[::2] == armijo_backtracking(phi(0.0), slope, phi)
+
+    def test_zero_rate_ray_has_zero_curvature(self):
+        # identical features: every pair distance stays 0 along any ray
+        ctx = ObjectiveContext(features=np.ones((4, 2)),
+                               labels=np.array([1.0, -1.0, 1.0, -1.0]))
+        obj = GLRObjective(ctx)
+        point = obj.at(SymmetricMatrix(np.eye(2)))
+        ray = obj.ray(point, np.array([1.0, -0.5]))
+        assert ray.curvature == 0.0
+        assert ray.slope(ray(0.5)) == 0.0
+        tried = []
+        gamma, _, phi, j = optimizer._step_size(
+            obj.value(point), -1.0,
+            FunctionRay(lambda t: tried.append(t) or ray(t), ray.curvature,
+                        ray.slope), obj.value, 7)
+        assert tried[0] == 2.0 ** -7
+        # phi is flat: only a step whose decrease rounds away passes
+        assert phi == obj.value(point) and gamma == 2.0 ** -j
 
 
 @dataclass
@@ -310,8 +401,9 @@ class _LinearDiagObjective:
 
     def ray(self, m, direction, col=None):
         assert col is None  # only diagonal steps use this objective
-        return lambda gamma: m.with_diagonal(np.diag(m.entries)
-                                             + gamma * direction)
+        return FunctionRay(lambda gamma: m.with_diagonal(
+            np.diag(m.entries) + gamma * direction), 0.0,
+            lambda p: float(self.slope @ direction))
 
     def value(self, m):
         return float(self.slope @ np.diag(m.entries))
@@ -444,9 +536,29 @@ class TestOffdiagStep:
             assert np.all(off <= 0.0)
             lam = smallest_eigenpair_dense(m).value
             assert lam >= cfg.rho - 1e-9
+            # the floors hold the protected tree; Prim's tree holds each
+            # column's heaviest entry (the cut property)
+            for i, j in state.protected_edges:
+                assert m.entries[i, j] <= -cfg.epsilon
             rows = [r for r in range(4) if r != col]
             zeta = rows[int(np.argmax(np.abs(prev_col[rows])))]
             assert m.entries[zeta, col] <= -cfg.epsilon + 1e-12
+
+    def test_state_without_a_tree_floors_the_heaviest_entry(self):
+        # one edge reaches epsilon: no spanning tree of edges >= epsilon
+        ctx = _random_ctx(np.random.default_rng(0), 12, 3)
+        cfg = OptimizerConfig().resolve(3)
+        m = SymmetricMatrix([[1.0, -1e-4, -2e-3],
+                             [-1e-4, 1.0, -1e-4],
+                             [-2e-3, -1e-4, 1.0]])
+        assert prim_tree(m, cfg.epsilon) is None
+        state = update_scalars(_state_for(m, GLRObjective(ctx)), rho=cfg.rho)
+        after = offdiag_step(state, ctx, cfg, 0)
+        # the step drops edge (0, 1); the floored edge (0, 2) keeps vertex
+        # 0 connected
+        col = after.metric.matrix.entries[:, 0]
+        assert col[1] == 0.0 and col[2] <= -cfg.epsilon
+        assert is_connected(after.metric.matrix)
 
 
 class TestMaxSpanningTree:
@@ -1008,6 +1120,26 @@ class TestWarmStartedLineSearch:
         assert warm_calls <= cold_calls / 2
 
 
+@pytest.mark.parametrize("name", ["iris", "blobs K=48"])
+def test_about_one_evaluation_per_frank_wolfe_iteration(monkeypatch, name):
+    """The curvature's start and the tangent test leave about one objective
+    evaluation per Frank-Wolfe iteration (one gradient each); a search
+    from the previous iteration's exponent alone makes 2.3 to 2.9."""
+    if name == "iris":
+        ctx, cfg = _cv_fold_ctx(), OptimizerConfig()
+    else:
+        ctx, cfg = _blob_ctx(0, k=48), OptimizerConfig(trace_cap=2.0)
+    calls = {"glr_value": 0, "glr_grad_diag": 0, "glr_grad_offdiag_col": 0}
+    for kernel in calls:
+        real = getattr(objective, kernel)
+        monkeypatch.setattr(objective, kernel, lambda *a, k=kernel, real=real:
+                            calls.__setitem__(k, calls[k] + 1) or real(*a))
+    learn_metric(ctx, cfg)
+    iterations = calls["glr_grad_diag"] + calls["glr_grad_offdiag_col"]
+    assert iterations > 100
+    assert calls["glr_value"] <= 1.6 * iterations
+
+
 class TestReferenceKernels:
     """A learn through the production kernels gives the same bits as one
     through their plain formulas (tests/helpers.py): pair terms computed
@@ -1139,8 +1271,10 @@ def test_diagonal_step_skips_exactly_on_an_empty_lp(overshoot):
     if overshoot != 3e-9:  # the boundary itself may round either way
         assert empty == (overshoot > 3e-9)
     after = diagonal_step(state, ctx, cfg)
-    # a skipped step keeps the metric object, a step that ran does not
+    # a skipped step keeps the metric object, a step that ran does not;
+    # only a step that ran measured a gap
     assert (after.metric is state.metric) == empty
+    assert math.isnan(after.fw_gap) == empty
 
 
 class TestLogging:
