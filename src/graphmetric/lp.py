@@ -10,7 +10,8 @@ solutions, so no general solver is needed:
 
 Within a block step the feasible set is fixed and only the gradient
 changes, so a step sets up its set once (``diagonal_lp``, ``knapsack_lp``;
-None when it is empty) and solves it for one gradient after another.
+None when it is empty, and then the step skips) and solves it for one
+gradient after another.
 
 The random equivalence batches in ``tests/test_lp.py``
 (``TestDiagonalLP`` and ``TestBoxKnapsackLP``) cross-check both against
@@ -102,7 +103,9 @@ def solve_diagonal_lp(gradient: np.ndarray,
 def knapsack_lp(lower: np.ndarray, upper: np.ndarray, coeffs: np.ndarray,
                 budget: float) -> KnapsackLP | None:
     """The knapsack LP's feasible set, set up from copies of the box and
-    the coefficients; None when it is empty."""
+    the coefficients; None when it is empty: a lower bound strictly above
+    its upper bound, or a base vertex min(upper, 0) that overspends the
+    budget by more than FEASIBILITY_TOL relative."""
     lo = np.array(lower, dtype=float)
     up = np.array(upper, dtype=float)
     a = np.array(coeffs, dtype=float)
@@ -110,7 +113,7 @@ def knapsack_lp(lower: np.ndarray, upper: np.ndarray, coeffs: np.ndarray,
         raise LPError("knapsack LP vectors must share one length")
     if not (a > 0).all():
         raise LPError("knapsack coefficients must be strictly positive")
-    if (lo > up + FEASIBILITY_TOL).any() or (up > FEASIBILITY_TOL).any():
+    if (lo > up).any() or (up > FEASIBILITY_TOL).any():
         return None
     x = np.minimum(up, 0.0)
     spent = float(a @ (-x))

@@ -33,8 +33,9 @@ def load_metric(path: str | Path) -> tuple[GraphMetric, dict]:
     """Read a metric file and re-certify the matrix.
 
     Returns (metric, config echo).  The stored lambda_min is cross-checked
-    against the fresh certificate; a missing, mistyped or non-finite key is
-    a ValueError.
+    against the fresh certificate; a missing, mistyped, non-finite or
+    out-of-range key (``dim`` below 1, ``config`` not an object) is a
+    ValueError.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
@@ -57,7 +58,12 @@ def load_metric(path: str | Path) -> tuple[GraphMetric, dict]:
             finite = False
         if not finite:
             raise ValueError(f"{path}: key {key!r} holds a non-finite number")
-    dim = payload["dim"]
+    dim, config = payload["dim"], payload.get("config", {})
+    if dim < 1:
+        raise ValueError(f"{path}: key 'dim' must be at least 1, not {dim}")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: key 'config' is not a JSON object, found "
+                         f"{type(config).__name__}")
     entries = np.array(payload["entries"], dtype=float)
     if entries.shape != (dim * dim,):
         raise ValueError(
@@ -70,4 +76,4 @@ def load_metric(path: str | Path) -> tuple[GraphMetric, dict]:
         raise ValueError(
             f"{path}: stored lambda_min {stored} disagrees with "
             f"recomputed {fresh}")
-    return metric, payload.get("config", {})
+    return metric, config

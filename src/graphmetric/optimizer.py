@@ -545,11 +545,21 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     hold that edge too.  Only a state built by hand whose matrix has no
     spanning tree of edges >= epsilon has no tree (a learn always carries
     one); then the heaviest entry alone is floored.  The LP is set up once
-    (``lp.knapsack_lp``); a column whose incumbent or LP is infeasible is
-    skipped and the state comes back unchanged.  Above _DENSE_MAX_DIM a new
-    column whose polytope under the unchanged scalars holds comes back with
-    a disc certificate and those scalars; any other new column comes back
-    certified and aligned (``_certify_matrix``).
+    (``lp.knapsack_lp``); the step skips, returning the state unchanged,
+    exactly when it is empty.  Frank-Wolfe starts from the incumbent
+    column: each scaled left-end is affine in the column and >= rho at
+    every LP vertex, so from an incumbent whose scalars verify its polytope
+    at rho - FEAS_SLACK every iterate does too (Jaggi, ICML 2013).  Not
+    every incumbent's scalars do: a learn hands on floored scalars whose
+    polytope does not hold when no rung of ``_conditioned_scalars``
+    verifies, and a state built by hand may carry any scalars.  Such an
+    incumbent is not projected into its box; the iterates keep a share of
+    its violation, and a new column then rests on the dense check of
+    ``_certify_matrix``, lambda_min >= rho - FEAS_SLACK, which raises
+    CertificationError when it fails.  Above
+    _DENSE_MAX_DIM a new column whose polytope under the unchanged scalars
+    holds comes back with a disc certificate and those scalars; any other
+    new column comes back certified and aligned (``_certify_matrix``).
     """
     cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)
@@ -565,33 +575,16 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     lower = -np.maximum(upper_mag, 0.0)
     upper = np.zeros(x0.size)
     upper[tree_local] = -cfg.epsilon
-    x = np.minimum(np.maximum(x0, lower), upper)
-    # the LP is set up only for a column that passes the stricter test
-    # on the incumbent
-    if ((lower > upper).any() or coupling_budget < 0
-            or float(coupling_coeffs @ np.maximum(-x, 0.0))
-            > coupling_budget * (1.0 + 1e-9) + 1e-15
-            or (feasible := lp.knapsack_lp(lower, upper, coupling_coeffs,
-                                           coupling_budget)) is None):
-        log.debug("off-diagonal step on column %d skipped: the epsilon "
-                  "floor or coupling budget excludes the incumbent "
-                  "(lambda_min is pressing the rho floor)", col)
+    feasible = lp.knapsack_lp(lower, upper, coupling_coeffs, coupling_budget)
+    if feasible is None:
+        log.debug("off-diagonal step on column %d skipped: its LP is empty "
+                  "(the epsilon floors or the coupling budget; lambda_min "
+                  "is pressing the rho floor)", col)
         return state
-    point = state.point
-    q = q0 = obj.value(point)
-    if (x != x0).any():
-        point = obj.ray(point, x - x0, col)(1.0)
-        q = obj.value(point)
-
+    q0 = obj.value(state.point)
     x, point, q, _ = _frank_wolfe(
-        obj, point, x, q, col, cfg,
+        obj, state.point, x0, q0, col, cfg,
         lambda g: lp.solve_box_knapsack_lp(g, feasible).point)
-    if q > q0:
-        # the feasibility clamp on the start cost more than the step gained
-        log.debug("off-diagonal step on column %d made no progress; "
-                  "keeping the incumbent", col)
-        return replace(state,
-                       objective_trace=state.objective_trace + (q0,))
     if not (x != x0).any():
         return replace(state, metric=_unchanged(state.metric),
                        objective_trace=state.objective_trace + (q0,))
@@ -638,8 +631,8 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     |Q| >= 1 and absolute below, or at outer_max_iters.
     The observer sees "init", then "diagonal", one "offdiag" per column
     and "outer" in each outer iteration.  Logs one warning per run that
-    counts skipped diagonal steps and skipped or stalled column steps, and
-    one when the run stops at outer_max_iters unconverged.
+    counts skipped diagonal and column steps (a step skips when its LP is
+    empty), and one when the run stops at outer_max_iters unconverged.
     """
     cfg = (cfg or OptimizerConfig()).resolve(ctx.num_features)
     obj = GLRObjective(ctx)
@@ -649,7 +642,7 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
 
     converged = False
     outer = 0
-    diag_skipped = skipped = stalled = 0
+    diag_skipped = skipped = 0
     for outer in range(1, cfg.outer_max_iters + 1):
         q_start = state.objective_trace[-1]
         before = state
@@ -661,12 +654,8 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
             before = state
             state = offdiag_step(state, ctx, cfg, col, objective=obj)
             notify("offdiag", state)
-            # a skipped column returns its input state; a stalled one
-            # keeps the input metric
-            if state is before:
-                skipped += 1
-            elif state.metric is before.metric:
-                stalled += 1
+            # a skipped column returns its input state
+            skipped += state is before
         cert = state.metric.certificate
         if not cert.eigenpair:
             metric, scalars = _certify_matrix(state.metric.matrix, cert.eigvec,
@@ -686,9 +675,9 @@ def learn_metric(ctx: ObjectiveContext, cfg: OptimizerConfig | None = None,
     if diag_skipped:
         events.append(f"{diag_skipped} of {outer} diagonal steps skipped "
                       f"(scaled lower bounds over the trace cap)")
-    if skipped or stalled:
+    if skipped:
         events.append(f"{skipped} of {outer * ctx.num_features} off-diagonal "
-                      f"column steps skipped and {stalled} made no progress")
+                      f"column steps skipped (empty column LP)")
     if events:
         log.warning("%s", "; ".join(events))
     if not converged:

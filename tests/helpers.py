@@ -476,7 +476,7 @@ def reference_knapsack_lp(g, lo, up, a, budget, tol: float = 1e-9
         raise LPError("knapsack LP vectors must share one length")
     if not np.all(a > 0):
         raise LPError("knapsack coefficients must be strictly positive")
-    if np.any(lo > up + tol) or np.any(up > tol):
+    if np.any(lo > up) or np.any(up > tol):
         return None
     x = np.minimum(up, 0.0)
     spent = float(a @ (-x))

@@ -150,6 +150,15 @@ class TestBoxKnapsackLP:
         assert knapsack_lp(np.array([-2.0]), np.array([-1.0]),
                            np.array([1.0]), 0.5) is None
 
+    def test_bounds_crossed_by_round_off_are_empty(self):
+        # an upper bound (a tree edge's epsilon floor) 5e-10 below its lower
+        # bound: a vertex at the lower bound would leave the box
+        g, a = np.array([1.0]), np.array([1.0])
+        lo, up = np.array([-0.5]), np.array([-0.5 - 5e-10])
+        assert _knapsack(g, lo, up, a, 10.0) is None
+        # the vertex of the box tied at the lower bound lies above up
+        assert _knapsack(g, lo, lo, a, 10.0).point[0] > up[0]
+
     def test_equivalence_batch(self):
         rng = np.random.default_rng(12)
         for _ in range(500):

@@ -42,6 +42,12 @@ def test_load_rejects_wrong_entry_count(tmp_path):
      "key 'entries' is not a list of numbers"),
     ({"dim": 1, "entries": [1.0], "lambda_min": True},
      "key 'lambda_min' is missing or not a number"),
+    ({"dim": -1, "entries": [1.0], "lambda_min": 1.0},
+     "key 'dim' must be at least 1, not -1"),
+    ({"dim": 0, "entries": [], "lambda_min": 1.0},
+     "key 'dim' must be at least 1, not 0"),
+    ({"dim": 1, "entries": [1.0], "lambda_min": 1.0, "config": [1]},
+     "key 'config' is not a JSON object, found list"),
 ])
 def test_load_rejects_malformed_payload(tmp_path, payload, message):
     path = tmp_path / "malformed.json"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from graphmetric.core import (Certificate, GershgorinPolytope,
+from graphmetric.core import (FEAS_SLACK, Certificate, GershgorinPolytope,
                               GershgorinScalars, SymmetricMatrix,
                               is_connected, validate_graph_metric)
 from graphmetric.core import max_spanning_tree as prim_tree
@@ -1074,13 +1074,14 @@ def _blob_ctx(seed, k=9, per_class=8):
     return ObjectiveContext(features=x, labels=np.where(y == 0, 1.0, -1.0))
 
 
-def _cv_fold_ctx(name="iris", seed=0, fold=0):
-    """One learn of a dataset's CV protocol: class 0 of one CV seed's fold."""
+def _cv_fold_ctx(name="iris", seed=0, fold=0, positive=0):
+    """One learn of a dataset's CV protocol: class ``positive`` against the
+    rest on one CV seed's fold."""
     ds = load_csv(f"data/{name}.csv", label_column="class")
     test = stratified_folds(ds.labels, 2, np.random.default_rng(seed))[fold]
     train = np.setdiff1d(np.arange(ds.num_samples), test)
     x_train, _, _ = standardize(ds.features[train], ds.features[test])
-    z = np.where(ds.labels[train] == 0, 1.0, -1.0)
+    z = np.where(ds.labels[train] == positive, 1.0, -1.0)
     return ObjectiveContext(features=x_train, labels=z)
 
 
@@ -1313,14 +1314,16 @@ class TestLogging:
         assert result.converged
         diagonal = [o for e, _, o in events if e == "diagonal"]
         column = [o for e, _, o in events if e == "offdiag"]
-        # a skipped diagonal step keeps the metric object
+        # a skipped diagonal step keeps the metric object; a column step
+        # either returns its input state or hands on a new metric object
         assert diagonal.count("kept") >= 1
+        assert column.count("skipped") >= 1
+        assert "kept" not in column
         assert [r.getMessage() for r in caplog.records] == [
             f"{diagonal.count('kept')} of {len(diagonal)} diagonal steps "
             f"skipped (scaled lower bounds over the trace cap); "
             f"{column.count('skipped')} of {len(column)} off-diagonal "
-            f"column steps skipped and {column.count('kept')} made no "
-            f"progress"]
+            f"column steps skipped (empty column LP)"]
 
     def test_column_events_summarized_in_one_warning(self, caplog):
         # rho at 0.8 of trace_cap/K presses lambda_min onto the rho floor,
@@ -1343,17 +1346,17 @@ class TestLogging:
                                   observer=observe)
         assert result.converged
         skipped, stalled = outcomes.count("skipped"), outcomes.count("stalled")
-        # an unchanged column keeps its certificate yet counts as a step
-        # that ran, not as stalled
-        assert (skipped, stalled, len(outcomes)) == (4, 3, 27)
+        # a column step that runs hands on a new metric object, an
+        # unchanged column included: only an empty LP keeps the incumbent
+        assert (skipped, stalled, len(outcomes)) == (2, 0, 27)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno >= logging.WARNING]
         assert warnings == [
             f"{skipped} of {len(outcomes)} off-diagonal column steps skipped "
-            f"and {stalled} made no progress"]
+            f"(empty column LP)"]
         per_column = [r for r in caplog.records if r.levelno == logging.DEBUG
                       and r.getMessage().startswith("off-diagonal step")]
-        assert len(per_column) == skipped + stalled
+        assert len(per_column) == skipped
 
     def test_unconverged_stop_warns(self, caplog):
         ctx = _random_ctx(np.random.default_rng(13), 8, 3)
@@ -1399,9 +1402,9 @@ class TestAlignedIterates:
         assert all(ok for _, ok in seen)
 
     def test_unverified_iterate_is_solved_once(self, monkeypatch):
-        # wine CV seed 2, fold 1, class 0: an iterate whose dense pair
-        # gives scalars that cannot be verified at the rho margin
-        ctx = _cv_fold_ctx("wine", seed=2, fold=1)
+        # wine CV seed 4, fold 1, class 2: iterates whose dense pair gives
+        # scalars that cannot be verified at the rho margin
+        ctx = _cv_fold_ctx("wine", seed=4, fold=1, positive=2)
         rho = OptimizerConfig().resolve(ctx.num_features).rho
         changed = unverified = 0
         previous = None
@@ -1420,6 +1423,29 @@ class TestAlignedIterates:
         assert unverified > 0
         # M^0's validation, then one solve per step that changed the matrix
         assert solves == ["smallest_eigenpair_dense"] * (1 + changed)
+
+    def test_column_steps_from_unverified_incumbents_stay_above_rho(self):
+        # the learn above: a column step from an incumbent whose floored
+        # scalars do not hold its polytope has no convexity argument; its
+        # new column must still pass lambda_min >= rho - FEAS_SLACK
+        ctx = _cv_fold_ctx("wine", seed=4, fold=1, positive=2)
+        rho = OptimizerConfig().resolve(ctx.num_features).rho
+        lams = []
+        previous = None
+
+        def observe(event, state):
+            nonlocal previous
+            if (event == "offdiag"
+                    and not GershgorinPolytope(previous.metric.matrix,
+                                               previous.scalars, rho).holds
+                    and not np.array_equal(state.metric.matrix.entries,
+                                           previous.metric.matrix.entries)):
+                lams.append(np.linalg.eigvalsh(state.metric.matrix.entries)[0])
+            previous = state
+
+        learn_metric(ctx, observer=observe)
+        assert lams
+        assert min(lams) >= rho - FEAS_SLACK
 
 
 @functools.cache
@@ -1565,17 +1591,21 @@ class TestCertificationRoute:
             smallest_eigenpair_dense(g.matrix).value
 
     def test_k48_column_fallback_starts_with_warm_lobpcg(self, monkeypatch):
-        # all-ones scalars leave some plain Gershgorin left-ends negative,
-        # so column 0's step cannot be certified by its discs
-        rng = np.random.default_rng(1)
-        g = random_graph_metric(rng, 48)
-        ctx = ObjectiveContext(features=0.3 * rng.normal(size=(30, 48)),
-                               labels=rng.choice([-1.0, 1.0], size=30))
-        cfg = OptimizerConfig(trace_cap=g.matrix.trace()).resolve(48)
-        state = OptimizerState(metric=g,
-                               scalars=GershgorinScalars(np.ones(48)),
-                               objective_trace=(0.0,),
-                               point=pair_distances(ctx, g.matrix))
+        # a K = 48 learn's first sweep-end state with its aligned scalars
+        # perturbed by 1%: the incumbent leaves its polytope, so column 0's
+        # step moves the matrix but cannot be certified by its discs
+        _, states = _k48_learn_states()
+        outer = next(st for event, st in states if event == "outer")
+        g = outer.metric
+        ctx = _blob_ctx(1, k=48, per_class=10)
+        cfg = OptimizerConfig(trace_cap=2.0).resolve(48)
+        jitter = 1.0 + 0.01 * np.random.default_rng(0).standard_normal(48)
+        # the cached learn's point belongs to its own context
+        state = replace(outer,
+                        scalars=GershgorinScalars(outer.scalars.values
+                                                  * jitter),
+                        point=pair_distances(ctx, g.matrix))
+        assert not GershgorinPolytope(g.matrix, state.scalars, cfg.rho).holds
         solves = []
         self._spy_solves(monkeypatch, solves)
         new = offdiag_step(state, ctx, cfg, 0)
@@ -1607,6 +1637,23 @@ class TestCertificationRoute:
         for r in routes["outer"]:
             assert r[0][0] == "smallest_eigenpair_lobpcg"
             assert r[0][1] is not None
+
+
+@pytest.mark.parametrize("blob", [3, 6])
+def test_k48_learn_ignores_feature_round_off(blob):
+    """Features moved by 1e-12 N(0, 1) give the same learned bits at K = 48:
+    a column step starts from its incumbent and skips only on an empty LP,
+    so no step outcome hangs on a round-off clamp of the incumbent."""
+    ctx = _blob_ctx(blob, k=48, per_class=10)
+    noise = np.random.default_rng(1000 + blob).standard_normal(
+        ctx.features.shape)
+    noisy = ObjectiveContext(features=ctx.features + 1e-12 * noise,
+                             labels=ctx.labels)
+    cfg = OptimizerConfig(trace_cap=2.0)
+    clean, moved = learn_metric(ctx, cfg), learn_metric(noisy, cfg)
+    assert moved.outer_iterations == clean.outer_iterations
+    assert moved.metric.matrix.entries.tobytes() == \
+        clean.metric.matrix.entries.tobytes()
 
 
 def test_localized_perron_vector_certifies():
