@@ -243,8 +243,9 @@ class GershgorinPolytope:
     """The scaled Gershgorin rows of ``matrix`` under ``scalars`` at ``rho``.
 
     Row i needs m_ii - s_i * sum_{j != i} |m_ij| / s_j >= rho.  ``radii``
-    work in ratio form s_i / s_j, exact under power-of-two rescaling of s;
-    ``column`` in division form.  The two agree to round-off.
+    work in ratio form s_i / s_j, exact under power-of-two rescaling of s.
+    ``column`` reads ``left_ends``: its box holds the incumbent column
+    wherever the other rows' left-ends are >= rho.
     """
 
     matrix: SymmetricMatrix
@@ -270,23 +271,19 @@ class GershgorinPolytope:
         return float(self.left_ends.min()) >= self.rho - FEAS_SLACK
 
     def column(self, col: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """(u, 1 / s_r, b) over the rows r != col: row r holds while
-        |m_r,col| <= u_r = s_col * ((m_rr - rho) / s_r - sum_{j != r, col}
-        |m_rj| / s_j), summed directly (no cancellation), and row ``col``
-        while sum_r |m_r,col| / s_r <= b = (m_col,col - rho) / s_col."""
+        """(u, 1 / s_r, b) over the rows r != col, from the left-ends l:
+        row r holds while |m_r,col| <= u_r = |m_r,col| + s_col * ((l_r -
+        rho) / s_r), and row ``col`` while sum_r |m_r,col| / s_r <= b =
+        (m_col,col - rho) / s_col."""
         k = self.matrix.dim
         if not 0 <= col < k:
             raise IndexError(f"column {col} out of range for dim {k}")
-        rows = np.arange(k - 1)
-        rows[col:] += 1  # every row but col
-        a, s = self.matrix.entries, self.scalars.values
-        a_rows, s_rows = a[rows], s[rows]
-        diag = (np.arange(rows.size), rows)  # entry (r, r) of each row r
-        ratio_rows = np.abs(a_rows) / s  # |a_rj| / s_j
-        other_sum = (ratio_rows.sum(axis=1) - ratio_rows[diag]
-                     - ratio_rows[:, col])
-        budgets = s[col] * ((a_rows[diag] - self.rho) / s_rows - other_sum)
-        return budgets, 1.0 / s_rows, (a[col, col] - self.rho) / s[col]
+        a, s = self.matrix.entries[col], self.scalars.values
+        budgets = np.abs(a) + s[col] * ((self.left_ends - self.rho) / s)
+        coeffs = 1.0 / s
+        return (np.concatenate((budgets[:col], budgets[col + 1:])),
+                np.concatenate((coeffs[:col], coeffs[col + 1:])),
+                (a[col] - self.rho) / s[col])
 
 
 # Every positive double is at or above this: a zero is never an edge.

@@ -13,9 +13,10 @@ changes, so a step sets up its set once (``diagonal_lp``, ``knapsack_lp``;
 None when it is empty, and then the step skips) and solves it for one
 gradient after another.
 
-The random equivalence batches in ``tests/test_lp.py``
-(``TestDiagonalLP`` and ``TestBoxKnapsackLP``) cross-check both against
-scipy's HiGHS solver.
+The random batches in ``tests/test_lp.py`` cross-check both vertices
+against scipy's HiGHS solver.  Its 1e-7 feasibility tolerance hides the
+set-ups' emptiness decisions (bounds crossed by less, FEASIBILITY_TOL),
+which ``TestEmptinessDecisions`` checks in exact rational arithmetic.
 """
 
 from __future__ import annotations

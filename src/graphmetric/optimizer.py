@@ -536,8 +536,8 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
                  objective: ConvexObjective | None = None) -> OptimizerState:
     """Frank-Wolfe over column ``col``'s off-diagonals (symmetric tying).
 
-    Feasible set: the rows of ``GershgorinPolytope.column``, all variables
-    <= 0, and magnitude floors epsilon on the protected spanning tree's
+    Feasible set: ``GershgorinPolytope.column``'s box on the left-ends,
+    all variables <= 0, and magnitude floors epsilon on the protected tree's
     edges in this column, which keep the graph connected.  Every vertex
     of a spanning tree has a tree edge, and by the cut property the
     column's heaviest edge lies in every maximum spanning tree (ties
@@ -549,17 +549,18 @@ def offdiag_step(state: OptimizerState, ctx: ObjectiveContext,
     exactly when it is empty.  Frank-Wolfe starts from the incumbent
     column: each scaled left-end is affine in the column and >= rho at
     every LP vertex, so from an incumbent whose scalars verify its polytope
-    at rho - FEAS_SLACK every iterate does too (Jaggi, ICML 2013).  Not
-    every incumbent's scalars do: a learn hands on floored scalars whose
-    polytope does not hold when no rung of ``_conditioned_scalars``
-    verifies, and a state built by hand may carry any scalars.  Such an
-    incumbent is not projected into its box; the iterates keep a share of
-    its violation, and a new column then rests on the dense check of
-    ``_certify_matrix``, lambda_min >= rho - FEAS_SLACK, which raises
-    CertificationError when it fails.  Above
-    _DENSE_MAX_DIM a new column whose polytope under the unchanged scalars
-    holds comes back with a disc certificate and those scalars; any other
-    new column comes back certified and aligned (``_certify_matrix``).
+    at rho - FEAS_SLACK every iterate does too (Jaggi, ICML 2013), and one
+    whose left-ends are >= rho lies in its box.  Not every incumbent's
+    scalars do: a learn hands on floored scalars whose polytope does not
+    hold when no rung of ``_conditioned_scalars`` verifies, and a state
+    built by hand may carry any scalars.  Such an incumbent is not
+    projected into its box; the iterates keep a share of its violation,
+    and a new column then rests on the dense check of ``_certify_matrix``,
+    lambda_min >= rho - FEAS_SLACK, which raises CertificationError when it
+    fails.  Above _DENSE_MAX_DIM a new column whose polytope under the
+    unchanged scalars holds comes back with a disc certificate and those
+    scalars; any other new column comes back certified and aligned
+    (``_certify_matrix``).
     """
     cfg = cfg.resolve(state.metric.dim)
     obj = objective if objective is not None else GLRObjective(ctx)

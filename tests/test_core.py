@@ -322,36 +322,87 @@ class TestGershgorin:
 
 
 class TestGershgorinPolytope:
-    """``radii`` (ratio form) and ``column`` (division form) are two
-    arithmetics of one polytope: a column at its budgets puts a row's
-    left-end on rho."""
+    """``column`` reads the polytope's own ``left_ends``: a column at its
+    budgets puts a row's left-end on rho, and the incumbent column lies in
+    its box and within its budget exactly where those left-ends are >= rho."""
 
-    @pytest.mark.parametrize("dim", [4, 13, 48])
-    def test_column_budgets_meet_left_ends_at_rho(self, dim):
+    @staticmethod
+    def _cases(dim):
+        """(polytope at rho 0, rho levels) for ten random graph metrics.  The
+        levels lie below every left-end and midway between adjacent sorted
+        left-ends, so each left-end is clear of each level, and above the
+        lowest level the left-ends lie on both sides."""
         rng = np.random.default_rng(dim)
         for _ in range(10):
             m = random_graph_metric(rng, dim).matrix
             s = GershgorinScalars(rng.uniform(0.5, 2.0, size=dim))
-            # a level below every left-end leaves every budget positive
-            rho = float(GershgorinPolytope(m, s).left_ends.min()) - 1.0
-            col = int(rng.integers(dim))
-            budgets, coeffs, budget = GershgorinPolytope(m, s, rho).column(col)
-            assert (budgets > 0).all() and budget > 0
+            polytope = GershgorinPolytope(m, s)
+            e = np.sort(polytope.left_ends)
+            mids = (e[:-1] + e[1:]) / 2
+            yield polytope, [e[0] - 1.0, *mids[[0, dim // 2 - 1, -1]]]
 
-            local = int(rng.integers(dim - 1))
-            row = local + (local >= col)
-            x = np.delete(m.entries[:, col], col)
-            x[local] = -budgets[local]
-            at_row = m.with_offdiag_column(col, x)
-            ends = GershgorinPolytope(at_row, s, rho).left_ends
-            assert abs(ends[row] - rho) <= 1e-12 * np.abs(at_row.entries).max()
+    @pytest.mark.parametrize("dim", [4, 13, 48])
+    def test_column_budgets_meet_left_ends_at_rho(self, dim):
+        sides = set()
+        for base, levels in self._cases(dim):
+            m, s = base.matrix, base.scalars
+            scale = np.abs(m.entries).max()
+            for rho in levels:
+                # the column of the heaviest edge of the highest row below
+                # rho, whose budget is then most likely >= 0
+                below = np.flatnonzero(base.left_ends < rho)
+                col = 0
+                if below.size:
+                    row = below[base.left_ends[below].argmax()]
+                    weights = np.abs(m.entries[row])
+                    weights[row] = 0.0
+                    col = int(weights.argmax())
+                budgets, coeffs, budget = GershgorinPolytope(
+                    m, s, rho).column(col)
+                if rho == levels[0]:
+                    # a level below every left-end leaves every budget
+                    # positive
+                    assert (budgets > 0).all() and budget > 0
+                incumbent = np.delete(m.entries[:, col], col)
+                for local in np.flatnonzero(budgets >= 0):
+                    row = local + (local >= col)
+                    x = incumbent.copy()
+                    x[local] = -budgets[local]
+                    ends = GershgorinPolytope(m.with_offdiag_column(col, x),
+                                              s).left_ends
+                    assert abs(ends[row] - rho) <= 1e-12 * scale
+                    sides.add(bool(base.left_ends[row] >= rho))
+                if budget > 0:
+                    w = np.linspace(1.0, 2.0, dim - 1)
+                    column = -budget * (w / w.sum()) / coeffs
+                    assert float(coeffs @ -column) == pytest.approx(
+                        budget, rel=1e-12)
+                    filled = m.with_offdiag_column(col, column)
+                    ends = GershgorinPolytope(filled, s).left_ends
+                    assert abs(ends[col] - rho) <= 1e-12 * np.abs(
+                        filled.entries).max()
+        assert sides == {True, False}
 
-            w = rng.uniform(0.1, 1.0, size=dim - 1)
-            column = -budget * (w / w.sum()) / coeffs
-            assert float(coeffs @ -column) == pytest.approx(budget, rel=1e-12)
-            filled = m.with_offdiag_column(col, column)
-            ends = GershgorinPolytope(filled, s, rho).left_ends
-            assert abs(ends[col] - rho) <= 1e-12 * np.abs(filled.entries).max()
+    @pytest.mark.parametrize("dim", [4, 13, 48])
+    def test_incumbent_column_is_feasible_where_left_ends_clear_rho(self,
+                                                                    dim):
+        in_box, within = set(), set()
+        for base, levels in self._cases(dim):
+            ends = base.left_ends
+            for rho in levels:
+                polytope = GershgorinPolytope(base.matrix, base.scalars, rho)
+                for col in range(dim):
+                    budgets, coeffs, budget = polytope.column(col)
+                    x0 = np.delete(np.abs(base.matrix.entries[col]), col)
+                    others = np.delete(ends, col) >= rho
+                    # row by row: the box holds |m_r,col| exactly where l_r
+                    # >= rho, so the incumbent lies in it exactly when every
+                    # other row's left-end does
+                    assert ((x0 <= budgets) == others).all()
+                    in_box.add(bool(others.all()))
+                    assert (float(coeffs @ x0) <= budget) == (ends[col] >= rho)
+                    within.add(bool(ends[col] >= rho))
+        assert in_box == within == {True, False}
 
     @pytest.mark.parametrize("dim", [4, 13, 48])
     def test_holds_is_min_left_end_within_the_slack(self, dim):
@@ -363,9 +414,13 @@ class TestGershgorinPolytope:
         assert not GershgorinPolytope(m, s, low + 2 * FEAS_SLACK).holds
 
     def test_dimension_mismatch(self):
-        polytope = GershgorinPolytope(EX_MATRIX, GershgorinScalars(np.ones(2)))
-        with pytest.raises(DimensionMismatchError):
-            polytope.left_ends  # noqa: B018 -- computed on first read
+        for size in (2, 4):  # too short and too long for EX_MATRIX
+            polytope = GershgorinPolytope(EX_MATRIX,
+                                          GershgorinScalars(np.ones(size)))
+            with pytest.raises(DimensionMismatchError):
+                polytope.left_ends  # noqa: B018 -- computed on first read
+            with pytest.raises(DimensionMismatchError):
+                polytope.column(0)
 
     @pytest.mark.parametrize("col", [-1, 3])
     def test_column_out_of_range(self, col):

@@ -1,15 +1,17 @@
 """Tests for the closed-form LP vertices.
 
 The references are independent of the closed forms: scipy's HiGHS solver
-for the random equivalence batches, and brute-force vertex enumeration
-(tests/helpers.py) for the vertex property on small instances.  The
-batches also hold each vertex bit for bit to the plain-formula reference
-in tests/helpers.py.
+for the random equivalence batches, brute-force vertex enumeration
+(tests/helpers.py) for the vertex property on small instances, and exact
+rational arithmetic for the emptiness decisions, which lie below HiGHS's
+1e-7 feasibility tolerance.  The batches also hold each vertex bit for bit
+to the plain-formula reference in tests/helpers.py.
 """
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,9 @@ import pytest
 from scipy.optimize import linprog
 
 import graphmetric
-from graphmetric.lp import (OPTIMAL, LPError, diagonal_lp, knapsack_lp,
-                            solve_box_knapsack_lp, solve_diagonal_lp)
+from graphmetric.lp import (FEASIBILITY_TOL, OPTIMAL, LPError, diagonal_lp,
+                            knapsack_lp, solve_box_knapsack_lp,
+                            solve_diagonal_lp)
 from helpers import (INFEASIBLE, count_active, enumerate_lp_vertices,
                      knapsack_greedy_sorted, reference_diagonal_lp,
                      reference_knapsack_lp)
@@ -195,6 +198,84 @@ class TestBoxKnapsackLP:
             ratios = (g / a)[g > 0]
             tied += np.unique(ratios).size < ratios.size
         assert tied > 300
+
+
+def _exactly_overspent(spent: Fraction, budget: float) -> bool:
+    """Whether ``spent`` exceeds ``budget`` by more than FEASIBILITY_TOL
+    relative to max(1, |budget|), in exact arithmetic."""
+    b = Fraction(budget)
+    return spent - b > Fraction(FEASIBILITY_TOL) * max(1, abs(b))
+
+
+def _exactly_empty_knapsack(lo, up, a, budget) -> bool:
+    """The knapsack set-up's emptiness rule in exact arithmetic: a lower
+    bound above its upper bound, or a base vertex min(upper, 0) that
+    overspends the budget."""
+    lo, up, a = ([Fraction(v) for v in vec.tolist()] for vec in (lo, up, a))
+    if any(low > high for low, high in zip(lo, up)):
+        return True
+    return _exactly_overspent(sum(c * -min(high, 0) for c, high in zip(a, up)),
+                              budget)
+
+
+class TestEmptinessDecisions:
+    """The set-ups' None / not-None against exact rational arithmetic, for
+    bounds crossed and base vertices overspent by 1e-10 to 1e-8: below
+    HiGHS's 1e-7 feasibility tolerance, where its cross-check cannot see
+    them."""
+
+    # overshoots in units of FEASIBILITY_TOL, clear of its threshold 1;
+    # negative ones undershoot
+    FACTORS = (-10.0, -0.5, 0.1, 0.5, 2.0, 10.0)
+
+    def test_diagonal_lp(self):
+        rng = np.random.default_rng(31)
+        decided = set()
+        for _ in range(100):
+            dim = int(rng.integers(1, 9))
+            lb = rng.uniform(0.0, 1.0, size=dim) * rng.choice([0.1, 1.0, 10.0])
+            total = float(lb.sum())
+            for factor in self.FACTORS:
+                cap = total - factor * FEASIBILITY_TOL * max(1.0, total)
+                exact = _exactly_overspent(
+                    sum(Fraction(v) for v in lb.tolist()), cap)
+                assert (diagonal_lp(lb, cap) is None) == exact
+                decided.add(exact)
+        assert decided == {True, False}
+
+    def test_knapsack_lp_crossed_bounds(self):
+        rng = np.random.default_rng(32)
+        decided = set()
+        for _ in range(100):
+            dim = int(rng.integers(1, 9))
+            _, lo, up, a, _ = _random_knapsack(rng, dim)
+            budget = float(a @ -up) + 1.0
+            r = int(rng.integers(dim))
+            for cross in (1e-10, 1e-9, 1e-8):
+                for sign in (1.0, -1.0):
+                    lo[r] = up[r] + sign * cross
+                    exact = _exactly_empty_knapsack(lo, up, a, budget)
+                    assert (knapsack_lp(lo, up, a, budget) is None) == exact
+                    decided.add(exact)
+        assert decided == {True, False}
+
+    def test_knapsack_lp_overspent_base(self):
+        rng = np.random.default_rng(33)
+        decided = set()
+        for _ in range(100):
+            dim = int(rng.integers(1, 9))
+            _, lo, up, a, _ = _random_knapsack(rng, dim)
+            up[0] = -rng.uniform(0.05, 0.3)  # a base vertex that spends
+            a *= rng.choice([0.1, 1.0, 10.0])
+            spent = sum(Fraction(c) * -Fraction(high)
+                        for c, high in zip(a.tolist(), up.tolist()))
+            for factor in self.FACTORS:
+                budget = float(spent) - factor * FEASIBILITY_TOL * max(
+                    1.0, float(spent))
+                exact = _exactly_empty_knapsack(lo, up, a, budget)
+                assert (knapsack_lp(lo, up, a, budget) is None) == exact
+                decided.add(exact)
+        assert decided == {True, False}
 
 
 class TestSetupReuse:

@@ -1402,9 +1402,9 @@ class TestAlignedIterates:
         assert all(ok for _, ok in seen)
 
     def test_unverified_iterate_is_solved_once(self, monkeypatch):
-        # wine CV seed 4, fold 1, class 2: iterates whose dense pair gives
+        # wine CV seed 8, fold 1, class 0: iterates whose dense pair gives
         # scalars that cannot be verified at the rho margin
-        ctx = _cv_fold_ctx("wine", seed=4, fold=1, positive=2)
+        ctx = _cv_fold_ctx("wine", seed=8, fold=1, positive=0)
         rho = OptimizerConfig().resolve(ctx.num_features).rho
         changed = unverified = 0
         previous = None
@@ -1425,11 +1425,14 @@ class TestAlignedIterates:
         assert solves == ["smallest_eigenpair_dense"] * (1 + changed)
 
     def test_column_steps_from_unverified_incumbents_stay_above_rho(self):
-        # the learn above: a column step from an incumbent whose floored
-        # scalars do not hold its polytope has no convexity argument; its
-        # new column must still pass lambda_min >= rho - FEAS_SLACK
-        ctx = _cv_fold_ctx("wine", seed=4, fold=1, positive=2)
-        rho = OptimizerConfig().resolve(ctx.num_features).rho
+        # the benchmark's K = 48 blob 0, class 0: a column step from an
+        # incumbent whose floored scalars do not hold its polytope has no
+        # convexity argument; its new column must still pass lambda_min >=
+        # rho - FEAS_SLACK
+        x, y = highdim_blobs(0)
+        ctx = ObjectiveContext(features=x, labels=np.where(y == 0, 1.0, -1.0))
+        cfg = OptimizerConfig(trace_cap=2.0)
+        rho = cfg.resolve(ctx.num_features).rho
         lams = []
         previous = None
 
@@ -1443,7 +1446,7 @@ class TestAlignedIterates:
                 lams.append(np.linalg.eigvalsh(state.metric.matrix.entries)[0])
             previous = state
 
-        learn_metric(ctx, observer=observe)
+        learn_metric(ctx, cfg, observer=observe)
         assert lams
         assert min(lams) >= rho - FEAS_SLACK
 
